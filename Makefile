@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench chaos mutate-smoke opt-smoke cover fuzz-smoke
+.PHONY: all build test race vet fmt lint check bench bench-test chaos mutate-smoke opt-smoke cover fuzz-smoke
 
 all: check
 
@@ -78,7 +78,14 @@ fuzz-smoke:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzVMBackendsLockstep$$' -fuzztime 10s
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzDisasmRoundTrip$$' -fuzztime 5s
 
-check: fmt vet build test race cover fuzz-smoke mutate-smoke opt-smoke chaos
+# bench-test vets and tests the performance ledger under bench/. It is its
+# own module, so the root build and tests do not notice when a change to an
+# internal API breaks it.
+bench-test:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+check: fmt vet build test race bench-test cover fuzz-smoke mutate-smoke opt-smoke chaos
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

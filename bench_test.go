@@ -202,9 +202,10 @@ func BenchmarkFigure8FuzzOnly(b *testing.B) {
 }
 
 // BenchmarkSpeedVMvsInterp is the §4 execution-rate comparison: one model
-// iteration on the compiled VM versus the interpretive simulation engine.
-// The ns/op ratio between the two sub-benchmarks is the reproduction of the
-// paper's 26,000 vs 6 iterations/second.
+// iteration on the compiled (threaded) VM campaigns run versus the
+// interpretive simulation engine. The ns/op ratio between the two
+// sub-benchmarks is the reproduction of the paper's 26,000 vs 6
+// iterations/second.
 func BenchmarkSpeedVMvsInterp(b *testing.B) {
 	c := compileBench(b, "SolarPV")
 	rng := rand.New(rand.NewSource(1))
@@ -218,7 +219,7 @@ func BenchmarkSpeedVMvsInterp(b *testing.B) {
 	}
 	b.Run("CompiledVM", func(b *testing.B) {
 		rec := coverage.NewRecorder(c.Plan)
-		m := vm.New(c.Prog, rec)
+		m := vm.NewThreadedFromCode(c.Threaded(), rec)
 		m.Init()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -309,20 +310,27 @@ func BenchmarkVMBackends(b *testing.B) {
 				}
 				inputs[i] = in
 			}
+			backends := []struct {
+				name string
+				new  func(rec *coverage.Recorder) vm.Backend
+			}{
+				{"switch", func(rec *coverage.Recorder) vm.Backend { return vm.New(c.Prog, rec) }},
+				{"threaded", func(rec *coverage.Recorder) vm.Backend { return vm.NewThreaded(c.Prog, rec) }},
+			}
 			for _, withRec := range []bool{true, false} {
 				withRec := withRec
-				for kind := vm.BackendKind(0); kind.Valid(); kind++ {
-					kind := kind
-					name := kind.String() + "/rec"
+				for _, be := range backends {
+					be := be
+					name := be.name + "/rec"
 					if !withRec {
-						name = kind.String() + "/norec"
+						name = be.name + "/norec"
 					}
 					b.Run(name, func(b *testing.B) {
 						var rec *coverage.Recorder
 						if withRec {
 							rec = coverage.NewRecorder(c.Plan)
 						}
-						m := vm.NewBackend(kind, c.Prog, rec)
+						m := be.new(rec)
 						if err := m.Init(); err != nil {
 							b.Fatal(err)
 						}
@@ -337,7 +345,7 @@ func BenchmarkVMBackends(b *testing.B) {
 								m.Step(inputs[i&63])
 							}
 						}
-						if kind == vm.BackendThreaded {
+						if be.name == "threaded" {
 							b.ReportMetric(float64(vm.CompileThreaded(c.Prog).Fused()), "fused")
 						}
 					})

@@ -26,7 +26,6 @@ import (
 	"cftcg/internal/fuzz"
 	"cftcg/internal/harness"
 	"cftcg/internal/sldv"
-	"cftcg/internal/vm"
 )
 
 func main() {
@@ -39,7 +38,6 @@ func main() {
 	throttle := flag.Float64("sim-throttle", -1, "SimCoTest steps/sec cap (-1 = calibrated default, 0 = native interpreter speed; paper measured 6)")
 	mutants := flag.Int("mutants", 100, "mutant pool size per model (mutation command)")
 	optimize := flag.Bool("opt", false, "run every tool on the translation-validated optimized program")
-	backendName := flag.String("backend", "", "VM backend for the fuzz-based tools: switch (default) or threaded")
 	flag.Parse()
 
 	cmd := flag.Arg(0)
@@ -53,12 +51,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.SLDVDepth = *depth
 	cfg.Optimize = *optimize
-	backend, err := vm.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-		os.Exit(1)
-	}
-	cfg.Backend = backend
 	if *throttle >= 0 {
 		cfg.SimThrottleStepsPerSec = *throttle
 	}

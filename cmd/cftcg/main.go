@@ -34,7 +34,6 @@ import (
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
 	"cftcg/internal/opt"
-	"cftcg/internal/vm"
 )
 
 func main() {
@@ -69,13 +68,10 @@ func main() {
 		analyze := fs.Bool("analyze", false, "statically prove objectives dead; exclude them from the report denominators")
 		directed := fs.Bool("directed", false, "bias mutation toward input fields that influence unsatisfied objectives")
 		optimize := fs.Bool("opt", false, "fuzz the optimized program (translation-validated: identical outputs and probe streams)")
-		backendName := fs.String("backend", "", "VM backend: switch (reference) or threaded (differentially proven equal, ~2x faster)")
 		check(fs.Parse(args[1:]))
 		sys := loadSystem(arg(args, 0))
 
 		m, err := fuzz.ParseMode(*mode)
-		check(err)
-		backend, err := vm.ParseBackend(*backendName)
 		check(err)
 		if *analyze {
 			if n := analysis.MarkDead(sys.Compiled.Prog, sys.Compiled.Plan); n > 0 {
@@ -101,7 +97,7 @@ func main() {
 			Seed: *seed, Mode: m, Budget: *budget, MaxExecs: *execs, MaxTuples: *maxTuples,
 			Fuel:           *fuel,
 			CheckpointPath: *checkpoint, CheckpointEvery: *ckptEvery, ResumeFrom: *resume,
-			Directed: *directed, Optimize: *optimize, Backend: backend,
+			Directed: *directed, Optimize: *optimize,
 		}
 		if *seeds != "" {
 			seedInputs, err := core.ReadSeedDir(*seeds)

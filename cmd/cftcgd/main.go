@@ -57,7 +57,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 128, "queued submissions beyond this are shed with 503")
 	maxImport := flag.Int64("max-import-bytes", 32<<20, "corpus import request body cap")
 	optimize := flag.Bool("opt", false, "optimize every campaign's program before fuzzing (translation-validated)")
-	backend := flag.String("backend", "", "VM backend every campaign executes on: switch or threaded (empty = per-submission choice)")
 	flag.Parse()
 
 	srv, err := campaign.NewServerWithConfig(resolveModel, campaign.ServerConfig{
@@ -66,7 +65,6 @@ func main() {
 		MaxImportBytes: *maxImport,
 		Journal:        *journalDir,
 		ForceOptimize:  *optimize,
-		ForceBackend:   *backend,
 	})
 	if err != nil {
 		log.Fatalf("cftcgd: %v", err)

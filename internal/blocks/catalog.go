@@ -339,33 +339,9 @@ func init() {
 
 	// --- user-defined ---------------------------------------------------------
 	Register(&Spec{
+		// No port or type callbacks: Resolve reads the counts and output
+		// types off the block's parsed script (Design.script).
 		Kind: "MatlabFunction", Doc: "imperative function block in the mlfunc language",
-		InCount: func(b *model.Block) (int, error) {
-			f, err := ParseScript(b)
-			if err != nil {
-				return 0, err
-			}
-			return len(f.Inputs()), nil
-		},
-		OutCount: func(b *model.Block) (int, error) {
-			f, err := ParseScript(b)
-			if err != nil {
-				return 0, err
-			}
-			return len(f.Outputs()), nil
-		},
-		Infer: func(b *model.Block, _ []model.DType) ([]model.DType, error) {
-			f, err := ParseScript(b)
-			if err != nil {
-				return nil, err
-			}
-			outs := f.Outputs()
-			types := make([]model.DType, len(outs))
-			for i, o := range outs {
-				types[i] = o.Type
-			}
-			return types, nil
-		},
 		Stateful: true,
 	})
 	Register(&Spec{

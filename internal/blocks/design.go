@@ -162,11 +162,7 @@ func (d *Design) buildGraphInfo(g *model.Graph, path string, owner *model.Block)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", path, b.Name, err)
 		}
-		nin, err := spec.InCount(b)
-		if err != nil {
-			return nil, err
-		}
-		nout, err := spec.OutCount(b)
+		nin, nout, err := d.portCounts(spec, b)
 		if err != nil {
 			return nil, err
 		}
@@ -197,6 +193,38 @@ func (d *Design) buildGraphInfo(g *model.Graph, path string, owner *model.Block)
 		}
 	}
 	return gi, nil
+}
+
+// script returns a MatlabFunction block's parsed body, parsing it on first
+// use. The cache is d.Funcs, so one Resolve parses each script once while
+// concurrent Resolves share nothing.
+func (d *Design) script(b *model.Block) (*mlfunc.Function, error) {
+	if f, ok := d.Funcs[b]; ok {
+		return f, nil
+	}
+	f, err := ParseScript(b)
+	if err != nil {
+		return nil, err
+	}
+	d.Funcs[b] = f
+	return f, nil
+}
+
+// portCounts returns a block's input and output port counts: from the
+// catalog callbacks, or for a MatlabFunction block from its parsed script.
+func (d *Design) portCounts(spec *Spec, b *model.Block) (nin, nout int, err error) {
+	if b.Kind == "MatlabFunction" {
+		f, err := d.script(b)
+		if err != nil {
+			return 0, 0, err
+		}
+		return len(f.Inputs()), len(f.Outputs()), nil
+	}
+	if nin, err = spec.InCount(b); err != nil {
+		return 0, 0, err
+	}
+	nout, err = spec.OutCount(b)
+	return nin, nout, err
 }
 
 // graphResolved reports whether every output port in the graph (and its
@@ -252,7 +280,8 @@ func (d *Design) resolveGraph(gi *GraphInfo) (progress, done bool, err error) {
 		done = false
 
 		spec, _ := Get(b.Kind)
-		if spec.Infer == nil {
+		isScript := b.Kind == "MatlabFunction"
+		if spec.Infer == nil && !isScript {
 			return false, false, fmt.Errorf("blocks: %s/%s: kind %s has no type inference", gi.Path, b.Name, b.Kind)
 		}
 		in, ok := gi.InTypes(b.ID)
@@ -265,8 +294,15 @@ func (d *Design) resolveGraph(gi *GraphInfo) (progress, done bool, err error) {
 			}
 			continue
 		}
-		outs, err := spec.Infer(b, in)
-		if err != nil {
+		var outs []model.DType
+		if isScript {
+			// A script's outputs have the types it declares.
+			f, err := d.script(b)
+			if err != nil {
+				return false, false, err
+			}
+			outs = scriptOutTypes(f)
+		} else if outs, err = spec.Infer(b, in); err != nil {
 			return false, false, err
 		}
 		if len(outs) != nout {
@@ -426,14 +462,13 @@ func (d *Design) parseUserCode(gi *GraphInfo) error {
 	for _, b := range gi.Graph.Blocks {
 		switch b.Kind {
 		case "MatlabFunction":
-			f, err := ParseScript(b)
+			f, err := d.script(b)
 			if err != nil {
 				return err
 			}
 			if gi.InCount[b.ID] != len(f.Inputs()) {
 				return fmt.Errorf("blocks: %s/%s: script declares %d inputs, %d wired", gi.Path, b.Name, len(f.Inputs()), gi.InCount[b.ID])
 			}
-			d.Funcs[b] = f
 
 		case "Chart":
 			c, err := ChartOf(b)

@@ -2,6 +2,7 @@ package blocks
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"cftcg/internal/model"
@@ -65,6 +66,45 @@ func TestResolveScriptCountMismatch(t *testing.T) {
 	b.Matlab("f", "input int32 a;\ninput int32 b;\noutput int32 y;\ny = a + b;", x) // only 1 wired
 	if _, err := Resolve(b.Model()); err == nil {
 		t.Error("want input count mismatch error")
+	}
+}
+
+// TestResolveScriptsConcurrently: Resolve keeps its one parse of each
+// MatlabFunction script in the Design it returns, so concurrent resolves of
+// one model (the daemon resolves per submission) share no parse state. Run
+// under -race.
+func TestResolveScriptsConcurrently(t *testing.T) {
+	b := model.NewBuilder("M")
+	x := b.Inport("x", model.Int32)
+	f := b.Matlab("f", "input int32 a;\noutput int16 y;\ny = a + 1;", x)
+	b.Outport("o", model.Int16, f.Out(0))
+	m := b.Model()
+
+	ds := make([]*Design, 4)
+	errs := make([]error, len(ds))
+	var wg sync.WaitGroup
+	for i := range ds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ds[i], errs[i] = Resolve(m)
+		}(i)
+	}
+	wg.Wait()
+	blk := m.Root.BlockByName("f")
+	for i, d := range ds {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(d.Funcs) != 1 || d.Funcs[blk] == nil {
+			t.Fatalf("resolve %d: Funcs = %v, want the one parsed script", i, d.Funcs)
+		}
+		if i > 0 && d.Funcs[blk] == ds[0].Funcs[blk] {
+			t.Errorf("resolve %d shares its parse with resolve 0", i)
+		}
+		if got := d.Root.OutType[model.PortRef{Block: blk.ID, Port: 0}]; got != model.Int16 {
+			t.Errorf("resolve %d: script output type %s, want int16", i, got)
+		}
 	}
 }
 

@@ -133,14 +133,26 @@ func floatOut(b *model.Block, _ []model.DType) ([]model.DType, error) {
 	return []model.DType{b.Params.DType("Type", model.Float64)}, nil
 }
 
-// ParseScript parses a MatlabFunction block's script (cached per call site
-// by the resolver; parsing is cheap relative to model build).
+// ParseScript parses a MatlabFunction block's script. It does not cache:
+// each call parses again. Resolve parses each script once and keeps the
+// result in Design.Funcs.
 func ParseScript(b *model.Block) (*mlfunc.Function, error) {
 	f, err := mlfunc.Parse(b.Name, b.Script)
 	if err != nil {
 		return nil, fmt.Errorf("blocks: %s: %w", b.Path(), err)
 	}
 	return f, nil
+}
+
+// scriptOutTypes is the MatlabFunction type rule: the declared types of the
+// script's outputs.
+func scriptOutTypes(f *mlfunc.Function) []model.DType {
+	outs := f.Outputs()
+	types := make([]model.DType, len(outs))
+	for i, o := range outs {
+		types[i] = o.Type
+	}
+	return types
 }
 
 // ChartOf extracts and validates the chart payload of a Chart block.

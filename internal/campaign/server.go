@@ -17,7 +17,6 @@ import (
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
 	"cftcg/internal/opt"
-	"cftcg/internal/vm"
 )
 
 // ModelResolver turns a submitted model name into a compiled program. The
@@ -55,10 +54,6 @@ type Spec struct {
 	// Directed biases mutation toward input fields that influence the
 	// still-unsatisfied objectives (implies nothing in fuzz-only mode).
 	Directed bool `json:"directed,omitempty"`
-	// Backend selects the VM execution backend for every shard: "switch"
-	// (default) or "threaded". The backends are differentially proven
-	// observably identical, so the choice affects throughput only.
-	Backend string `json:"backend,omitempty"`
 	// Mutate scores the generated suite against IR-level mutants once the
 	// campaign finishes; the summary lands on the final snapshot, the jobs
 	// API and the cftcg_mutants_* metrics. (Chart-level operators need the
@@ -74,12 +69,7 @@ func (sp *Spec) options() (fuzz.Options, error) {
 	if err != nil {
 		return fuzz.Options{}, err
 	}
-	backend, err := vm.ParseBackend(sp.Backend)
-	if err != nil {
-		return fuzz.Options{}, err
-	}
 	opts := fuzz.Options{
-		Backend:        backend,
 		Seed:           sp.Seed,
 		Mode:           mode,
 		MaxExecs:       sp.MaxExecs,
@@ -230,10 +220,6 @@ type ServerConfig struct {
 	// cftcgd -opt flag): each campaign fuzzes the translation-validated
 	// optimized program regardless of what the client asked for.
 	ForceOptimize bool
-	// ForceBackend, when non-empty, overrides Spec.Backend for every
-	// submission (the cftcgd -backend flag): all campaigns execute on this
-	// VM backend regardless of what the client asked for.
-	ForceBackend string
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -291,9 +277,6 @@ func NewServer(resolve ModelResolver, runners int) *Server {
 // resuming their shards from the per-shard checkpoint files.
 func NewServerWithConfig(resolve ModelResolver, cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if _, err := vm.ParseBackend(cfg.ForceBackend); err != nil {
-		return nil, err // fail at startup, not on every submission
-	}
 	s := &Server{
 		cfg:     cfg,
 		resolve: resolve,
@@ -574,14 +557,6 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		return nil, fmt.Errorf("campaign: missing model")
 	}
 	if _, err := fuzz.ParseMode(spec.Mode); err != nil {
-		return nil, err
-	}
-	if s.cfg.ForceBackend != "" {
-		// Promote before validation and job construction, like ForceOptimize
-		// below, so the journal and the status API reflect what will run.
-		spec.Backend = s.cfg.ForceBackend
-	}
-	if _, err := vm.ParseBackend(spec.Backend); err != nil {
 		return nil, err
 	}
 	if s.cfg.ForceOptimize {

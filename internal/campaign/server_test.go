@@ -267,37 +267,48 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return string(data)
 }
 
-// TestBackendSpecAndForce: an unknown backend name is rejected at submit
-// (and, for ForceBackend, at server construction); -backend promotes every
-// submission's spec before it is journaled, like ForceOptimize.
-func TestBackendSpecAndForce(t *testing.T) {
-	if _, err := NewServerWithConfig(testResolver(t), ServerConfig{ForceBackend: "bogus"}); err == nil {
-		t.Fatal("ForceBackend bogus: want a startup error")
-	}
+// TestRetiredBackendKeyAccepted: specs once carried a "backend" key that
+// picked the VM. Every campaign now runs the threaded VM, and old clients
+// and old journals must keep working: a submission carrying the key, and a
+// journal whose submitted event carries it, both decode and run to
+// completion.
+func TestRetiredBackendKeyAccepted(t *testing.T) {
+	const legacy = `{"model":"Magic","execs":200,"backend":"switch"}`
 
-	plain := NewServer(testResolver(t), 1)
-	if _, err := plain.Submit(Spec{Model: "Magic", MaxExecs: 50, Backend: "bogus"}); err == nil {
-		t.Error("submit with unknown backend: want an error")
-	}
-	drain(t, plain)
-
-	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Runners: 1, ForceBackend: "threaded"})
+	dir := t.TempDir()
+	jnl, err := openJournal(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := srv.Submit(Spec{Model: "Magic", MaxExecs: 200})
+	if err := jnl.log.Append([]byte(`{"type":"submitted","job":1,"time":"2024-01-01T00:00:00Z","spec":` + legacy + `}`)); err != nil {
+		t.Fatal(err)
+	}
+	jnl.close()
+
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Spec.Backend != "threaded" {
-		t.Errorf("ForceBackend not promoted onto the spec: %q", job.Spec.Backend)
+	if st := waitState(t, srv, 1, StateDone); st.Report == nil {
+		t.Error("journaled legacy job finished without a report")
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for job.status().State != StateDone {
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign on the threaded backend did not finish: %+v", job.status())
-		}
-		time.Sleep(2 * time.Millisecond)
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/api/campaigns", "application/json", strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("legacy submission: status %d", resp.StatusCode)
+	}
+	if st := waitState(t, srv, job.ID, StateDone); st.Report == nil {
+		t.Error("legacy submission finished without a report")
 	}
 	drain(t, srv)
 }

@@ -107,7 +107,7 @@ func (s *System) BranchCount() int { return s.Compiled.Plan.BranchCount() }
 // prints and what the paper's CSV converter feeds back into Simulink.
 func (s *System) Replay(cases [][]byte) (coverage.Report, *coverage.Recorder) {
 	rec := coverage.NewRecorder(s.Compiled.Plan)
-	m := vm.New(s.Compiled.Prog, rec)
+	m := vm.NewThreadedFromCode(s.Compiled.Threaded(), rec)
 	tuple := s.Compiled.Prog.TupleSize()
 	fields := s.Compiled.Prog.In
 	in := make([]uint64, len(fields))
@@ -195,7 +195,7 @@ func (s *System) Trace(w io.Writer, data []byte) error {
 	}
 	vw := vcd.New(w, s.Model.Name, s.Model.SampleTime, signals)
 
-	m := vm.New(prog, nil)
+	m := vm.NewThreadedFromCode(s.Compiled.Threaded(), nil)
 	m.Init()
 	tuple := prog.TupleSize()
 	n := 0

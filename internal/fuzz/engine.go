@@ -91,12 +91,6 @@ type Options struct {
 	// code. The pipeline's validator guarantees identical outputs and probe
 	// streams, so coverage and findings are comparable either way.
 	Optimize bool
-	// Backend selects the VM execution backend the campaign runs on: the
-	// switch reference interpreter (the zero value) or the direct-threaded
-	// compiled backend. The cross-backend differential rig proves the
-	// backends observably identical — outputs, probes, fuel, hang sites —
-	// so results are comparable whichever executes.
-	Backend vm.BackendKind
 	// Fuel bounds the instructions one init/step call may execute before it
 	// is aborted and triaged as a Hang finding (0 = vm.DefaultFuel).
 	Fuel int64
@@ -167,9 +161,6 @@ func (o *Options) Validate() error {
 	if o.Fuel < 0 {
 		return fmt.Errorf("fuzz: negative Fuel %d", o.Fuel)
 	}
-	if !o.Backend.Valid() {
-		return fmt.Errorf("fuzz: unknown backend %v", o.Backend)
-	}
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("fuzz: negative CheckpointEvery %s", o.CheckpointEvery)
 	}
@@ -218,8 +209,10 @@ type Result struct {
 
 // Engine is the in-process fuzzer bound to one compiled model.
 type Engine struct {
-	c    *codegen.Compiled
-	rec  *coverage.Recorder
+	c   *codegen.Compiled
+	rec *coverage.Recorder
+	// m runs c's shared threaded code; tests swap in the reference
+	// interpreter to check the two drive identical campaigns.
 	m    vm.Backend
 	opts Options
 	rng  *rand.Rand
@@ -359,16 +352,14 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		c2 := *c
-		c2.Prog = p
-		c = &c2
+		c = c.WithProg(p)
 	}
 	rec := coverage.NewRecorder(c.Plan)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	e := &Engine{
 		c:          c,
 		rec:        rec,
-		m:          vm.NewBackend(opts.Backend, c.Prog, rec),
+		m:          vm.NewThreadedFromCode(c.Threaded(), rec),
 		opts:       opts,
 		rng:        rng,
 		mut:        NewMutator(c.Prog.In, c.Prog.TupleSize(), opts.MaxTuples, rng),

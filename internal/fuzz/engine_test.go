@@ -129,10 +129,11 @@ func TestEngineDeterministicWithSeed(t *testing.T) {
 }
 
 // TestBackendInvariantCampaign: a campaign is a deterministic function of
-// (seed, options, observable VM behavior) — and the threaded backend is
-// differentially proven observably identical to the switch reference — so
-// the same campaign on either backend must produce the same executions,
-// steps, cases and coverage, byte for byte.
+// (seed, options, observable VM behavior) — and the threaded backend the
+// engine runs is differentially proven observably identical to the switch
+// reference — so the same campaign with the engine's machine swapped for the
+// reference must produce the same executions, steps, cases and coverage,
+// byte for byte.
 func TestBackendInvariantCampaign(t *testing.T) {
 	for _, name := range []string{"CPUTask", "SolarPV"} {
 		e, err := benchmodels.Get(name)
@@ -144,8 +145,9 @@ func TestBackendInvariantCampaign(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{Seed: 3, MaxExecs: 1500, Directed: true}
-		sw := MustEngine(c, opts).Run()
-		opts.Backend = vm.BackendThreaded
+		ref := MustEngine(c, opts)
+		ref.m = vm.New(c.Prog, ref.rec)
+		sw := ref.Run()
 		th := MustEngine(c, opts).Run()
 		if sw.Execs != th.Execs || sw.Steps != th.Steps || sw.Corpus != th.Corpus {
 			t.Fatalf("%s: counters diverge across backends: execs %d/%d steps %d/%d corpus %d/%d",

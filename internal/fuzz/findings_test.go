@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cftcg/internal/codegen"
-	"cftcg/internal/ir"
 	"cftcg/internal/model"
 )
 
@@ -106,15 +105,13 @@ func TestCampaignSurvivesHangsWithinBudget(t *testing.T) {
 
 func TestPanicRecoveredAsCrashFinding(t *testing.T) {
 	c := switchOnly(t)
-	e := MustEngine(c, Options{Seed: 1, MaxExecs: 1})
-	// Corrupt the program: a register index past the file makes the VM panic
-	// with index-out-of-range, standing in for any interpreter defect.
-	for i := range e.c.Prog.Step {
-		if e.c.Prog.Step[i].Op == ir.OpStoreOut {
-			e.c.Prog.Step[i].A = 1 << 20
-			break
-		}
-	}
+	// Pair the program with a plan that has no decisions: the step's first
+	// probe then indexes past the recorder's tables and panics with
+	// index-out-of-range, standing in for any execution defect.
+	short := *c.Plan
+	short.Decisions = nil
+	broken := &codegen.Compiled{Design: c.Design, Plan: &short, Index: c.Index, Prog: c.Prog}
+	e := MustEngine(broken, Options{Seed: 1, MaxExecs: 1})
 	metric, _, _ := e.RunInput([]byte{1})
 	_ = metric
 	if len(e.findings) != 1 || e.findings[0].Kind != FindingCrash {

@@ -17,7 +17,7 @@ import (
 // handing the suite to engineers.
 func Minimize(c *codegen.Compiled, cases []testcase.Case) []testcase.Case {
 	rec := coverage.NewRecorder(c.Plan)
-	m := vm.New(c.Prog, rec)
+	m := vm.NewThreadedFromCode(c.Threaded(), rec)
 	tuple := c.Prog.TupleSize()
 	fields := c.Prog.In
 	in := make([]uint64, len(fields))
@@ -109,7 +109,7 @@ func Trim(c *codegen.Compiled, data []byte) []byte {
 		return data
 	}
 	rec := coverage.NewRecorder(c.Plan)
-	m := vm.New(c.Prog, rec)
+	m := vm.NewThreadedFromCode(c.Threaded(), rec)
 	fields := c.Prog.In
 	in := make([]uint64, len(fields))
 

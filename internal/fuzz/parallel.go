@@ -33,9 +33,7 @@ func RunParallel(c *codegen.Compiled, opts Options, workers int) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		c2 := *c
-		c2.Prog = p
-		c = &c2
+		c = c.WithProg(p)
 		opts.Optimize = false
 	}
 	engines := make([]*Engine, workers)

@@ -21,7 +21,6 @@ import (
 	"cftcg/internal/simcotest"
 	"cftcg/internal/sldv"
 	"cftcg/internal/testcase"
-	"cftcg/internal/vm"
 )
 
 // Tool identifies a test-case generator under evaluation.
@@ -88,11 +87,6 @@ type Config struct {
 	// Directed biases CFTCG/Hybrid mutation toward input fields that the
 	// influence map links to still-unsatisfied objectives.
 	Directed bool
-	// Backend selects the VM backend the fuzz-based tools execute on (the
-	// switch reference by default). Coverage results are backend-invariant —
-	// the differential rig proves observable equality — so this trades
-	// nothing but wall-clock per exec.
-	Backend vm.BackendKind
 
 	// CellTimeout is the hard deadline for one tool×model×seed cell. A cell
 	// that exceeds it (or panics) is rendered as degraded in Table 3 instead
@@ -235,7 +229,6 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 			MaxExecs:  cfg.FuzzMaxExecs,
 			Fuel:      cfg.FuzzFuel,
 			Directed:  cfg.Directed,
-			Backend:   cfg.Backend,
 		})
 		if err != nil {
 			return ToolResult{}, err
@@ -269,7 +262,6 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 			Fuel:       cfg.FuzzFuel,
 			SeedInputs: seedInputs,
 			Directed:   cfg.Directed,
-			Backend:    cfg.Backend,
 		})
 		if err != nil {
 			return ToolResult{}, err

@@ -35,9 +35,9 @@ func (s Speed) String() string {
 		s.Model, s.VMStepsPerSec, s.SimStepsPerSec, s.Ratio())
 }
 
-// MeasureSpeed runs the same random input stream through the VM and the
-// interpretive engine for the given duration each and reports iteration
-// rates.
+// MeasureSpeed runs the same random input stream through the threaded VM
+// campaigns execute and the interpretive engine for the given duration each
+// and reports iteration rates.
 func MeasureSpeed(c *codegen.Compiled, budget time.Duration, seed int64) (Speed, error) {
 	rng := rand.New(rand.NewSource(seed))
 	inputs := make([][]uint64, 256)
@@ -54,7 +54,7 @@ func MeasureSpeed(c *codegen.Compiled, budget time.Duration, seed int64) (Speed,
 	}
 
 	rec := coverage.NewRecorder(c.Plan)
-	machine := vm.New(c.Prog, rec)
+	machine := vm.NewThreadedFromCode(c.Threaded(), rec)
 	machine.Init()
 	var vmSteps int64
 	start := time.Now()

@@ -1,18 +1,13 @@
 package vm
 
-import (
-	"fmt"
-
-	"cftcg/internal/coverage"
-	"cftcg/internal/ir"
-)
+import "cftcg/internal/ir"
 
 // Backend is one execution engine for a lowered program. Every backend
 // implements the exact same observable semantics — raw output words, state
 // vector, probe stream, fuel accounting and HangError attribution — which
 // the cross-backend differential rig (backend_test.go) and the native fuzz
 // targets enforce instruction by instruction. The switch-dispatch Machine is
-// the reference; the direct-threaded backend is the fast path campaigns run.
+// the reference; the direct-threaded backend is the one campaigns run.
 type Backend interface {
 	// Init resets persistent state and outputs, then runs the program's
 	// init function. Returns *HangError when the fuel budget is exhausted.
@@ -35,55 +30,3 @@ type Backend interface {
 
 // Machine (the reference switch interpreter) is a Backend.
 var _ Backend = (*Machine)(nil)
-
-// BackendKind selects an execution backend.
-type BackendKind uint8
-
-// The available backends.
-const (
-	// BackendSwitch is the original one-switch-per-instruction interpreter:
-	// the reference semantics every other backend is differentially tested
-	// against.
-	BackendSwitch BackendKind = iota
-	// BackendThreaded compiles the program once into a slice of Go closures
-	// (direct-threaded dispatch) with fused superinstructions for the hot
-	// pairs the lowering emits.
-	BackendThreaded
-	numBackendKinds
-)
-
-var backendNames = [...]string{
-	BackendSwitch:   "switch",
-	BackendThreaded: "threaded",
-}
-
-func (k BackendKind) String() string {
-	if int(k) < len(backendNames) {
-		return backendNames[k]
-	}
-	return fmt.Sprintf("backend(%d)", uint8(k))
-}
-
-// Valid reports whether k names a defined backend.
-func (k BackendKind) Valid() bool { return k < numBackendKinds }
-
-// ParseBackend resolves a backend name as spelled on the CLI and the daemon
-// API. The empty string selects the switch reference backend.
-func ParseBackend(s string) (BackendKind, error) {
-	switch s {
-	case "", "switch":
-		return BackendSwitch, nil
-	case "threaded":
-		return BackendThreaded, nil
-	}
-	return 0, fmt.Errorf("vm: unknown backend %q (want switch or threaded)", s)
-}
-
-// NewBackend creates a machine of the given kind for the program. rec may be
-// nil to run without coverage collection.
-func NewBackend(k BackendKind, p *ir.Program, rec *coverage.Recorder) Backend {
-	if k == BackendThreaded {
-		return NewThreaded(p, rec)
-	}
-	return New(p, rec)
-}

@@ -198,28 +198,3 @@ func TestGeneratedProgramsAreVerifierClean(t *testing.T) {
 		}
 	}
 }
-
-func TestParseBackend(t *testing.T) {
-	cases := []struct {
-		in   string
-		want BackendKind
-		ok   bool
-	}{
-		{"", BackendSwitch, true},
-		{"switch", BackendSwitch, true},
-		{"threaded", BackendThreaded, true},
-		{"turbo", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseBackend(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	if BackendThreaded.String() != "threaded" || !BackendThreaded.Valid() {
-		t.Error("BackendThreaded name/validity")
-	}
-	if BackendKind(42).Valid() {
-		t.Error("BackendKind(42) must be invalid")
-	}
-}

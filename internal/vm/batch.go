@@ -107,23 +107,21 @@ func (b *Batch) Init(lane int) error {
 		clear(s.out)
 	}
 	b.dirty[lane] = true
-	c := b.codes[lane]
-	return b.exec(lane, "init", c.init, c.initSlow)
+	return b.exec(lane, &b.codes[lane].init)
 }
 
 // Step runs one model iteration on one lane with the given input tuple.
 func (b *Batch) Step(lane int, in []uint64) error {
 	b.dirty[lane] = true
 	b.sts[lane].in = in
-	c := b.codes[lane]
-	return b.exec(lane, "step", c.step, c.stepSlow)
+	return b.exec(lane, &b.codes[lane].step)
 }
 
-func (b *Batch) exec(lane int, fn string, ms []mop, slow []opFn) error {
-	left, hangPC, hung := runMops(ms, slow, &b.sts[lane], b.fuel)
+func (b *Batch) exec(lane int, f *funcCode) error {
+	left, hangPC, hung := runMops(f, &b.sts[lane], b.fuel)
 	if hung {
 		b.used[lane] = b.fuel
-		return &HangError{Func: fn, PC: hangPC, Fuel: b.fuel, Site: b.codes[lane].prog.LoopSiteFor(fn, hangPC)}
+		return &HangError{Func: f.name, PC: hangPC, Fuel: b.fuel, Site: b.codes[lane].prog.LoopSiteFor(f.name, hangPC)}
 	}
 	b.used[lane] = b.fuel - left
 	return nil

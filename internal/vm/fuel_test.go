@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"cftcg/internal/ir"
@@ -251,5 +252,62 @@ func TestFusedSpanChargesPerInstruction(t *testing.T) {
 	}
 	if got := tm.LastFuelUsed(); got != want {
 		t.Fatalf("threaded charges %d for the step, switch charges %d — fusion must not change the fuel bill", got, want)
+	}
+}
+
+// TestSharedCodeConcurrentFirstHang: the replay closures are built on the
+// first fuel exhaustion of a shared Code. Two goroutines that both exhaust
+// fuel for the first time on one fresh Code must race-freely build and use
+// the same closures and report identical hangs, matching the reference.
+// Run under -race.
+func TestSharedCodeConcurrentFirstHang(t *testing.T) {
+	p := fusedPairProgram()
+	in := []uint64{model.EncodeInt(model.Int32, 7)}
+	ref := New(p, nil)
+	if err := ref.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Step(in); err != nil {
+		t.Fatal(err)
+	}
+	// A budget one short of the step's cost dies inside the step's last
+	// span, after the init has run to completion.
+	budget := ref.LastFuelUsed() - 1
+	refM := New(p, nil)
+	refM.SetFuel(budget)
+	if err := refM.Init(); err != nil {
+		t.Fatal(err)
+	}
+	refErr := refM.Step(in)
+	if refErr == nil {
+		t.Fatal("reference must hang one instruction short of the step's cost")
+	}
+
+	for round := 0; round < 20; round++ {
+		code := CompileThreaded(p)
+		var errs [2]error
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for i := range errs {
+			done.Add(1)
+			go func(i int) {
+				defer done.Done()
+				m := NewThreadedFromCode(code, nil)
+				m.SetFuel(budget)
+				start.Wait()
+				if err := m.Init(); err != nil {
+					errs[i] = err
+					return
+				}
+				errs[i] = m.Step(in)
+			}(i)
+		}
+		start.Done()
+		done.Wait()
+		for i, err := range errs {
+			if msg := sameErr(refErr, err); msg != "" {
+				t.Fatalf("round %d goroutine %d: %s", round, i, msg)
+			}
+		}
 	}
 }

@@ -736,7 +736,7 @@ func rst(base unsafe.Pointer, i int32, v uint64) {
 // replays through the unfused closures so every executed instruction's side
 // effects land and the hang pc is the precise sub-instruction the reference
 // would have stopped at.
-func runMops(ms []mop, slow []opFn, s *execState, budget int64) (left int64, hangPC int, hung bool) {
+func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, hung bool) {
 	state := s.state
 	var rb unsafe.Pointer
 	if len(s.regs) > 0 {
@@ -748,12 +748,13 @@ func runMops(ms []mop, slow []opFn, s *execState, budget int64) (left int64, han
 	// advances never step past a span that fits the original code, and jump
 	// targets are clamped to the sentinel at compile time. That invariant
 	// replaces both the loop-bound test and the fetch bounds check.
-	mb := unsafe.Pointer(&ms[0])
+	mb := unsafe.Pointer(&f.ms[0])
 	pc := 0
 	for {
 		m := (*mop)(unsafe.Add(mb, uintptr(uint(pc))*unsafe.Sizeof(mop{})))
 		c := int64(m.cost)
 		if fuel < c {
+			slow := f.slowOps()
 			for i := int64(0); i < fuel; i++ {
 				slow[pc+int(i)](s)
 			}

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
@@ -18,18 +19,19 @@ import (
 //     instruction pairs the lowering emits fused into superinstructions
 //     (const+arith, cmp+jmpIf, loadState+arith+storeState);
 //   - a slice of Go closures, one per instruction, each a pre-bound unfused
-//     executor. They serve rare shapes the stream calls through (casts,
-//     Float32 math, ill-typed ops) and — crucially — the fuel-exhaustion
-//     path: when the budget dies inside a fused span, the affordable prefix
-//     replays through the closures so partial side effects and the HangError
-//     pc match the reference switch interpreter exactly.
+//     executor for the fuel-exhaustion path: when the budget dies inside a
+//     fused span, the affordable prefix replays through the closures so
+//     partial side effects and the HangError pc match the reference switch
+//     interpreter exactly. Only that path reads them, so they are built on
+//     the first exhaustion rather than at compile time.
 //
 // Fuel is accounted centrally in the dispatch loop: each micro-op carries the
 // number of source instructions it covers (1, or the span for fused), charged
 // before execution in the same check-before-execute order as the reference.
 //
-// The compiled Code is immutable and shared: one compile serves any number
-// of Threaded machines and Batch lanes.
+// The compiled Code is shared: one compile serves any number of Threaded
+// machines and Batch lanes, on any number of goroutines. Its only mutable
+// part, the lazily built replay closures, is guarded by a sync.Once.
 
 // execState is the mutable register/state/output file a compiled program
 // executes against. Threaded owns one; Batch owns one per lane, backed by
@@ -48,17 +50,38 @@ type opFn func(s *execState) int
 
 // Code is a program compiled for threaded dispatch.
 type Code struct {
-	prog *ir.Program
+	prog       *ir.Program
+	init, step funcCode
+	fused      int // superinstructions formed across both functions
+}
 
-	// init/step are the pre-decoded micro-op streams with superinstructions
-	// installed at fusion heads; slow keeps the unfused closure for every pc
-	// (fuel-exhaustion replay, see the package comment).
-	init     []mop
-	initSlow []opFn
-	step     []mop
-	stepSlow []opFn
+// funcCode is one compiled function body.
+type funcCode struct {
+	name string     // "init" or "step", as HangError reports it
+	src  []ir.Instr // the body ms was compiled from
+	// ms is the pre-decoded micro-op stream with superinstructions installed
+	// at fusion heads, ending in the mHalt sentinel.
+	ms []mop
 
-	fused int // superinstructions formed across both functions
+	// slow holds the unfused closure for every pc (fuel-exhaustion replay,
+	// see the package comment), built once by slowOps.
+	slowOnce sync.Once
+	slow     []opFn
+}
+
+// slowOps returns the per-pc replay closures, compiling them on first use.
+// Safe for concurrent use: every machine sharing the Code gets the same
+// slice.
+func (f *funcCode) slowOps() []opFn {
+	f.slowOnce.Do(func() {
+		n := len(f.src)
+		slow := make([]opFn, n)
+		for pc := range f.src {
+			slow[pc] = compileOp(&f.src[pc], pc, n)
+		}
+		f.slow = slow
+	})
+	return f.slow
 }
 
 // Program returns the program this code was compiled from.
@@ -69,22 +92,20 @@ func (c *Code) Program() *ir.Program { return c.prog }
 func (c *Code) Fused() int { return c.fused }
 
 // CompileThreaded translates a program into threaded code. The result is
-// immutable and safe to share across machines and batch lanes.
+// safe to share across machines, batch lanes and goroutines.
 //
 // The program must be valid: the compiled stream addresses the register
 // file without per-access bounds checks, relying on Validate's range checks
 // as the one-time proof. An invalid program is a caller bug, reported by
-// panic rather than by memory corruption at execution time.
+// panic rather than by memory corruption at execution time. The program must
+// not change after compiling: the fuel-exhaustion replay compiles from it
+// lazily.
 func CompileThreaded(p *ir.Program) *Code {
 	if err := p.Validate(); err != nil {
 		panic("vm: CompileThreaded on invalid program: " + err.Error())
 	}
 	c := &Code{prog: p}
-	var nf int
-	c.init, c.initSlow, nf = compileFunc(p.Init)
-	c.fused += nf
-	c.step, c.stepSlow, nf = compileFunc(p.Step)
-	c.fused += nf
+	c.fused = c.init.compile("init", p.Init) + c.step.compile("step", p.Step)
 	return c
 }
 
@@ -150,34 +171,33 @@ func (t *Threaded) State() []uint64 { return t.s.state }
 func (t *Threaded) Init() error {
 	clear(t.s.state)
 	clear(t.s.out)
-	return t.exec("init", t.code.init, t.code.initSlow)
+	return t.exec(&t.code.init)
 }
 
 // Step runs one model iteration with the given input tuple.
 func (t *Threaded) Step(in []uint64) error {
 	t.s.in = in
-	return t.exec("step", t.code.step, t.code.stepSlow)
+	return t.exec(&t.code.step)
 }
 
-func (t *Threaded) exec(fn string, ms []mop, slow []opFn) error {
-	left, hangPC, hung := runMops(ms, slow, &t.s, t.fuel)
+func (t *Threaded) exec(f *funcCode) error {
+	left, hangPC, hung := runMops(f, &t.s, t.fuel)
 	if hung {
 		t.used = t.fuel
-		return &HangError{Func: fn, PC: hangPC, Fuel: t.fuel, Site: t.code.prog.LoopSiteFor(fn, hangPC)}
+		return &HangError{Func: f.name, PC: hangPC, Fuel: t.fuel, Site: t.code.prog.LoopSiteFor(f.name, hangPC)}
 	}
 	t.used = t.fuel - left
 	return nil
 }
 
-// compileFunc translates one function body: an unfused closure plus a
-// pre-decoded micro-op per pc, then superinstructions installed at fusion
-// heads where the covered pcs are not jump targets.
-func compileFunc(code []ir.Instr) (ms []mop, slow []opFn, fused int) {
+// compile translates one function body into a pre-decoded micro-op per pc,
+// then installs superinstructions at fusion heads where the covered pcs are
+// not jump targets. It returns the number of superinstructions formed.
+func (f *funcCode) compile(name string, code []ir.Instr) (fused int) {
 	n := len(code)
-	slow = make([]opFn, n)
-	ms = make([]mop, n)
+	// One spare slot so appending the sentinel below does not copy.
+	ms := make([]mop, n, n+1)
 	for pc := range code {
-		slow[pc] = compileOp(&code[pc], pc, n)
 		ms[pc] = compileMop(&code[pc], pc, n)
 	}
 	fused = fuseMops(code, ms)
@@ -186,8 +206,8 @@ func compileFunc(code []ir.Instr) (ms []mop, slow []opFn, fused int) {
 	// explicit halt's jump, or a branch to pc == len(code). Its zero cost
 	// can never trip the fuel check, so the dispatch loop needs neither a
 	// pc < n test nor a bounds check on the mop fetch.
-	ms = append(ms, mop{kind: mHalt})
-	return ms, slow, fused
+	f.name, f.src, f.ms = name, code, append(ms, mop{kind: mHalt})
+	return fused
 }
 
 // jumpTargets marks every pc some jump in the function lands on.

@@ -38,6 +38,12 @@ go test -shuffle=on ./...
 echo "== go test -short -race =="
 go test -short -race ./...
 
+# The performance ledger under bench/ is its own module: the root build and
+# tests above do not notice when an internal API change breaks it.
+echo "== bench module: vet + test =="
+go -C bench vet ./...
+go -C bench test ./...
+
 # Coverage floors on the load-bearing packages (VM backends, IR).
 echo "== coverage floors =="
 scripts/cover.sh
