@@ -67,7 +67,8 @@ chaos:
 	$(GO) test -race -tags faultinject ./internal/faultinject ./internal/wal ./internal/fuzz ./internal/campaign
 
 # cover enforces the statement-coverage floors on the load-bearing
-# packages (VM backends, IR); see scripts/cover.sh for the committed floors.
+# packages (VM backends, IR, coverage recorder, fuzz engine); see
+# scripts/cover.sh for the committed floors.
 cover:
 	scripts/cover.sh
 

@@ -3,6 +3,7 @@ package benchmodels
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cftcg/internal/codegen"
@@ -84,9 +85,9 @@ func TestAllModelsDifferential(t *testing.T) {
 								trial, step, k, machine.Out()[k], outs[k])
 						}
 					}
-					if !bytes.Equal(vmRec.Curr, itRec.Curr) {
-						for br := range vmRec.Curr {
-							if vmRec.Curr[br] != itRec.Curr[br] {
+					if !slices.Equal(vmRec.Curr, itRec.Curr) {
+						for br := 0; br < c.Plan.NumBranches; br++ {
+							if vmRec.Hit(br) != itRec.Hit(br) {
 								t.Fatalf("trial %d step %d: coverage diverges at %s",
 									trial, step, c.Plan.BranchLabel(br))
 							}

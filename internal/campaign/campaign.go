@@ -102,7 +102,7 @@ func New(c *codegen.Compiled, cfg Config) (*Campaign, error) {
 			o.SeedInputs = append(append([][]byte(nil), cfg.Fuzz.SeedInputs...), cfg.ShardSeeds[w]...)
 		}
 		shard := w
-		o.OnNewCoverage = func(input []byte, seen []uint8) {
+		o.OnNewCoverage = func(input []byte, seen []uint64) {
 			cm.onNewCoverage(shard, input, seen)
 		}
 		o.OnCheckpoint = func(err error) {
@@ -134,7 +134,7 @@ func (cm *Campaign) observe(ev ObserverEvent) {
 // first — is not rebroadcast, which both keeps the broadcast volume
 // proportional to real frontier progress and prevents echo storms when a
 // pollinated input is re-admitted by its receiver.
-func (cm *Campaign) onNewCoverage(shard int, input []byte, seen []uint8) {
+func (cm *Campaign) onNewCoverage(shard int, input []byte, seen []uint64) {
 	if cm.shared.Absorb(seen) == 0 {
 		return
 	}

@@ -1,8 +1,8 @@
 package codegen
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cftcg/internal/coverage"
@@ -159,7 +159,7 @@ func TestHierarchicalDifferential(t *testing.T) {
 				t.Fatalf("step %d (x=%d) output %d: vm=%#x interp=%#x", i, x, k, machine.Out()[k], outs[k])
 			}
 		}
-		if !bytes.Equal(vmRec.Curr, itRec.Curr) {
+		if !slices.Equal(vmRec.Curr, itRec.Curr) {
 			t.Fatalf("step %d: coverage diverges", i)
 		}
 	}

@@ -1,8 +1,8 @@
 package codegen
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cftcg/internal/coverage"
@@ -126,7 +126,7 @@ func TestWhileDifferential(t *testing.T) {
 				model.DecodeInt(model.Int32, machine.Out()[0]),
 				model.DecodeInt(model.Int32, outs[0]))
 		}
-		if !bytes.Equal(vmRec.Curr, itRec.Curr) {
+		if !slices.Equal(vmRec.Curr, itRec.Curr) {
 			t.Fatalf("step %d: coverage diverges", i)
 		}
 	}

@@ -84,13 +84,13 @@ func TestRecorderBasics(t *testing.T) {
 	r.Cond(d.CondIDs[1], false)
 	r.Outcome(d.ID, 0)
 
-	if r.Curr[d.OutcomeBase] == 0 {
+	if !r.Hit(d.OutcomeBase) {
 		t.Error("outcome 0 not recorded in Curr")
 	}
-	if r.Curr[p.Conds[0].BranchBase] == 0 {
+	if !r.Hit(p.Conds[0].BranchBase) {
 		t.Error("cond true polarity not recorded")
 	}
-	if r.Curr[p.Conds[1].BranchBase+1] == 0 {
+	if !r.Hit(p.Conds[1].BranchBase + 1) {
 		t.Error("cond false polarity not recorded")
 	}
 	r.BeginStep()
@@ -235,9 +235,10 @@ func TestMerge(t *testing.T) {
 func TestProgress(t *testing.T) {
 	p, _ := planFor(t, logicModel(t))
 	pr := NewProgress(p)
-	curr := make([]uint8, p.NumBranches)
-	curr[p.Decisions[0].OutcomeBase] = 1
-	curr[p.Conds[0].BranchBase] = 1
+	curr := make([]uint64, words(p.NumBranches))
+	for _, b := range []int{p.Decisions[0].OutcomeBase, p.Conds[0].BranchBase} {
+		curr[b>>6] |= 1 << (b & 63)
+	}
 	if n := pr.Absorb(curr); n != 2 {
 		t.Errorf("absorb: %d, want 2", n)
 	}

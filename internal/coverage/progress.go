@@ -1,14 +1,20 @@
 package coverage
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Progress incrementally tracks campaign coverage percentages so timeline
 // sampling stays cheap (no MCDC pairing per sample).
 type Progress struct {
-	Seen []uint8
+	// Seen is every branch slot absorbed so far, packed like Recorder.Curr:
+	// slot b is bit b&63 of word b>>6.
+	Seen []uint64
 
-	isOutcome       []bool
-	dead            []bool
+	// outcome and dead are packed masks of the decision-outcome slots and
+	// of the slots the plan proved dead.
+	outcome, dead   []uint64
 	covOut, covCond int
 	totOut, totCond int
 }
@@ -16,19 +22,23 @@ type Progress struct {
 // NewProgress creates a progress tracker for a plan. Branch slots the plan
 // marks dead are excluded from both denominators and numerators.
 func NewProgress(p *Plan) *Progress {
+	n := words(p.NumBranches)
 	pr := &Progress{
-		Seen:      make([]uint8, p.NumBranches),
-		isOutcome: make([]bool, p.NumBranches),
-		dead:      make([]bool, p.NumBranches),
+		Seen:    make([]uint64, n),
+		outcome: make([]uint64, n),
+		dead:    make([]uint64, n),
 	}
-	for b := range pr.dead {
-		pr.dead[b] = p.IsDead(b)
+	for b := 0; b < p.NumBranches; b++ {
+		if p.IsDead(b) {
+			pr.dead[b>>6] |= 1 << (b & 63)
+		}
 	}
 	for i := range p.Decisions {
 		d := &p.Decisions[i]
 		for k := 0; k < d.NumOutcomes; k++ {
-			pr.isOutcome[d.OutcomeBase+k] = true
-			if !pr.dead[d.OutcomeBase+k] {
+			b := d.OutcomeBase + k
+			pr.outcome[b>>6] |= 1 << (b & 63)
+			if !p.IsDead(b) {
 				pr.totOut++
 			}
 		}
@@ -36,7 +46,7 @@ func NewProgress(p *Plan) *Progress {
 	for i := range p.Conds {
 		c := &p.Conds[i]
 		for _, branch := range []int{c.BranchBase, c.BranchBase + 1} {
-			if !pr.dead[branch] {
+			if !p.IsDead(branch) {
 				pr.totCond++
 			}
 		}
@@ -44,28 +54,31 @@ func NewProgress(p *Plan) *Progress {
 	return pr
 }
 
-// Absorb folds one iteration's coverage into the campaign view, returning
-// how many branch slots were newly covered.
-func (pr *Progress) Absorb(curr []uint8) int {
+// Absorb folds a packed slot set — one iteration's Recorder.Curr, or
+// another tracker's Seen — into the campaign view, 64 slots per word, and
+// returns how many live branch slots were newly covered. A statically dead
+// slot that shows up is marked seen but counted nowhere: it means the
+// analysis was unsound, and percentages must not exceed 100.
+func (pr *Progress) Absorb(set []uint64) int {
 	n := 0
-	for b, v := range curr {
-		if v != 0 && pr.Seen[b] == 0 {
-			pr.Seen[b] = 1
-			if pr.dead[b] {
-				// Statically "impossible" yet observed: an analysis bug, but
-				// percentages must not exceed 100 — count nothing.
-				continue
-			}
-			n++
-			if pr.isOutcome[b] {
-				pr.covOut++
-			} else {
-				pr.covCond++
-			}
+	for w, c := range set {
+		nb := c &^ pr.Seen[w]
+		if nb == 0 {
+			continue
 		}
+		pr.Seen[w] |= nb
+		live := nb &^ pr.dead[w]
+		out := bits.OnesCount64(live & pr.outcome[w])
+		all := bits.OnesCount64(live)
+		pr.covOut += out
+		pr.covCond += all - out
+		n += all
 	}
 	return n
 }
+
+// Has reports whether branch slot b has been absorbed.
+func (pr *Progress) Has(b int) bool { return pr.Seen[b>>6]&(1<<(b&63)) != 0 }
 
 // Decision returns the current Decision Coverage percentage.
 func (pr *Progress) Decision() float64 {
@@ -87,8 +100,8 @@ func (pr *Progress) Condition() float64 {
 func (pr *Progress) Covered() int { return pr.covOut + pr.covCond }
 
 // SharedProgress is a mutex-guarded Progress for use as the global coverage
-// view of a multi-shard campaign: every shard folds its covered-branch
-// bitmap in from its own goroutine, and the status plane reads percentages
+// view of a multi-shard campaign: every shard folds its packed covered-branch
+// set in from its own goroutine, and the status plane reads percentages
 // concurrently. Absorb's return value — how many slots were *globally* new —
 // is what gates cross-shard corpus broadcasts.
 type SharedProgress struct {
@@ -101,9 +114,9 @@ func NewShared(p *Plan) *SharedProgress {
 	return &SharedProgress{pr: NewProgress(p)}
 }
 
-// Absorb folds a covered-branch bitmap into the global view, returning how
-// many branch slots were new to the whole campaign.
-func (sp *SharedProgress) Absorb(seen []uint8) int {
+// Absorb folds a packed covered-branch set into the global view, returning
+// how many branch slots were new to the whole campaign.
+func (sp *SharedProgress) Absorb(seen []uint64) int {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	return sp.pr.Absorb(seen)

@@ -4,15 +4,18 @@ package coverage
 // VM (compiled fuzz code) and the interpretive simulator, which is what lets
 // the differential tests compare the two paths bit-for-bit.
 //
-// Per step, Curr mirrors the paper's g_CurrCov array: Curr[branch] != 0 iff
-// that branch element triggered during the current model iteration. The
-// cumulative Total array and the per-decision condition-vector sets (for
+// Per step, Curr mirrors the paper's g_CurrCov array: Hit(branch) reports
+// whether that branch element triggered during the current model iteration.
+// The cumulative Total array and the per-decision condition-vector sets (for
 // MCDC) persist across the whole campaign.
 type Recorder struct {
 	plan *Plan
 
-	// Curr is the per-iteration branch hit array (g_CurrCov).
-	Curr []uint8
+	// Curr is the per-iteration branch hit set (g_CurrCov), packed: slot b is
+	// bit b&63 of word b>>6, and bits at or above NumBranches stay clear.
+	// Packing lets the engine's per-step feedback scan and BeginStep work 64
+	// slots per word.
+	Curr []uint64
 	// Total is the cumulative branch hit array (g_TotalCov).
 	Total []uint8
 
@@ -55,7 +58,7 @@ const maxVectorsPerDecision = 1 << 16
 func NewRecorder(p *Plan) *Recorder {
 	r := &Recorder{
 		plan:    p,
-		Curr:    make([]uint8, p.NumBranches),
+		Curr:    make([]uint64, words(p.NumBranches)),
 		Total:   make([]uint8, p.NumBranches),
 		condVec: make([]uint32, len(p.Decisions)),
 		vecs:    make([]map[uint64]struct{}, len(p.Decisions)),
@@ -88,14 +91,16 @@ func NewRecorder(p *Plan) *Recorder {
 // Plan returns the plan this recorder was built for.
 func (r *Recorder) Plan() *Plan { return r.plan }
 
+// words is the length of a packed slot set over n branch slots.
+func words(n int) int { return (n + 63) >> 6 }
+
+// Hit reports whether branch slot b triggered during the current iteration.
+func (r *Recorder) Hit(b int) bool { return r.Curr[b>>6]&(1<<(b&63)) != 0 }
+
 // BeginStep clears the per-iteration coverage (Algorithm 1 line 11).
 func (r *Recorder) BeginStep() {
-	for i := range r.Curr {
-		r.Curr[i] = 0
-	}
-	for i := range r.condVec {
-		r.condVec[i] = 0
-	}
+	clear(r.Curr)
+	clear(r.condVec)
 }
 
 // Cond records one condition evaluation: both the branch hit (true or false
@@ -106,7 +111,7 @@ func (r *Recorder) Cond(condID int, v bool) {
 	if !v {
 		branch++
 	}
-	r.Curr[branch] = 1
+	r.Curr[branch>>6] |= 1 << (branch & 63)
 	r.Total[branch] = 1
 	if v {
 		r.condVec[c.decID] |= c.bit
@@ -121,7 +126,7 @@ func (r *Recorder) Cond(condID int, v bool) {
 func (r *Recorder) Outcome(decID, outcome int) {
 	d := r.decMeta[decID]
 	branch := int(d.outcomeBase) + outcome
-	r.Curr[branch] = 1
+	r.Curr[branch>>6] |= 1 << (branch & 63)
 	r.Total[branch] = 1
 	if d.hasConds {
 		key := uint64(r.condVec[decID]) | uint64(outcome)<<32

@@ -24,9 +24,9 @@ type CheckpointEntry struct {
 
 // Checkpoint is the crash-safe snapshot of a fuzzing campaign: everything a
 // restarted process needs to continue where the previous one was killed.
-// Coverage state is not serialized directly — resuming replays the corpus
-// through the instrumented program, which regenerates the coverage recorder,
-// the seen-branch bitmap, and the emitted test cases exactly.
+// Resuming reads no saved coverage state: it replays the corpus through the
+// instrumented program, which regenerates the coverage recorder, the
+// seen-branch set and the emitted test cases of the saved corpus.
 type Checkpoint struct {
 	Version       int               `json:"version"`
 	Model         string            `json:"model"`
@@ -37,8 +37,10 @@ type Checkpoint struct {
 	BestRawMetric int               `json:"best_raw_metric,omitempty"`
 	Corpus        []CheckpointEntry `json:"corpus"`
 	Findings      []Finding         `json:"findings,omitempty"`
-	// Seen is the covered-branch bitmap at save time, kept for inspection
-	// and for the resume sanity check that replay reproduced the coverage.
+	// Seen is the covered-branch bitmap at save time, one byte per slot. It
+	// is for inspection only: resuming never reads it, and a replay may
+	// legitimately reproduce less (an all-pinned corpus evicts finds, and
+	// fuzz-only mode leaves some finds out of the corpus).
 	Seen    []byte    `json:"seen,omitempty"`
 	SavedAt time.Time `json:"saved_at"`
 }
@@ -53,8 +55,13 @@ func (e *Engine) Snapshot() *Checkpoint {
 		Execs:         e.execs,
 		Steps:         e.steps,
 		BestRawMetric: e.bestRawMetric,
-		Seen:          append([]byte(nil), e.seen...),
+		Seen:          make([]byte, e.c.Plan.NumBranches),
 		SavedAt:       time.Now(),
+	}
+	for b := range cp.Seen {
+		if e.prog.Has(b) {
+			cp.Seen[b] = 1
+		}
 	}
 	for _, en := range e.corpus {
 		cp.Corpus = append(cp.Corpus, CheckpointEntry{Data: en.data, Weight: en.weight, Pinned: en.pinned})

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -164,5 +165,57 @@ func TestStopChannelStopsRun(t *testing.T) {
 	}
 	if res.Execs == 0 {
 		t.Error("stopped campaign should still report partial work")
+	}
+}
+
+// TestSnapshotSeenMatchesTotal: a checkpoint's byte-per-slot Seen is the
+// engine's packed seen set unpacked. In a finding-free run every slot the
+// recorder accumulated went through the engine's scan, so the two agree
+// byte for byte.
+func TestSnapshotSeenMatchesTotal(t *testing.T) {
+	for _, name := range []string{"CPUTask", "RAC"} {
+		c := benchCompiled(t, name)
+		e := MustEngine(c, Options{Seed: 1, MaxExecs: 2000})
+		if res := e.Run(); len(res.Findings) != 0 {
+			t.Fatalf("%s: want a finding-free run, got %v", name, res.Findings)
+		}
+		if got, want := e.Snapshot().Seen, e.Recorder().Total; !bytes.Equal(got, want) {
+			t.Errorf("%s: Snapshot().Seen\n %v\nwant Recorder().Total\n %v", name, got, want)
+		}
+	}
+}
+
+// TestResumeByteSeenCheckpoint: testdata/cputask-v1.ckpt was written by the
+// engine before its coverage state was packed into 64-slot words (CPUTask,
+// seed 1, MaxTuples 4, 1,500 execs). The format is unchanged, so the file
+// still loads and resumes: the execution count continues from the saved
+// one, the corpus is restored, and the replay covers every slot the file
+// records as seen.
+func TestResumeByteSeenCheckpoint(t *testing.T) {
+	c := benchCompiled(t, "CPUTask")
+	path := filepath.Join("testdata", "cputask-v1.ckpt")
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Seen) != c.Plan.NumBranches {
+		t.Fatalf("saved seen has %d slots, plan %d", len(cp.Seen), c.Plan.NumBranches)
+	}
+	e, err := NewEngine(c, Options{Seed: 1, MaxTuples: 4, MaxExecs: cp.Execs + 100, ResumeFrom: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.Run()
+	if res.Execs != cp.Execs+100 {
+		t.Errorf("resumed execs %d, want %d", res.Execs, cp.Execs+100)
+	}
+	if res.Corpus < len(cp.Corpus) {
+		t.Errorf("resumed corpus %d smaller than the saved %d", res.Corpus, len(cp.Corpus))
+	}
+	seen := e.Snapshot().Seen
+	for b, v := range cp.Seen {
+		if v != 0 && seen[b] == 0 {
+			t.Errorf("slot %d (%s) saved as seen but not covered after resume", b, c.Plan.BranchLabel(b))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"sync"
@@ -114,10 +115,11 @@ type Options struct {
 	// OnNewCoverage, when non-nil, is invoked from the engine's goroutine
 	// whenever an input reaches branches this engine had never covered.
 	// input is the triggering test input and seen the engine's cumulative
-	// covered-branch bitmap; both are only valid for the duration of the
-	// call and must be copied if retained. The campaign layer uses this to
-	// cross-pollinate globally-new inputs between shards.
-	OnNewCoverage func(input []byte, seen []uint8)
+	// covered-branch set, packed like coverage.Recorder.Curr; both are only
+	// valid for the duration of the call and must be copied if retained.
+	// The campaign layer uses this to cross-pollinate globally-new inputs
+	// between shards.
+	OnNewCoverage func(input []byte, seen []uint64)
 
 	// OnCheckpoint, when non-nil, is invoked from the engine's goroutine
 	// after every checkpoint write attempt (periodic and final) with the
@@ -221,10 +223,13 @@ type Engine struct {
 	bmut  *ByteMutator
 	tuple int
 
-	// feedback state
-	seen     []uint8 // all branches ever hit (test-case emission)
-	mask     []bool  // branches visible to the fuzzer's feedback
-	last     []uint8 // previous iteration's coverage (Algorithm 1 lastCov)
+	// feedback state, packed like coverage.Recorder.Curr. prog.Seen holds
+	// every slot ever hit (test-case emission) and prog's counters feed the
+	// timeline; mask marks the slots visible to the fuzzer's feedback and
+	// last the previous iteration's coverage (Algorithm 1 lastCov).
+	prog     *coverage.Progress
+	mask     []uint64
+	last     []uint64
 	tupleBuf []uint64
 
 	// influence is the static input-field → branch influence map; non-nil
@@ -235,14 +240,6 @@ type Engine struct {
 	// (Options.MutantBias); added on top of the influence weights (or a
 	// flat baseline when not directed) at every bias refresh.
 	mutantBias []float64
-
-	// incremental metric counters for cheap timeline points
-	isOutcome    []bool
-	covOutcomes  int
-	covConds     int
-	totOutcomes  int
-	totConds     int
-	coveredCount int
 
 	corpus []entry
 
@@ -365,8 +362,8 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 		mut:        NewMutator(c.Prog.In, c.Prog.TupleSize(), opts.MaxTuples, rng),
 		bmut:       NewByteMutator(opts.MaxTuples*c.Prog.TupleSize(), rng),
 		tuple:      c.Prog.TupleSize(),
-		seen:       make([]uint8, c.Plan.NumBranches),
-		last:       make([]uint8, c.Plan.NumBranches),
+		prog:       coverage.NewProgress(c.Plan),
+		last:       make([]uint64, len(rec.Curr)),
 		tupleBuf:   make([]uint64, len(c.Prog.In)),
 		findingIdx: map[string]int{},
 		fpLoop:     "fuzz.loop",
@@ -487,7 +484,7 @@ func (e *Engine) updateLive() {
 		Execs:            e.execs,
 		Steps:            e.steps,
 		Corpus:           len(e.corpus),
-		Covered:          e.coveredCount,
+		Covered:          e.prog.Covered(),
 		Cases:            len(e.cases),
 		Violations:       len(e.violations),
 		Findings:         len(e.findings),
@@ -511,12 +508,15 @@ func (e *Engine) updateLive() {
 // enables). Boolean operators, data switches, min/max and saturations
 // compile branchlessly, and condition probes do not exist at the code level
 // — the paper's Figure 8 analysis. Slots the static analysis proved dead
-// (Plan.Dead) are invisible to feedback and excluded from the timeline
-// denominators, matching the dead-adjusted Report.
+// (Plan.Dead) are invisible to feedback.
 func (e *Engine) buildMask() {
 	p := e.c.Plan
-	e.mask = make([]bool, p.NumBranches)
-	e.isOutcome = make([]bool, p.NumBranches)
+	e.mask = make([]uint64, len(e.last))
+	show := func(b int, visible bool) {
+		if visible && !p.IsDead(b) {
+			e.mask[b>>6] |= 1 << (b & 63)
+		}
+	}
 	for i := range p.Decisions {
 		d := &p.Decisions[i]
 		visible := true
@@ -530,25 +530,13 @@ func (e *Engine) buildMask() {
 			}
 		}
 		for k := 0; k < d.NumOutcomes; k++ {
-			b := d.OutcomeBase + k
-			e.isOutcome[b] = true
-			if p.IsDead(b) {
-				continue
-			}
-			e.totOutcomes++
-			e.mask[b] = visible
+			show(d.OutcomeBase+k, visible)
 		}
 	}
 	for i := range p.Conds {
 		c := &p.Conds[i]
-		visible := e.opts.Mode != ModeFuzzOnly
-		for _, b := range []int{c.BranchBase, c.BranchBase + 1} {
-			if p.IsDead(b) {
-				continue
-			}
-			e.totConds++
-			e.mask[b] = visible
-		}
+		show(c.BranchBase, e.opts.Mode != ModeFuzzOnly)
+		show(c.BranchBase+1, e.opts.Mode != ModeFuzzOnly)
 	}
 	for i := range p.Decisions {
 		d := &p.Decisions[i]
@@ -587,19 +575,12 @@ func (e *Engine) RunInput(data []byte) (metric int, newMasked, newAny int) {
 	e.lastInputFuel += e.m.LastFuelUsed()
 	// Coverage triggered by initialization (e.g. chart entry actions)
 	// counts toward totals but not toward the iteration metric.
-	for b, v := range rec.Curr {
-		if v != 0 && e.seen[b] == 0 {
-			e.seen[b] = 1
-			e.noteNewBranch(b, &newMasked, &newAny)
-		}
-	}
+	newMasked, newAny = e.absorb(rec.Curr)
 	if initErr != nil {
 		e.noteHang(data, step, initErr)
 		return metric, newMasked, newAny
 	}
-	for i := range e.last {
-		e.last[i] = 0
-	}
+	clear(e.last)
 
 	n := len(data) / e.tuple
 	fields := e.c.Prog.In
@@ -613,24 +594,13 @@ func (e *Engine) RunInput(data []byte) (metric int, newMasked, newAny int) {
 		stepErr := e.m.Step(e.tupleBuf)
 		e.lastInputFuel += e.m.LastFuelUsed()
 		e.steps++
-		curr := rec.Curr
 		for _, br := range e.assertBranches {
-			if curr[br] != 0 {
+			if rec.Hit(br) {
 				e.lastViolated = true
 			}
 		}
-		last := e.last
-		for b := range curr {
-			c := curr[b]
-			if c != 0 && e.seen[b] == 0 {
-				e.seen[b] = 1
-				e.noteNewBranch(b, &newMasked, &newAny)
-			}
-			if c != last[b] {
-				metric++
-				last[b] = c
-			}
-		}
+		diff, nm, na := e.feedback(rec.Curr)
+		metric, newMasked, newAny = metric+diff, newMasked+nm, newAny+na
 		if stepErr != nil {
 			// The aborted step's partial coverage above still counts; the
 			// remaining iterations of this input are abandoned.
@@ -657,23 +627,36 @@ func (e *Engine) checkNumeric(data []byte, step int) {
 	}
 }
 
-func (e *Engine) noteNewBranch(b int, newMasked, newAny *int) {
-	*newAny++
-	if e.mask[b] {
-		*newMasked++
+// feedback is Algorithm 1's per-step scan over one iteration's packed hit
+// set, 64 branch slots per word: it returns the iteration difference against
+// the previous iteration (popcount of curr xor last), makes curr the new
+// last, and absorbs any slot never seen before.
+func (e *Engine) feedback(curr []uint64) (diff, newMasked, newAny int) {
+	last, seen := e.last[:len(curr)], e.prog.Seen[:len(curr)]
+	var fresh uint64
+	for w, c := range curr {
+		fresh |= c &^ seen[w]
+		diff += bits.OnesCount64(c ^ last[w])
+		last[w] = c
 	}
-	if e.c.Plan.IsDead(b) {
-		// A concretely-reached "dead" slot means the analysis was unsound;
-		// keep it out of the incremental counters so the timeline never
-		// exceeds its dead-adjusted denominators.
-		return
+	if fresh != 0 {
+		newMasked, newAny = e.absorb(curr)
 	}
-	e.coveredCount++
-	if e.isOutcome[b] {
-		e.covOutcomes++
-	} else {
-		e.covConds++
+	return diff, newMasked, newAny
+}
+
+// absorb folds a packed hit set into the campaign's coverage and counts the
+// slots it reached for the first time: those visible to the fuzzer's
+// feedback (newMasked) and all of them (newAny). newAny includes statically
+// dead slots, which Progress keeps out of the timeline's counters.
+func (e *Engine) absorb(curr []uint64) (newMasked, newAny int) {
+	for w, c := range curr {
+		nb := c &^ e.prog.Seen[w]
+		newMasked += bits.OnesCount64(nb & e.mask[w])
+		newAny += bits.OnesCount64(nb)
 	}
+	e.prog.Absorb(curr)
+	return newMasked, newAny
 }
 
 // refreshBias recomputes the mutator's field weights toward the objectives
@@ -688,7 +671,7 @@ func (e *Engine) refreshBias() {
 	if e.influence != nil {
 		p := e.c.Plan
 		w = e.influence.Weights(func(b int) bool {
-			return e.seen[b] == 0 && !p.IsDead(b)
+			return !e.prog.Has(b) && !p.IsDead(b)
 		})
 	} else {
 		// Not directed: flat baseline, the mutant energy alone skews it.
@@ -838,7 +821,7 @@ func (e *Engine) tryInput(data []byte) bool {
 		e.samplePoint()
 		e.refreshBias()
 		if e.opts.OnNewCoverage != nil {
-			e.opts.OnNewCoverage(data, e.seen)
+			e.opts.OnNewCoverage(data, e.prog.Seen)
 		}
 	}
 	if e.lastViolated && (newAny > 0 || len(e.violations) < 8) {
@@ -929,19 +912,11 @@ func (e *Engine) pick() []byte {
 // samplePoint appends a coverage-timeline sample (cheap: incremental
 // counters, no MCDC pairing).
 func (e *Engine) samplePoint() {
-	dec := 100.0
-	if e.totOutcomes > 0 {
-		dec = 100 * float64(e.covOutcomes) / float64(e.totOutcomes)
-	}
-	cond := 100.0
-	if e.totConds > 0 {
-		cond = 100 * float64(e.covConds) / float64(e.totConds)
-	}
 	e.timeline = append(e.timeline, Point{
 		Elapsed:   time.Since(e.start),
 		Execs:     e.execs,
-		Decision:  dec,
-		Condition: cond,
-		Branches:  e.coveredCount,
+		Decision:  e.prog.Decision(),
+		Condition: e.prog.Condition(),
+		Branches:  e.prog.Covered(),
 	})
 }

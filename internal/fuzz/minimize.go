@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"math/bits"
 	"sort"
 
 	"cftcg/internal/codegen"
@@ -16,86 +17,84 @@ import (
 // The classic test-suite reduction pass a generation tool runs before
 // handing the suite to engineers.
 func Minimize(c *codegen.Compiled, cases []testcase.Case) []testcase.Case {
-	rec := coverage.NewRecorder(c.Plan)
-	m := vm.NewThreadedFromCode(c.Threaded(), rec)
-	tuple := c.Prog.TupleSize()
-	fields := c.Prog.In
-	in := make([]uint64, len(fields))
-
-	// coverageOf replays one case into a fresh per-case bitmap. A case that
-	// hangs mid-replay keeps the coverage accumulated up to the abort.
-	coverageOf := func(data []byte) []uint8 {
-		bits := make([]uint8, c.Plan.NumBranches)
-		if m.Init() != nil {
-			return bits
-		}
-		n := 0
-		if tuple > 0 {
-			n = len(data) / tuple
-		}
-		for it := 0; it < n; it++ {
-			base := it * tuple
-			for fi, f := range fields {
-				in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
-			}
-			rec.BeginStep()
-			err := m.Step(in)
-			for b, v := range rec.Curr {
-				if v != 0 {
-					bits[b] = 1
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		return bits
-	}
-
+	coverageOf := caseCoverage(c)
 	type scored struct {
-		tc   testcase.Case
-		bits []uint8
+		tc  testcase.Case
+		set []uint64
 	}
 	all := make([]scored, len(cases))
 	for i, tc := range cases {
-		all[i] = scored{tc: tc, bits: coverageOf(tc.Data)}
+		all[i] = scored{tc: tc, set: coverageOf(tc.Data)}
 	}
 	// Largest contributors first makes the greedy pass effective.
 	sort.SliceStable(all, func(i, j int) bool {
-		return count(all[i].bits) > count(all[j].bits)
+		return count(all[i].set) > count(all[j].set)
 	})
 
 	kept := make([]testcase.Case, 0, len(cases))
-	covered := make([]uint8, c.Plan.NumBranches)
+	covered := make([]uint64, (c.Plan.NumBranches+63)/64) // packed like the case sets
 	for _, s := range all {
-		adds := false
-		for b, v := range s.bits {
-			if v != 0 && covered[b] == 0 {
-				adds = true
-				break
-			}
-		}
-		if !adds {
+		if covers(covered, s.set) {
 			continue
 		}
-		for b, v := range s.bits {
-			if v != 0 {
-				covered[b] = 1
-			}
+		for w, hit := range s.set {
+			covered[w] |= hit
 		}
 		kept = append(kept, s.tc)
 	}
 	return kept
 }
 
-func count(bits []uint8) int {
-	n := 0
-	for _, v := range bits {
-		if v != 0 {
-			n++
+// caseCoverage returns a replay function over c's threaded code: it runs one
+// case and returns the packed set of branch slots its steps hit (Init's
+// coverage is not counted). A case that hangs mid-replay keeps the coverage
+// accumulated up to the abort.
+func caseCoverage(c *codegen.Compiled) func(data []byte) []uint64 {
+	rec := coverage.NewRecorder(c.Plan)
+	m := vm.NewThreadedFromCode(c.Threaded(), rec)
+	tuple := c.Prog.TupleSize()
+	fields := c.Prog.In
+	in := make([]uint64, len(fields))
+	return func(data []byte) []uint64 {
+		set := make([]uint64, len(rec.Curr))
+		if m.Init() != nil || tuple == 0 {
+			return set
 		}
+		for it := 0; it < len(data)/tuple; it++ {
+			base := it * tuple
+			for fi, f := range fields {
+				in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
+			}
+			rec.BeginStep()
+			err := m.Step(in)
+			for w, hit := range rec.Curr {
+				set[w] |= hit
+			}
+			if err != nil {
+				break
+			}
+		}
+		return set
+	}
+}
+
+// count is the number of slots in a packed slot set.
+func count(set []uint64) int {
+	n := 0
+	for _, w := range set {
+		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+// covers reports whether packed slot set have holds every slot of want.
+func covers(have, want []uint64) bool {
+	for w, hit := range want {
+		if hit&^have[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Trim shortens one test case while preserving its coverage: tuples are
@@ -108,43 +107,7 @@ func Trim(c *codegen.Compiled, data []byte) []byte {
 	if tuple == 0 || len(data) < 2*tuple {
 		return data
 	}
-	rec := coverage.NewRecorder(c.Plan)
-	m := vm.NewThreadedFromCode(c.Threaded(), rec)
-	fields := c.Prog.In
-	in := make([]uint64, len(fields))
-
-	coverageOf := func(d []byte) []uint8 {
-		bits := make([]uint8, c.Plan.NumBranches)
-		if m.Init() != nil {
-			return bits
-		}
-		for it := 0; it < len(d)/tuple; it++ {
-			base := it * tuple
-			for fi, f := range fields {
-				in[fi] = model.GetRaw(f.Type, d[base+f.Offset:])
-			}
-			rec.BeginStep()
-			err := m.Step(in)
-			for b, v := range rec.Curr {
-				if v != 0 {
-					bits[b] = 1
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		return bits
-	}
-	covers := func(have, want []uint8) bool {
-		for b, v := range want {
-			if v != 0 && have[b] == 0 {
-				return false
-			}
-		}
-		return true
-	}
-
+	coverageOf := caseCoverage(c)
 	want := coverageOf(data)
 	cur := append([]byte(nil), data...)
 

@@ -101,26 +101,14 @@ func TestFuzzOnlyMaskHidesNonJumpProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := MustEngine(c, Options{Seed: 1, Mode: ModeFuzzOnly, MaxExecs: 1})
-	masked := 0
-	for _, v := range e.mask {
-		if v {
-			masked++
-		}
-	}
 	// The AND (logic) and Switch decisions plus all conditions must be
 	// invisible: nothing in this model compiles to a jump at -O2.
-	if masked != 0 {
-		t.Errorf("fuzz-only mask should hide all %d slots here, %d visible", len(e.mask), masked)
+	if masked := count(e.mask); masked != 0 {
+		t.Errorf("fuzz-only mask should hide all %d slots here, %d visible", c.Plan.NumBranches, masked)
 	}
 
 	e2 := MustEngine(c, Options{Seed: 1, Mode: ModeModelOriented, MaxExecs: 1})
-	visible := 0
-	for _, v := range e2.mask {
-		if v {
-			visible++
-		}
-	}
-	if visible != len(e2.mask) {
-		t.Errorf("model-oriented mode must see every slot: %d/%d", visible, len(e2.mask))
+	if visible := count(e2.mask); visible != c.Plan.NumBranches {
+		t.Errorf("model-oriented mode must see every slot: %d/%d", visible, c.Plan.NumBranches)
 	}
 }

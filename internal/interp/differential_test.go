@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cftcg/internal/codegen"
@@ -112,11 +113,11 @@ func runBoth(t *testing.T, m *model.Model, steps int, seed int64) {
 				t.Fatalf("step %d output %d: vm=%#x interp=%#x", step, k, machine.Out()[k], outs[k])
 			}
 		}
-		if !bytes.Equal(vmRec.Curr, itRec.Curr) {
-			for br := range vmRec.Curr {
-				if vmRec.Curr[br] != itRec.Curr[br] {
-					t.Fatalf("step %d: per-iteration coverage diverges at branch %d (%s): vm=%d interp=%d",
-						step, br, c.Plan.BranchLabel(br), vmRec.Curr[br], itRec.Curr[br])
+		if !slices.Equal(vmRec.Curr, itRec.Curr) {
+			for br := 0; br < c.Plan.NumBranches; br++ {
+				if vmRec.Hit(br) != itRec.Hit(br) {
+					t.Fatalf("step %d: per-iteration coverage diverges at branch %d (%s): vm=%v interp=%v",
+						step, br, c.Plan.BranchLabel(br), vmRec.Hit(br), itRec.Hit(br))
 				}
 			}
 		}

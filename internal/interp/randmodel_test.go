@@ -1,9 +1,9 @@
 package interp
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cftcg/internal/codegen"
@@ -161,7 +161,7 @@ func TestRandomModelsDifferential(t *testing.T) {
 						id, step, k, machine.Out()[k], outs[k], len(m.Root.Blocks))
 				}
 			}
-			if !bytes.Equal(vmRec.Curr, itRec.Curr) {
+			if !slices.Equal(vmRec.Curr, itRec.Curr) {
 				t.Fatalf("model %d step %d: coverage diverges", id, step)
 			}
 		}

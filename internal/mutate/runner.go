@@ -136,9 +136,9 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func hashWords(h uint64, ws []uint8) uint64 {
-	for _, w := range ws {
-		h ^= uint64(w)
+func hashBytes(h uint64, bs []uint8) uint64 {
+	for _, c := range bs {
+		h ^= uint64(c)
 		h *= fnvPrime
 	}
 	return h
@@ -202,7 +202,11 @@ func probeHash(rec *coverage.Recorder) uint64 {
 	if rec == nil {
 		return 0
 	}
-	return hashWords(fnvOffset, rec.Curr)
+	h := uint64(fnvOffset)
+	for _, w := range rec.Curr {
+		h = hash64(h, w)
+	}
+	return h
 }
 
 // traceCase records the original program's behavior on one case.
@@ -371,7 +375,7 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig
 		out.Killed = true
 		out.KilledBy = ci
 		out.Reason = reason
-		h = hashWords(h, []uint8(reason))
+		h = hashBytes(h, []uint8(reason))
 	}
 
 	for ci, steps := range decoded {
@@ -380,7 +384,7 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig
 		if err, crashed := safeInit(m); crashed || err != nil {
 			term := termOf(err, crashed)
 			h = hash64(h, uint64(ci))
-			h = hashWords(h, []uint8("init-"+term))
+			h = hashBytes(h, []uint8("init-"+term))
 			if ref.term == "" || len(ref.steps) > 0 {
 				kill(ci, term)
 			}
@@ -396,7 +400,7 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig
 			if crashed || err != nil {
 				term := termOf(err, crashed)
 				h = hash64(h, uint64(si))
-				h = hashWords(h, []uint8(term))
+				h = hashBytes(h, []uint8(term))
 				if !diverged {
 					// The reference ran past this step cleanly (or hit a
 					// different terminal): the mutation made this input
@@ -458,7 +462,7 @@ func (l *laneState) kill(ci int, reason string) {
 	l.out.Killed = true
 	l.out.KilledBy = ci
 	l.out.Reason = reason
-	l.h = hashWords(l.h, []uint8(reason))
+	l.h = hashBytes(l.h, []uint8(reason))
 }
 
 // compileLane compiles one mutant for batch execution, converting a compile
@@ -563,7 +567,7 @@ func runMutantGroup(muts []*Mutant, decoded [][][]uint64, base []caseTrace, cfg 
 			if err, crashed := safeBatchInit(b, li); crashed || err != nil {
 				term := termOf(err, crashed)
 				l.h = hash64(l.h, uint64(ci))
-				l.h = hashWords(l.h, []uint8("init-"+term))
+				l.h = hashBytes(l.h, []uint8("init-"+term))
 				if ref.term == "" || len(ref.steps) > 0 {
 					l.kill(ci, term)
 				}
@@ -590,7 +594,7 @@ func runMutantGroup(muts []*Mutant, decoded [][][]uint64, base []caseTrace, cfg 
 				if crashed || err != nil {
 					term := termOf(err, crashed)
 					l.h = hash64(l.h, uint64(si))
-					l.h = hashWords(l.h, []uint8(term))
+					l.h = hashBytes(l.h, []uint8(term))
 					if !l.diverged {
 						l.kill(ci, term)
 					}

@@ -1,9 +1,9 @@
 package opt
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
@@ -80,7 +80,7 @@ func Lockstep(l, r *ir.Program, plan *coverage.Plan, cases [][]byte, randomCases
 			if !rawsEqual(lm.Out(), rm.Out()) {
 				return fmt.Errorf("opt: lockstep: case %d step %d: outputs diverge (%v vs %v)", ci, si, lm.Out(), rm.Out())
 			}
-			if lrec != nil && !bytes.Equal(lrec.Curr, rrec.Curr) {
+			if lrec != nil && !slices.Equal(lrec.Curr, rrec.Curr) {
 				return fmt.Errorf("opt: lockstep: case %d step %d: probe streams diverge", ci, si)
 			}
 		}

@@ -296,8 +296,8 @@ func (s *solver) witness(b box) {
 		}
 		s.rec.BeginStep()
 		s.machine.Step(in)
-		for b, v := range s.rec.Curr {
-			if v != 0 && s.objDepth[b] < 0 {
+		for b, d := range s.objDepth {
+			if d < 0 && s.rec.Hit(b) {
 				s.objDepth[b] = s.curDepth
 			}
 		}

@@ -157,7 +157,7 @@ func TestBatchLanesAreIsolated(t *testing.T) {
 		if l.m.LastFuelUsed() != b.LastFuelUsed(i) {
 			t.Fatalf("lane %d: fuel %d vs %d", i, l.m.LastFuelUsed(), b.LastFuelUsed(i))
 		}
-		if msg := diffBytes("Curr", l.mrec.Curr, l.rec.Curr); msg != "" {
+		if msg := diffWords("Curr", l.mrec.Curr, l.rec.Curr); msg != "" {
 			t.Fatalf("lane %d: %s", i, msg)
 		}
 	}

@@ -191,7 +191,7 @@ func compareAfterCall(t *testing.T, name string, ref, got Backend, refErr, gotEr
 		}
 	}
 	if refRec != nil {
-		if msg := diffBytes("Curr", refRec.Curr, gotRec.Curr); msg != "" {
+		if msg := diffWords("Curr", refRec.Curr, gotRec.Curr); msg != "" {
 			t.Fatalf("%s: %s", name, msg)
 		}
 		if msg := diffBytes("Total", refRec.Total, gotRec.Total); msg != "" {

@@ -44,7 +44,8 @@ echo "== bench module: vet + test =="
 go -C bench vet ./...
 go -C bench test ./...
 
-# Coverage floors on the load-bearing packages (VM backends, IR).
+# Coverage floors on the load-bearing packages (VM backends, IR, coverage
+# recorder, fuzz engine).
 echo "== coverage floors =="
 scripts/cover.sh
 

@@ -1,7 +1,10 @@
 #!/bin/sh
 # cover.sh — statement-coverage floors for the packages where correctness is
 # load-bearing: the VM backends (every campaign and every mutant grind
-# executes here) and the IR (programs, verifier, disassembler, generator).
+# executes here), the IR (programs, verifier, disassembler, generator), the
+# coverage recorder and progress tracker (the packed per-step hit set every
+# probe writes), and the fuzz engine (Algorithm 1's feedback scan, corpus,
+# checkpoints and minimization).
 # Fails when a package drops below its committed floor. Floors ratchet up
 # with the test suite; lower one only with a reviewed justification.
 set -eu
@@ -20,3 +23,5 @@ check() {
 
 check internal/vm 85
 check internal/ir 80
+check internal/coverage 70
+check internal/fuzz 85
