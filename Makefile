@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench bench-test chaos mutate-smoke opt-smoke cover fuzz-smoke
+.PHONY: all build test race vet fmt lint check bench bench-test chaos mutate-smoke cover fuzz-smoke
 
 all: check
 
@@ -29,12 +29,12 @@ fmt:
 # lint is the fast pre-commit gate: formatting, vet, and a full-speed race
 # pass over the concurrency-bearing packages (the engine's status plane, the
 # campaign daemon's shard fan-out, and the shared coverage structures).
-# The optimizer and mutation packages ride along in -short mode: their
-# property tests (1k-case lockstep sweeps, full mutant grinds) starve under
-# the race detector's ~15x slowdown.
+# The mutation package rides along in -short mode: its fuzz-then-grind
+# tests and equivalence-prover sweeps starve under the race detector's ~15x
+# slowdown.
 lint: fmt vet
 	$(GO) test -race ./internal/fuzz ./internal/campaign ./internal/coverage ./internal/vm ./internal/ir
-	$(GO) test -short -race ./internal/opt ./internal/mutate
+	$(GO) test -short -race ./internal/mutate
 
 # mutate-smoke is the mutation-testing end-to-end gate: generate mutants
 # for a small model, kill them with a freshly fuzzed suite, and require a
@@ -46,19 +46,6 @@ mutate-smoke:
 	awk "BEGIN { exit !($$score > 0 && $$score <= 1) }" </dev/null \
 		|| { echo "mutate-smoke: score $$score outside (0, 1]"; exit 1; }
 
-# opt-smoke pushes every built-in benchmark through the translation-
-# validated optimization pipeline via the CLI: each must come out
-# verifier-clean and VM-lockstep equivalent (analyze -opt exits non-zero
-# and withholds the "optimization validated" line otherwise).
-opt-smoke:
-	@for m in CPUTask AFC TCP RAC EVCS TWC UTPC SolarPV; do \
-		out=$$($(GO) run ./cmd/cftcg analyze $$m -stats -opt) \
-			|| { echo "opt-smoke: $$m: optimizer failed"; exit 1; }; \
-		echo "$$out" | grep -q "optimization validated" \
-			|| { echo "opt-smoke: $$m: missing validation line"; exit 1; }; \
-		echo "opt-smoke: $$m: $$(echo "$$out" | sed -n 's/^optimized: //p')"; \
-	done
-
 # chaos arms the build-tag-gated failpoints (internal/faultinject) and runs
 # the fault-injection suites under the race detector: torn WAL writes, fsync
 # failures, checkpoint panics, hanging shards, and a kill-9 of a real
@@ -67,8 +54,9 @@ chaos:
 	$(GO) test -race -tags faultinject ./internal/faultinject ./internal/wal ./internal/fuzz ./internal/campaign
 
 # cover enforces the statement-coverage floors on the load-bearing
-# packages (VM backends, IR, coverage recorder, fuzz engine); see
-# scripts/cover.sh for the committed floors.
+# packages (VM backends, IR, coverage recorder, fuzz engine, mutation
+# subsystem and its equivalence prover); see scripts/cover.sh for the
+# committed floors.
 cover:
 	scripts/cover.sh
 
@@ -86,7 +74,7 @@ bench-test:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-check: fmt vet build test race bench-test cover fuzz-smoke mutate-smoke opt-smoke chaos
+check: fmt vet build test race bench-test cover fuzz-smoke mutate-smoke chaos
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

@@ -27,10 +27,8 @@ import (
 	"cftcg/internal/fuzz"
 	"cftcg/internal/harness"
 	"cftcg/internal/interp"
-	"cftcg/internal/ir"
 	"cftcg/internal/model"
 	"cftcg/internal/mutate"
-	"cftcg/internal/opt"
 	"cftcg/internal/simcotest"
 	"cftcg/internal/sldv"
 	"cftcg/internal/vm"
@@ -241,50 +239,6 @@ func BenchmarkSpeedVMvsInterp(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkVMOptimized compares VM stepping throughput on the original vs
-// the translation-validated optimized program for every benchmark model,
-// attaching the instruction counts as metrics. scripts/bench.sh snapshots
-// the orig/opt pairs (it/s and instrs) into BENCH_v8.json.
-func BenchmarkVMOptimized(b *testing.B) {
-	for _, e := range benchmodels.All() {
-		e := e
-		b.Run(e.Name, func(b *testing.B) {
-			c, err := codegen.Compile(e.Build())
-			if err != nil {
-				b.Fatal(err)
-			}
-			optp, st, err := opt.Optimize(c.Prog, c.Plan, opt.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			inputs := make([][]uint64, 64)
-			for i := range inputs {
-				in := make([]uint64, len(c.Prog.In))
-				for f, field := range c.Prog.In {
-					in[f] = model.EncodeInt(field.Type, int64(rng.Intn(512)-256))
-				}
-				inputs[i] = in
-			}
-			run := func(p *ir.Program, instrs int) func(*testing.B) {
-				return func(b *testing.B) {
-					rec := coverage.NewRecorder(c.Plan)
-					m := vm.New(p, rec)
-					m.Init()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						rec.BeginStep()
-						m.Step(inputs[i&63])
-					}
-					b.ReportMetric(float64(instrs), "instrs")
-				}
-			}
-			b.Run("orig", run(c.Prog, st.Before()))
-			b.Run("opt", run(optp, st.After()))
-		})
-	}
 }
 
 // BenchmarkVMBackends compares stepping throughput of the switch reference

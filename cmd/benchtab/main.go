@@ -37,7 +37,6 @@ func main() {
 	points := flag.Int("points", 16, "figure 7 sample columns")
 	throttle := flag.Float64("sim-throttle", -1, "SimCoTest steps/sec cap (-1 = calibrated default, 0 = native interpreter speed; paper measured 6)")
 	mutants := flag.Int("mutants", 100, "mutant pool size per model (mutation command)")
-	optimize := flag.Bool("opt", false, "run every tool on the translation-validated optimized program")
 	flag.Parse()
 
 	cmd := flag.Arg(0)
@@ -50,7 +49,6 @@ func main() {
 	cfg.Repetitions = *reps
 	cfg.Seed = *seed
 	cfg.SLDVDepth = *depth
-	cfg.Optimize = *optimize
 	if *throttle >= 0 {
 		cfg.SimThrottleStepsPerSec = *throttle
 	}

@@ -6,7 +6,7 @@
 //
 //	cftcg emit    <model.slx>                 print generated fuzz code
 //	cftcg fuzz    <model.slx> [flags]         run fuzzing, write the suite
-//	cftcg analyze <model.slx> [flags]         static analysis: lint, dead objectives, influence, -stats/-opt
+//	cftcg analyze <model.slx> [flags]         static analysis: lint, dead objectives, influence, -stats
 //	cftcg cov     <model.slx> <case.bin>...   replay cases, report coverage
 //	cftcg convert <model.slx> <case.bin>      print one case as CSV
 //	cftcg trace   <model.slx> <case.bin>      dump a case as a VCD waveform
@@ -33,7 +33,6 @@ import (
 	"cftcg/internal/core"
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
-	"cftcg/internal/opt"
 )
 
 func main() {
@@ -67,7 +66,6 @@ func main() {
 		resume := fs.String("resume", "", "checkpoint file to resume the campaign from")
 		analyze := fs.Bool("analyze", false, "statically prove objectives dead; exclude them from the report denominators")
 		directed := fs.Bool("directed", false, "bias mutation toward input fields that influence unsatisfied objectives")
-		optimize := fs.Bool("opt", false, "fuzz the optimized program (translation-validated: identical outputs and probe streams)")
 		check(fs.Parse(args[1:]))
 		sys := loadSystem(arg(args, 0))
 
@@ -97,7 +95,7 @@ func main() {
 			Seed: *seed, Mode: m, Budget: *budget, MaxExecs: *execs, MaxTuples: *maxTuples,
 			Fuel:           *fuel,
 			CheckpointPath: *checkpoint, CheckpointEvery: *ckptEvery, ResumeFrom: *resume,
-			Directed: *directed, Optimize: *optimize,
+			Directed: *directed,
 		}
 		if *seeds != "" {
 			seedInputs, err := core.ReadSeedDir(*seeds)
@@ -167,20 +165,8 @@ func main() {
 		fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 		asJSON := fs.Bool("json", false, "print the full report as JSON")
 		stats := fs.Bool("stats", false, "print per-program instruction counts and dead-store totals")
-		doOpt := fs.Bool("opt", false, "run the translation-validated optimizer; with -stats, report the before/after delta")
 		check(fs.Parse(args[1:]))
 		sys := loadSystem(arg(args, 0))
-
-		// With -opt the rest of the report (lint, dead objectives,
-		// influence) describes the *optimized* program — the pipeline's
-		// contract is that it stays verifier-clean and observably
-		// equivalent, so the analysis remains valid for the original.
-		var ostats *opt.Stats
-		if *doOpt {
-			var err error
-			ostats, err = sys.Compiled.Optimize(opt.Config{})
-			check(err)
-		}
 		prog, plan := sys.Compiled.Prog, sys.Compiled.Plan
 		issues := analysis.Verify(prog, plan)
 		dead := analysis.DeadObjectives(prog, plan)
@@ -207,10 +193,9 @@ func main() {
 				Fields []string `json:"fields,omitempty"`
 			}
 			type statsRow struct {
-				InitInstrs int        `json:"initInstrs"`
-				StepInstrs int        `json:"stepInstrs"`
-				DeadStores int        `json:"deadStores"`
-				Opt        *opt.Stats `json:"opt,omitempty"`
+				InitInstrs int `json:"initInstrs"`
+				StepInstrs int `json:"stepInstrs"`
+				DeadStores int `json:"deadStores"`
 			}
 			report := struct {
 				Model    string      `json:"model"`
@@ -223,8 +208,7 @@ func main() {
 				report.Stats = &statsRow{
 					InitInstrs: len(prog.Init),
 					StepInstrs: len(prog.Step),
-					DeadStores: opt.DeadStoreWarnings(prog, plan),
-					Opt:        ostats,
+					DeadStores: analysis.DeadStoreWarnings(prog, plan),
 				}
 			}
 			for _, is := range issues {
@@ -246,11 +230,7 @@ func main() {
 		if *stats {
 			fmt.Printf("instructions: init %d, step %d (total %d)\n",
 				len(prog.Init), len(prog.Step), len(prog.Init)+len(prog.Step))
-			fmt.Printf("dead stores: %d warning(s)\n", opt.DeadStoreWarnings(prog, plan))
-			if ostats != nil {
-				fmt.Printf("optimized: %s\n", ostats.Summary())
-				fmt.Println("optimization validated: every pass translation-validated, final program lockstep-equivalent")
-			}
+			fmt.Printf("dead stores: %d warning(s)\n", analysis.DeadStoreWarnings(prog, plan))
 			fmt.Println()
 		}
 		if len(issues) == 0 {

@@ -12,11 +12,11 @@ import (
 	"fmt"
 	"os"
 
+	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
 	"cftcg/internal/core"
 	"cftcg/internal/mutate"
-	"cftcg/internal/opt"
 )
 
 func main() {
@@ -24,9 +24,9 @@ func main() {
 		one(os.Args[1])
 		return
 	}
-	fmt.Printf("%-9s %-36s %8s %8s %8s %8s %6s %8s %7s %7s %7s\n",
+	fmt.Printf("%-9s %-36s %8s %8s %8s %8s %6s %8s %7s %7s\n",
 		"Model", "Functionality", "#Branch", "(paper)", "#Block", "(paper)", "Tuple", "#MutSite",
-		"#Instr", "DeadSt", "#Opt")
+		"#Instr", "DeadSt")
 	for _, e := range benchmodels.All() {
 		m := e.Build()
 		c, err := codegen.Compile(m)
@@ -35,17 +35,12 @@ func main() {
 			os.Exit(1)
 		}
 		instrs := len(c.Prog.Init) + len(c.Prog.Step)
-		deadStores := opt.DeadStoreWarnings(c.Prog, c.Plan)
-		optp, _, err := opt.Optimize(c.Prog, c.Plan, opt.Config{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "modelinfo: %s: optimize: %v\n", e.Name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-9s %-36s %8d %8d %8d %8d %5dB %8d %7d %7d %7d\n",
+		deadStores := analysis.DeadStoreWarnings(c.Prog, c.Plan)
+		fmt.Printf("%-9s %-36s %8d %8d %8d %8d %5dB %8d %7d %7d\n",
 			e.Name, e.Functionality, c.Plan.NumBranches, e.PaperBranch,
 			m.Root.CountBlocks(), e.PaperBlock, c.Prog.TupleSize(),
 			mutate.Surface(c.Prog, m).Total(),
-			instrs, deadStores, len(optp.Init)+len(optp.Step))
+			instrs, deadStores)
 	}
 }
 
@@ -79,12 +74,7 @@ func one(name string) {
 		plan.NumBranches, len(plan.Decisions), len(plan.Conds))
 	fmt.Printf("  instructions: init %d, step %d (total %d); dead stores: %d\n",
 		len(prog.Init), len(prog.Step), len(prog.Init)+len(prog.Step),
-		opt.DeadStoreWarnings(prog, plan))
-	if _, st, err := opt.Optimize(prog, plan, opt.Config{}); err == nil {
-		fmt.Printf("  optimized:  %s\n", st.Summary())
-	} else {
-		fmt.Fprintf(os.Stderr, "modelinfo: optimize: %v\n", err)
-	}
+		analysis.DeadStoreWarnings(prog, plan))
 	lay := sys.Layout()
 	fmt.Printf("  tuple:      %d bytes\n", lay.TupleSize)
 	for _, f := range lay.Fields {

@@ -146,26 +146,6 @@ func funcLiveness(code []ir.Instr, numRegs int, exitLive []bool) (perPC [][]bool
 	return perPC, entry
 }
 
-// Block is one basic block of a lowered function: instructions [Start, End),
-// with successor block indexes (an index == len(blocks) means "falls off the
-// function end"; a block ending in halt has no successors). Exported for the
-// optimizer's dataflow passes.
-type Block struct {
-	Start, End int
-	Succs      []int
-}
-
-// BasicBlocks splits a function into basic blocks. Malformed jump targets
-// are clamped, matching the verifier's tolerance.
-func BasicBlocks(code []ir.Instr) []Block {
-	bs := buildBlocks(code)
-	out := make([]Block, len(bs))
-	for i, b := range bs {
-		out[i] = Block{Start: b.start, End: b.end, Succs: b.succs}
-	}
-	return out
-}
-
 // ReachablePCs marks the instructions reachable from the function entry.
 func ReachablePCs(code []ir.Instr) []bool {
 	out := make([]bool, len(code))

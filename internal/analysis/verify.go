@@ -76,6 +76,18 @@ func VerifyStrict(p *ir.Program, plan *coverage.Plan) error {
 		p.Name, len(errs), strings.Join(errs, "\n  "))
 }
 
+// DeadStoreWarnings counts the verifier's dead-store lint findings — the
+// metric `cftcg analyze -stats` and modelinfo report.
+func DeadStoreWarnings(p *ir.Program, plan *coverage.Plan) int {
+	n := 0
+	for _, is := range Verify(p, plan) {
+		if is.Sev == SevWarn && strings.Contains(is.Msg, "dead store") {
+			n++
+		}
+	}
+	return n
+}
+
 type verifier struct {
 	p        *ir.Program
 	plan     *coverage.Plan
@@ -222,8 +234,9 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 		// ever reads is trivially dead; a register that is read somewhere but
 		// not live after this definition (every path overwrites it before any
 		// read) is a store killed by control flow. The liveness analysis
-		// distinguishes the two so the optimizer's DSE transform and this
-		// lint agree on what "dead" means.
+		// distinguishes the two; the mutation prover's dead-register rule
+		// reads the same liveness, so it and this lint agree on what "dead"
+		// means.
 		if dst >= 0 && dst < n {
 			if !v.readRegs[dst] {
 				v.warnf(fn, pc, "dead store: r%d is never read", dst)

@@ -16,7 +16,6 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
-	"cftcg/internal/opt"
 )
 
 // ModelResolver turns a submitted model name into a compiled program. The
@@ -47,10 +46,6 @@ type Spec struct {
 	// Analyze runs the static dead-objective analysis before fuzzing so
 	// unreachable branch slots drop out of the coverage denominators.
 	Analyze bool `json:"analyze,omitempty"`
-	// Optimize runs the translation-validated IR optimization pipeline
-	// before fuzzing, so the shards execute the optimized program. The
-	// validator guarantees identical outputs and probe streams.
-	Optimize bool `json:"optimize,omitempty"`
 	// Directed biases mutation toward input fields that influence the
 	// still-unsatisfied objectives (implies nothing in fuzz-only mode).
 	Directed bool `json:"directed,omitempty"`
@@ -216,10 +211,6 @@ type ServerConfig struct {
 	CompactSegments int
 	// Supervise tunes shard supervision for every campaign this server runs.
 	Supervise Supervise
-	// ForceOptimize turns on Spec.Optimize for every submission (the
-	// cftcgd -opt flag): each campaign fuzzes the translation-validated
-	// optimized program regardless of what the client asked for.
-	ForceOptimize bool
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -401,15 +392,6 @@ func (s *Server) runJob(job *Job) {
 		// not leak dead flags into other submissions of the same model.
 		analysis.MarkDead(compiled.Prog, compiled.Plan)
 	}
-	if job.Spec.Optimize {
-		// Optimize once here rather than per shard: every shard then runs
-		// the same validated program, and the mutation-scoring pass below
-		// derives its mutants from the code that actually fuzzed.
-		if _, err := compiled.Optimize(opt.Config{Seed: job.Spec.Seed}); err != nil {
-			fail(fmt.Errorf("optimize: %w", err))
-			return
-		}
-	}
 	opts, err := job.Spec.options()
 	if err != nil {
 		fail(err)
@@ -558,11 +540,6 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	}
 	if _, err := fuzz.ParseMode(spec.Mode); err != nil {
 		return nil, err
-	}
-	if s.cfg.ForceOptimize {
-		// Promote before the job is built so the journal and the status API
-		// both reflect what will actually run.
-		spec.Optimize = true
 	}
 	s.mu.Lock()
 	if s.draining {

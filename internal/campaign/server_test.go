@@ -267,13 +267,14 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return string(data)
 }
 
-// TestRetiredBackendKeyAccepted: specs once carried a "backend" key that
-// picked the VM. Every campaign now runs the threaded VM, and old clients
-// and old journals must keep working: a submission carrying the key, and a
-// journal whose submitted event carries it, both decode and run to
+// TestRetiredSpecKeysAccepted: specs once carried a "backend" key that
+// picked the VM and an "optimize" key that ran the IR optimizer. Every
+// campaign now runs the lowered program on the threaded VM, and old clients
+// and old journals must keep working: a submission carrying the keys, and a
+// journal whose submitted event carries them, both decode and run to
 // completion.
-func TestRetiredBackendKeyAccepted(t *testing.T) {
-	const legacy = `{"model":"Magic","execs":200,"backend":"switch"}`
+func TestRetiredSpecKeysAccepted(t *testing.T) {
+	const legacy = `{"model":"Magic","execs":200,"backend":"switch","optimize":true}`
 
 	dir := t.TempDir()
 	jnl, err := openJournal(dir, 0)

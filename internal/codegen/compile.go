@@ -8,7 +8,6 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
-	"cftcg/internal/opt"
 	"cftcg/internal/schedule"
 	"cftcg/internal/vm"
 )
@@ -18,18 +17,10 @@ import (
 // set it once at startup; it is not meant to be toggled concurrently.
 var VerifyLowered bool
 
-// OptimizeLowered, when set, makes Compile run the translation-validated
-// optimization pipeline over every lowered program, so the optimized IR is
-// what the fuzzer, harness, and daemon actually execute. Like VerifyLowered
-// it is a set-once process flag; per-run control lives in fuzz.Options,
-// harness.Config, and campaign.Spec.
-var OptimizeLowered bool
-
 // Compiled bundles every artifact of the fuzzing-code-generation pipeline:
 // the analyzed design, the instrumentation plan, the entity index, and the
-// lowered program ready for the VM. A Compiled must not be copied (it caches
-// the threaded code of Prog); use WithProg to derive one with another
-// program.
+// lowered program ready for the VM. A Compiled must not be copied: it
+// caches the threaded code of Prog.
 type Compiled struct {
 	Design *blocks.Design
 	Plan   *coverage.Plan
@@ -47,12 +38,6 @@ type Compiled struct {
 func (c *Compiled) Threaded() *vm.Code {
 	c.threadedOnce.Do(func() { c.threaded = vm.CompileThreaded(c.Prog) })
 	return c.threaded
-}
-
-// WithProg returns a Compiled sharing c's design, plan and index but
-// executing p (an optimized program, say), with its own threaded code.
-func (c *Compiled) WithProg(p *ir.Program) *Compiled {
-	return &Compiled{Design: c.Design, Plan: c.Plan, Index: c.Index, Prog: p}
 }
 
 // Compile runs the full front half of CFTCG on a model: parse/analyze,
@@ -79,27 +64,5 @@ func Compile(m *model.Model) (*Compiled, error) {
 			return nil, err
 		}
 	}
-	c := &Compiled{Design: d, Plan: plan, Index: ix, Prog: prog}
-	if OptimizeLowered {
-		if _, err := c.Optimize(opt.Config{}); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// Optimize runs the translation-validated optimization pipeline over the
-// compiled program and swaps in the optimized IR. The pipeline refuses
-// unverified input and reverts any rewrite it cannot prove or lockstep-check,
-// so on success the replaced program is observably equivalent (outputs and
-// probe streams) to the lowered original. Call it before sharing c: it
-// replaces Prog, and with it any threaded code compiled so far.
-func (c *Compiled) Optimize(cfg opt.Config) (*opt.Stats, error) {
-	p, st, err := opt.Optimize(c.Prog, c.Plan, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.Prog = p
-	c.threadedOnce, c.threaded = sync.Once{}, nil
-	return st, nil
+	return &Compiled{Design: d, Plan: plan, Index: ix, Prog: prog}, nil
 }

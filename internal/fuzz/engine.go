@@ -16,7 +16,6 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/faultinject"
 	"cftcg/internal/model"
-	"cftcg/internal/opt"
 	"cftcg/internal/testcase"
 	"cftcg/internal/vm"
 )
@@ -87,11 +86,6 @@ type Options struct {
 	// Entries must be non-negative; ignored in fuzz-only mode.
 	MutantBias []float64
 
-	// Optimize runs the translation-validated IR optimization pipeline over
-	// the program before fuzzing, so the campaign executes the optimized
-	// code. The pipeline's validator guarantees identical outputs and probe
-	// streams, so coverage and findings are comparable either way.
-	Optimize bool
 	// Fuel bounds the instructions one init/step call may execute before it
 	// is aborted and triaged as a Hang finding (0 = vm.DefaultFuel).
 	Fuel int64
@@ -341,15 +335,6 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 30 * time.Second
-	}
-	if opts.Optimize {
-		// Swap in the optimized program on a local copy — the caller's
-		// Compiled (possibly shared across workers) is left untouched.
-		p, _, err := opt.Optimize(c.Prog, c.Plan, opt.Config{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		c = c.WithProg(p)
 	}
 	rec := coverage.NewRecorder(c.Plan)
 	rng := rand.New(rand.NewSource(opts.Seed))

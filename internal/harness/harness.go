@@ -17,7 +17,6 @@ import (
 	"cftcg/internal/fuzz"
 	"cftcg/internal/model"
 	"cftcg/internal/mutate"
-	"cftcg/internal/opt"
 	"cftcg/internal/simcotest"
 	"cftcg/internal/sldv"
 	"cftcg/internal/testcase"
@@ -79,11 +78,6 @@ type Config struct {
 	// model, so branch slots proved unreachable drop out of every tool's
 	// coverage denominators (Table 3 then reports achievable objectives).
 	Analyze bool
-	// Optimize runs the translation-validated IR optimization pipeline on
-	// each compiled model before the tools execute it, so every tool (and
-	// the mutation pass, whose mutants derive from the optimized program)
-	// runs the code campaigns actually ship.
-	Optimize bool
 	// Directed biases CFTCG/Hybrid mutation toward input fields that the
 	// influence map links to still-unsatisfied objectives.
 	Directed bool
@@ -327,11 +321,6 @@ func RunModel(e benchmodels.Entry, tools []Tool, cfg Config) (ModelResult, error
 	}
 	if cfg.Analyze {
 		analysis.MarkDead(c.Prog, c.Plan)
-	}
-	if cfg.Optimize {
-		if _, err := c.Optimize(opt.Config{Seed: cfg.Seed}); err != nil {
-			return ModelResult{}, fmt.Errorf("harness: %s: %w", e.Name, err)
-		}
 	}
 	mr := ModelResult{
 		Entry:    e,

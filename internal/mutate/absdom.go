@@ -1,16 +1,4 @@
-// Package opt is the IR optimization pipeline: dataflow passes over the
-// lowered register program (sparse conditional constant propagation, copy
-// propagation, common-subexpression elimination, liveness-driven dead-store
-// elimination, jump threading) gated by a translation validator, plus the
-// product-program equivalence prover the mutation subsystem uses to
-// reclassify provably-equivalent mutants.
-//
-// Every transformation is semantics-preserving with respect to the VM's
-// observable behavior — outputs, probe streams, and termination — and every
-// pipeline run is machine-checked: the strict verifier must accept the
-// output, and an abstract product-program proof (falling back to VM-lockstep
-// differential testing) must fail to distinguish it from the input.
-package opt
+package mutate
 
 import (
 	"math"
@@ -142,8 +130,9 @@ func resultDT(ins *ir.Instr) model.DType {
 
 // pureValueOp reports whether the instruction computes a register result as
 // a pure function of registers (and, for loads, of a memory cell) — the
-// opcode class constant folding, CSE and DSE may touch. Loads are "pure"
-// here in the sense of having no side effect; EvalPure still refuses them.
+// opcode class the prover evaluates side by side and the dead-register rule
+// may discard. Loads are "pure" here in the sense of having no side effect;
+// EvalPure still refuses them.
 func pureValueOp(op ir.Op) bool {
 	switch op {
 	case ir.OpNop, ir.OpStoreOut, ir.OpStoreState, ir.OpProbe, ir.OpCondProbe,
@@ -333,25 +322,5 @@ func irOperands(ins *ir.Instr) (dst int32, reads []int32) {
 		return -1, nil
 	default: // remaining binary ALU ops
 		return ins.Dst, []int32{ins.A, ins.B}
-	}
-}
-
-// rewriteReads applies f to every register an instruction reads, leaving
-// destinations, immediates and probe IDs untouched.
-func rewriteReads(ins *ir.Instr, f func(int32) int32) {
-	switch ins.Op {
-	case ir.OpConst, ir.OpLoadIn, ir.OpLoadState, ir.OpJmp, ir.OpHalt, ir.OpNop, ir.OpProbe:
-	case ir.OpMov, ir.OpNeg, ir.OpAbs, ir.OpNot, ir.OpTruth, ir.OpCast,
-		ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
-		ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
-		ins.A = f(ins.A)
-	case ir.OpSelect:
-		ins.A, ins.B, ins.C = f(ins.A), f(ins.B), f(ins.C)
-	case ir.OpStoreOut, ir.OpStoreState, ir.OpJmpIf, ir.OpJmpIfNot:
-		ins.A = f(ins.A)
-	case ir.OpCondProbe:
-		ins.B = f(ins.B)
-	default: // remaining binary ALU ops
-		ins.A, ins.B = f(ins.A), f(ins.B)
 	}
 }

@@ -1,4 +1,4 @@
-package opt
+package mutate
 
 import (
 	"math"
@@ -6,6 +6,12 @@ import (
 	"cftcg/internal/analysis"
 	"cftcg/internal/interval"
 	"cftcg/internal/ir"
+)
+
+const (
+	optWidenVisits     = 8  // per-block joins before widening inside a function
+	optWidenStepRounds = 4  // outer step iterations before widening the state
+	optMaxStepRounds   = 64 // hard stop for the outer fixpoint
 )
 
 // The product-program equivalence prover. Two same-shape programs (equal
@@ -25,7 +31,7 @@ import (
 // Under those rules a completed fixpoint (init, then step iterated with
 // widening, exactly like analysis.Feasible) is a proof of observable
 // equivalence; any rule failure is "inconclusive", never "inequivalent" —
-// the caller falls back to differential testing or keeps the mutant alive.
+// the mutant stays in the score.
 //
 // eq bits are established three ways: literally identical instructions over
 // pairwise-eq operands (same inputs, same pure function), both raw words
@@ -290,8 +296,8 @@ func sideResolve(ins *ir.Instr, val func(int32) av, pc, n int) (sideNext, bool) 
 	if nopish(ins) {
 		return sideNext{definite: true, next: fall}, true
 	}
-	// A value op opposite a control op: outside what the passes and mutation
-	// operators produce; inconclusive.
+	// A value op opposite a control op: outside what the mutation operators
+	// produce; inconclusive.
 	return sideNext{}, false
 }
 
@@ -433,13 +439,13 @@ func sameShape(l, r *ir.Program) bool {
 		len(l.In) == len(r.In) && len(l.Out) == len(r.Out)
 }
 
-// ProveEquiv attempts an abstract proof that two same-shape programs are
+// proveEquiv attempts an abstract proof that two same-shape programs are
 // observably equivalent: identical outputs, probe streams and termination on
 // every input sequence. The proof runs init from a zeroed state (registers
 // unconstrained and unrelated — they persist across cases and the two
 // machines' histories differ) and then iterates step to a joint fixpoint
 // with widening. false means inconclusive, never inequivalent.
-func ProveEquiv(l, r *ir.Program) bool {
+func proveEquiv(l, r *ir.Program) bool {
 	if !sameShape(l, r) {
 		return false
 	}
@@ -473,7 +479,7 @@ func ProveEquiv(l, r *ir.Program) bool {
 	return false // no fixpoint within bounds: inconclusive
 }
 
-// ProveMutantEquivalent attempts to prove a single-instruction IR mutant
+// proveMutantEquivalent attempts to prove a single-instruction IR mutant
 // observably equivalent to the original. Two cheap structural arguments run
 // first — the patched instruction is unreachable (edges into it are
 // untouched by the mutation, so it executes in neither program), or both
@@ -481,7 +487,7 @@ func ProveEquiv(l, r *ir.Program) bool {
 // programs shows no later read) — before the full product proof. fn/pc
 // locate the patch ("init" or "step"). false is inconclusive: the mutant
 // stays in the score.
-func ProveMutantEquivalent(orig, mut *ir.Program, fn string, pc int) bool {
+func proveMutantEquivalent(orig, mut *ir.Program, fn string, pc int) bool {
 	if !sameShape(orig, mut) {
 		return false
 	}
@@ -505,5 +511,5 @@ func ProveMutantEquivalent(orig, mut *ir.Program, fn string, pc int) bool {
 			}
 		}
 	}
-	return ProveEquiv(orig, mut)
+	return proveEquiv(orig, mut)
 }

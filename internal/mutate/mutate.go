@@ -14,6 +14,10 @@
 // exercising the whole lowering pipeline. Every emitted mutant passes
 // ir.Program.Validate and the analysis strict verifier — a malformed mutant
 // would measure the generator, not the suite.
+//
+// A surviving IR mutant that the product-program prover (equiv.go, over the
+// abstract domain in absdom.go) shows observably equivalent to the original
+// is unkillable by any suite, so Run takes it out of the score.
 package mutate
 
 import (

@@ -7,7 +7,6 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
-	"cftcg/internal/opt"
 	"cftcg/internal/vm"
 )
 
@@ -325,7 +324,7 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 			if res.Killed || !mu.SamePlan {
 				continue // plan-changing mutants have no common probe space
 			}
-			if opt.ProveMutantEquivalent(c.Prog, mu.Prog, mu.Func, mu.PC) {
+			if proveMutantEquivalent(c.Prog, mu.Prog, mu.Func, mu.PC) {
 				res.Equivalent = true
 				rep.Summary.Survived--
 				rep.Summary.Equivalent++

@@ -9,9 +9,9 @@ import (
 
 // EvalPure evaluates one instruction whose result is a pure function of its
 // register operands, using exactly the semantics of Machine.exec — the
-// optimizer's constant folder must be bit-identical to the VM or the
-// translation validator will (rightly) reject its output. read supplies the
-// raw word of each operand register. The second result is false for opcodes
+// equivalent-mutant prover's constant lattice must be bit-identical to the
+// VM, or it could prove a killable mutant equivalent. read supplies the raw
+// word of each operand register. The second result is false for opcodes
 // whose value is not register-pure (loads, stores, control flow, probes,
 // nop), which the caller must not fold.
 func EvalPure(ins *ir.Instr, read func(int32) uint64) (uint64, bool) {

@@ -3,14 +3,13 @@
 # snapshot (default BENCH_v9.json) for cross-PR performance tracking.
 # The pinned set is the fast, stable subset of the root bench_test.go
 # harness: mutation-strategy costs, mutant-runner throughput (batched lanes
-# vs the sequential reference), the full harness orchestration path, the
-# original-vs-optimized VM comparison, the switch-vs-threaded backend
-# comparison, and the batch (SoA lanes) vs separate-machines comparison.
+# vs the sequential reference), the switch-vs-threaded backend comparison,
+# and the batch (SoA lanes) vs separate-machines comparison.
 set -eu
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_v9.json}"
-pattern='^(BenchmarkTable1MutationStrategies|BenchmarkMutantKill|BenchmarkHarnessTable3|BenchmarkVMOptimized|BenchmarkVMBackends|BenchmarkVMBatch)$'
+pattern='^(BenchmarkTable1MutationStrategies|BenchmarkMutantKill|BenchmarkVMBackends|BenchmarkVMBatch)$'
 
 raw=$(go test -run '^$' -bench "$pattern" -benchtime 200ms .)
 echo "$raw" >&2

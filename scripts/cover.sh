@@ -3,8 +3,10 @@
 # load-bearing: the VM backends (every campaign and every mutant grind
 # executes here), the IR (programs, verifier, disassembler, generator), the
 # coverage recorder and progress tracker (the packed per-step hit set every
-# probe writes), and the fuzz engine (Algorithm 1's feedback scan, corpus,
-# checkpoints and minimization).
+# probe writes), the fuzz engine (Algorithm 1's feedback scan, corpus,
+# checkpoints and minimization), and the mutation subsystem (mutant
+# generation, the kill oracle, and the equivalence prover that takes
+# unkillable mutants out of the score).
 # Fails when a package drops below its committed floor. Floors ratchet up
 # with the test suite; lower one only with a reviewed justification.
 set -eu
@@ -25,3 +27,4 @@ check internal/vm 85
 check internal/ir 80
 check internal/coverage 70
 check internal/fuzz 85
+check internal/mutate 80
