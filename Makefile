@@ -61,8 +61,9 @@ cover:
 	scripts/cover.sh
 
 # fuzz-smoke runs the native fuzz targets briefly past their committed
-# corpora: the cross-backend lockstep rig chews randomized programs on all
-# three backends, and the disassembler round-tripper hammers the parser.
+# corpora: the cross-backend lockstep rig chews randomized programs on the
+# switch and threaded backends, and the disassembler round-tripper hammers
+# the parser.
 fuzz-smoke:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzVMBackendsLockstep$$' -fuzztime 10s
 	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzDisasmRoundTrip$$' -fuzztime 5s

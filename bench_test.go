@@ -309,58 +309,6 @@ func BenchmarkVMBackends(b *testing.B) {
 	}
 }
 
-// BenchmarkVMBatch measures the mutant-grind shape: 64 program instances
-// advanced in lockstep over one input stream. "machines" allocates 64
-// scalar threaded machines (shared compile, separate register files);
-// "batch" runs 64 lanes over structure-of-arrays slabs where the per-round
-// reset is a memclr. Reported ns are per lane-step.
-func BenchmarkVMBatch(b *testing.B) {
-	const lanes = 64
-	for _, name := range []string{"CPUTask", "TCP"} {
-		c := compileBench(b, name)
-		code := vm.CompileThreaded(c.Prog)
-		rng := rand.New(rand.NewSource(1))
-		inputs := make([][]uint64, 64)
-		for i := range inputs {
-			in := make([]uint64, len(c.Prog.In))
-			for f, field := range c.Prog.In {
-				in[f] = model.EncodeInt(field.Type, int64(rng.Intn(512)-256))
-			}
-			inputs[i] = in
-		}
-		b.Run(name+"/machines", func(b *testing.B) {
-			ms := make([]*vm.Threaded, lanes)
-			for i := range ms {
-				ms[i] = vm.NewThreadedFromCode(code, nil)
-				ms[i].Init()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				in := inputs[i&63]
-				for _, m := range ms {
-					m.Step(in)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/lane-step")
-		})
-		b.Run(name+"/batch", func(b *testing.B) {
-			bt := vm.NewBatch(code, lanes, nil)
-			bt.ResetAll()
-			for i := 0; i < lanes; i++ {
-				bt.Init(i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				in := inputs[i&63]
-				for lane := 0; lane < lanes; lane++ {
-					bt.Step(lane, in)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/lane-step")
-		})
-	}
-}
-
 // BenchmarkCPUTaskDeepBranches measures how much fuzzing work reaches the
 // queue-full branches of CPUTask, reporting the iteration count that at
 // engine speed would take the paper's estimated 44.5 hours.
@@ -513,23 +461,13 @@ func BenchmarkMutantKill(b *testing.B) {
 	for _, tc := range res.Suite.Cases {
 		cases = append(cases, tc.Data)
 	}
-	// batch is the production path (lane-grouped mutants over shared
-	// slabs); seq is the one-machine-per-mutant reference. Identical
-	// reports — TestBatchedMatchesSequential — so the delta is pure
-	// execution overhead.
-	for _, sub := range []struct {
-		name    string
-		noBatch bool
-	}{{"batch", false}, {"seq", true}} {
-		b.Run(sub.name, func(b *testing.B) {
-			var rep *mutate.Report
-			for i := 0; i < b.N; i++ {
-				rep = mutate.Run(c, muts, cases, mutate.RunConfig{NoBatch: sub.noBatch, NoProve: true})
-			}
-			b.ReportMetric(float64(rep.Steps)*float64(b.N)/b.Elapsed().Seconds(), "mutant-steps/s")
-			b.ReportMetric(rep.Summary.Score, "score")
-		})
+	b.ResetTimer()
+	var rep *mutate.Report
+	for i := 0; i < b.N; i++ {
+		rep = mutate.Run(c, muts, cases, mutate.RunConfig{NoProve: true})
 	}
+	b.ReportMetric(float64(rep.Steps)*float64(b.N)/b.Elapsed().Seconds(), "mutant-steps/s")
+	b.ReportMetric(rep.Summary.Score, "score")
 }
 
 // BenchmarkHarnessTable3 exercises the full harness path (what cmd/benchtab

@@ -321,7 +321,6 @@ func main() {
 		fuel := fs.Int64("fuel", 0, "per-step mutant instruction budget (0 = default; exhaustion = killed-by-timeout)")
 		feedback := fs.Int("feedback", 0, "survivor-directed refuzzing rounds (mutation energy on surviving mutants' input fields)")
 		noProve := fs.Bool("no-prove", false, "skip the equivalence prover; proven-unkillable mutants then count as survivors")
-		noBatch := fs.Bool("no-batch", false, "run mutants one-machine-at-a-time instead of the batched lane runner (identical report, for debugging)")
 		asJSON := fs.Bool("json", false, "print the full report as JSON")
 		check(fs.Parse(args[1:]))
 		sys := loadSystem(arg(args, 0))
@@ -344,7 +343,7 @@ func main() {
 			cases = append(cases, tc.Data)
 		}
 
-		rcfg := mutate.RunConfig{Fuel: *fuel, NoProve: *noProve, NoBatch: *noBatch}
+		rcfg := mutate.RunConfig{Fuel: *fuel, NoProve: *noProve}
 		rep := mutate.Run(sys.Compiled, muts, cases, rcfg)
 		if !*asJSON {
 			sc := mutate.Surface(sys.Compiled.Prog, sys.Model)

@@ -95,7 +95,7 @@ func ComputeInfluence(p *ir.Program, plan *coverage.Plan) *Influence {
 			case ir.OpConst:
 				regTaint[instr.Dst] |= ctrl[pc]
 			default:
-				dst, reads := operands(instr)
+				dst, reads := Operands(instr)
 				if dst >= 0 && int(dst) < len(regTaint) {
 					m := ctrl[pc]
 					for _, r := range reads {
@@ -122,7 +122,7 @@ func ComputeInfluence(p *ir.Program, plan *coverage.Plan) *Influence {
 				m |= regTaint[instr.B]
 			case ir.OpConst, ir.OpJmp, ir.OpHalt, ir.OpNop, ir.OpProbe:
 			default:
-				_, reads := operands(instr)
+				_, reads := Operands(instr)
 				for _, r := range reads {
 					if r >= 0 && int(r) < len(regTaint) {
 						m |= regTaint[r]

@@ -109,7 +109,7 @@ func funcLiveness(code []ir.Instr, numRegs int, exitLive []bool) (perPC [][]bool
 			if record {
 				perPC[pc] = append([]bool(nil), live...)
 			}
-			dst, reads := operands(&code[pc])
+			dst, reads := Operands(&code[pc])
 			if dst >= 0 && int(dst) < numRegs {
 				live[dst] = false
 			}

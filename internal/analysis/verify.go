@@ -104,9 +104,10 @@ func (v *verifier) warnf(fn string, pc int, format string, args ...interface{}) 
 	v.issues = append(v.issues, Issue{Func: fn, PC: pc, Sev: SevWarn, Msg: fmt.Sprintf(format, args...)})
 }
 
-// operands returns the destination register (-1 when none) and the registers
-// an instruction reads.
-func operands(ins *ir.Instr) (dst int32, reads []int32) {
+// Operands returns the destination register (-1 when none) and the registers
+// an instruction reads. Every register-use analysis, the mutation prover's
+// included, shares this one table, so a new opcode is classified once.
+func Operands(ins *ir.Instr) (dst int32, reads []int32) {
 	switch ins.Op {
 	case ir.OpConst, ir.OpLoadIn, ir.OpLoadState:
 		return ins.Dst, nil
@@ -133,7 +134,7 @@ func globalReads(p *ir.Program) []bool {
 	reads := make([]bool, p.NumRegs)
 	scan := func(code []ir.Instr) {
 		for i := range code {
-			_, rs := operands(&code[i])
+			_, rs := Operands(&code[i])
 			for _, r := range rs {
 				if r >= 0 && int(r) < len(reads) {
 					reads[r] = true
@@ -153,7 +154,7 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 	// Linear per-instruction checks: ranges, DT consistency, probe bounds.
 	for pc := range code {
 		ins := &code[pc]
-		dst, reads := operands(ins)
+		dst, reads := Operands(ins)
 		if dst >= n {
 			v.errf(fn, pc, "%s: dst register r%d out of range (%d registers)", ins.Op, dst, n)
 		}
@@ -271,7 +272,7 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 	transfer := func(bi int) []bool {
 		defs := append([]bool(nil), ins[bi]...)
 		for pc := blocks[bi].start; pc < blocks[bi].end; pc++ {
-			if dst, _ := operands(&code[pc]); dst >= 0 && dst < n {
+			if dst, _ := Operands(&code[pc]); dst >= 0 && dst < n {
 				defs[dst] = true
 			}
 		}
@@ -320,7 +321,7 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 		}
 		defs := append([]bool(nil), ins[bi]...)
 		for pc := b.start; pc < b.end; pc++ {
-			dst, reads := operands(&code[pc])
+			dst, reads := Operands(&code[pc])
 			for _, r := range reads {
 				if r >= 0 && r < n && !defs[r] {
 					v.errf(fn, pc, "%s: use of r%d before definition", code[pc].Op, r)

@@ -3,6 +3,7 @@ package mutate
 import (
 	"math"
 
+	"cftcg/internal/analysis"
 	"cftcg/internal/interval"
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
@@ -159,7 +160,7 @@ func absEval(ins *ir.Instr, get func(int32) av) av {
 	if ins.Op == ir.OpMov {
 		return get(ins.A)
 	}
-	dst, reads := irOperands(ins)
+	dst, reads := analysis.Operands(ins)
 	if dst >= 0 {
 		allKnown := true
 		for _, r := range reads {
@@ -300,27 +301,4 @@ func inputAvs(p *ir.Program) []av {
 		}
 	}
 	return in
-}
-
-// irOperands returns an instruction's destination register (-1 when none)
-// and read registers — the same classification as the verifier's.
-func irOperands(ins *ir.Instr) (dst int32, reads []int32) {
-	switch ins.Op {
-	case ir.OpConst, ir.OpLoadIn, ir.OpLoadState:
-		return ins.Dst, nil
-	case ir.OpMov, ir.OpNeg, ir.OpAbs, ir.OpNot, ir.OpTruth, ir.OpCast,
-		ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
-		ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
-		return ins.Dst, []int32{ins.A}
-	case ir.OpSelect:
-		return ins.Dst, []int32{ins.A, ins.B, ins.C}
-	case ir.OpStoreOut, ir.OpStoreState, ir.OpJmpIf, ir.OpJmpIfNot:
-		return -1, []int32{ins.A}
-	case ir.OpCondProbe:
-		return -1, []int32{ins.B}
-	case ir.OpJmp, ir.OpHalt, ir.OpNop, ir.OpProbe:
-		return -1, nil
-	default: // remaining binary ALU ops
-		return ins.Dst, []int32{ins.A, ins.B}
-	}
 }

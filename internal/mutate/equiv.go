@@ -192,7 +192,7 @@ func (pr *prover) stepPair(e *penv, li, ri *ir.Instr) bool {
 			eqNew = e.state[li.Imm].eq
 		default:
 			eqNew = true
-			_, reads := irOperands(li)
+			_, reads := analysis.Operands(li)
 			for _, x := range reads {
 				if !e.regs[x].eq {
 					eqNew = false
@@ -501,8 +501,8 @@ func proveMutantEquivalent(orig, mut *ir.Program, fn string, pc int) bool {
 			return true
 		}
 		oi, mi := &oc[pc], &mc[pc]
-		od, _ := irOperands(oi)
-		md, _ := irOperands(mi)
+		od, _ := analysis.Operands(oi)
+		md, _ := analysis.Operands(mi)
 		if od >= 0 && od == md && pureValueOp(oi.Op) && pureValueOp(mi.Op) {
 			lo := analysis.ComputeLiveness(orig).LiveOut(fn, pc)
 			lm := analysis.ComputeLiveness(mut).LiveOut(fn, pc)

@@ -60,12 +60,8 @@ type Mutant struct {
 	// chart-level mutants.
 	Fields []int `json:"fields,omitempty"`
 
-	// code caches the threaded compilation of Prog for the batched runner,
-	// so repeated scoring passes (the survivor feedback loop) compile each
-	// mutant once. codeBad latches a compile rejection — such a mutant
-	// permanently falls back to the sequential path.
-	code    *vm.Code
-	codeBad bool
+	// code caches the threaded compilation of Prog (see threaded).
+	code *vm.Code
 }
 
 // Config selects and bounds mutant generation.

@@ -10,9 +10,10 @@ import (
 	"cftcg/internal/vm"
 )
 
-// The mutant runner executes the generated test suite against every mutant
-// on the VM and compares each run against the original program's recorded
-// trace. Any observable divergence kills the mutant:
+// The mutant runner executes the generated test suite against every mutant,
+// one mutant at a time on its own threaded machine, and compares each run
+// against the original program's recorded trace. Any observable divergence
+// kills the mutant:
 //
 //   - a differing output value on any step (strong kill),
 //   - a differing per-step probe bitmap when the mutant shares the
@@ -35,26 +36,10 @@ type RunConfig struct {
 	// (default 1<<18 — far above any legitimate step, far below the
 	// default fuzzing fuel so hung mutants die quickly).
 	Fuel int64
-	// MaxSteps caps the iterations replayed per case (0 = whole case).
-	MaxSteps int
-	// NoProbe disables the probe-stream (weak kill) oracle, leaving output
-	// divergence only.
-	NoProbe bool
 	// NoProve disables the equivalent-mutant proof pass: every survivor
 	// stays in the score denominator, matching the pre-prover behavior.
 	NoProve bool
-	// NoBatch forces the sequential one-machine-per-mutant path instead of
-	// the batched input-major runner. The two paths produce identical
-	// reports (TestBatchedMatchesSequential); sequential remains as the
-	// reference oracle and as a fallback for debugging.
-	NoBatch bool
 }
-
-// batchGroupLanes bounds how many mutants share one vm.Batch. The slab sizes
-// scale with lanes × the widest mutant's register file, so a cap keeps the
-// working set inside cache while still amortizing allocation and compile
-// overhead across the group.
-const batchGroupLanes = 64
 
 // DefaultMutantFuel bounds one mutant init/step call.
 const DefaultMutantFuel = 1 << 18
@@ -152,17 +137,14 @@ func hash64(h, v uint64) uint64 {
 }
 
 // decodeCases converts suite cases (byte tuple streams) into per-step input
-// word vectors, capped at maxSteps iterations per case.
-func decodeCases(p *ir.Program, cases [][]byte, maxSteps int) [][][]uint64 {
+// word vectors.
+func decodeCases(p *ir.Program, cases [][]byte) [][][]uint64 {
 	tuple := p.TupleSize()
 	out := make([][][]uint64, 0, len(cases))
 	for _, data := range cases {
 		n := 0
 		if tuple > 0 {
 			n = len(data) / tuple
-		}
-		if maxSteps > 0 && n > maxSteps {
-			n = maxSteps
 		}
 		steps := make([][]uint64, n)
 		for it := 0; it < n; it++ {
@@ -179,7 +161,7 @@ func decodeCases(p *ir.Program, cases [][]byte, maxSteps int) [][][]uint64 {
 }
 
 // safeInit/safeStep convert VM panics into a "crash" terminal event.
-func safeInit(m *vm.Machine) (err error, crashed bool) {
+func safeInit(m *vm.Threaded) (err error, crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			crashed = true
@@ -188,7 +170,7 @@ func safeInit(m *vm.Machine) (err error, crashed bool) {
 	return m.Init(), false
 }
 
-func safeStep(m *vm.Machine, in []uint64) (err error, crashed bool) {
+func safeStep(m *vm.Threaded, in []uint64) (err error, crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			crashed = true
@@ -209,7 +191,7 @@ func probeHash(rec *coverage.Recorder) uint64 {
 }
 
 // traceCase records the original program's behavior on one case.
-func traceCase(m *vm.Machine, rec *coverage.Recorder, steps [][]uint64) caseTrace {
+func traceCase(m *vm.Threaded, rec *coverage.Recorder, steps [][]uint64) caseTrace {
 	var tr caseTrace
 	if err, crashed := safeInit(m); crashed || err != nil {
 		tr.term = termOf(err, crashed)
@@ -251,11 +233,13 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 	if cfg.Fuel <= 0 {
 		cfg.Fuel = DefaultMutantFuel
 	}
-	decoded := decodeCases(c.Prog, cases, cfg.MaxSteps)
+	decoded := decodeCases(c.Prog, cases)
 
-	// Reference traces, one per case, with the probe oracle active.
+	// Reference traces, one per case, with the probe oracle active. The
+	// original runs on the same threaded VM as the mutants, so only the
+	// mutation can make the two diverge.
 	baseRec := coverage.NewRecorder(c.Plan)
-	baseM := vm.New(c.Prog, baseRec)
+	baseM := vm.NewThreadedFromCode(c.Threaded(), baseRec)
 	baseM.SetFuel(cfg.Fuel)
 	base := make([]caseTrace, len(decoded))
 	for i, steps := range decoded {
@@ -267,24 +251,9 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 		mutants: muts,
 		Summary: Summary{Total: len(muts), Operators: map[string]OpStat{}},
 	}
-	// Execute every mutant. The batched path runs groups of mutants as lanes
-	// of one vm.Batch, input-major; outcomes are bit-identical to the
-	// sequential path, so scoring below is oblivious to which path ran.
-	outs := make([]mutantOutcome, len(muts))
-	if cfg.NoBatch {
-		for mi, mu := range muts {
-			outs[mi] = runMutant(mu, decoded, base, cfg, rep)
-		}
-	} else {
-		for start := 0; start < len(muts); start += batchGroupLanes {
-			end := min(start+batchGroupLanes, len(muts))
-			runMutantGroup(muts[start:end], decoded, base, cfg, rep, outs[start:end])
-		}
-	}
-
 	seenKills := map[uint64]bool{}
 	for mi, mu := range muts {
-		res := outs[mi]
+		res := runMutant(mu, decoded, base, cfg.Fuel, rep)
 		res.ID, res.Operator, res.Site = mu.ID, mu.Operator, mu.Site
 		if res.Killed && seenKills[res.hash] {
 			res.Duplicate = true
@@ -348,6 +317,16 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 	return rep
 }
 
+// threaded returns the mutant's threaded code, compiling it on first use:
+// every scoring pass over the same mutant (the survivor feedback loop
+// rescores survivors each round) reuses one compile.
+func (mu *Mutant) threaded() *vm.Code {
+	if mu.code == nil {
+		mu.code = vm.CompileThreaded(mu.Prog)
+	}
+	return mu.code
+}
+
 // mutantOutcome couples a Result with its behavior hash (internal).
 type mutantOutcome struct {
 	Result
@@ -358,15 +337,14 @@ type mutantOutcome struct {
 // the reference traces. The first divergence kills; the remainder of the
 // divergent case is still executed and hashed so the dedup hash reflects
 // the mutant's observable behavior, not just the detection point.
-func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig, rep *Report) (out mutantOutcome) {
+func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, fuel int64, rep *Report) (out mutantOutcome) {
 	out = mutantOutcome{Result: Result{KilledBy: -1}}
-	var rec *coverage.Recorder
-	probes := mu.SamePlan && !cfg.NoProbe
-	if probes {
+	var rec *coverage.Recorder // nil: the probe oracle has no common plan
+	if mu.SamePlan {
 		rec = coverage.NewRecorder(mu.Plan)
 	}
-	m := vm.New(mu.Prog, rec)
-	m.SetFuel(cfg.Fuel)
+	m := vm.NewThreadedFromCode(mu.threaded(), rec)
+	m.SetFuel(fuel)
 	h := uint64(fnvOffset)
 	defer func() { out.hash = h }() // every exit path carries the behavior hash
 
@@ -412,7 +390,7 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig
 				h = hash64(h, o)
 			}
 			ph := probeHash(rec)
-			if probes {
+			if rec != nil {
 				h = hash64(h, ph)
 			}
 			if diverged {
@@ -427,7 +405,7 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig
 			case !equalWords(m.Out(), ref.steps[si].out):
 				kill(ci, "output")
 				diverged = true
-			case probes && ph != ref.steps[si].probe:
+			case rec != nil && ph != ref.steps[si].probe:
 				kill(ci, "probe")
 				diverged = true
 			}
@@ -441,207 +419,7 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig
 			return out
 		}
 	}
-	out.hash = h
 	return out
-}
-
-// laneState is one mutant's in-flight bookkeeping in the batched runner —
-// the locals of runMutant, lifted into a struct so many mutants can advance
-// through the case stream together.
-type laneState struct {
-	rec      *coverage.Recorder
-	h        uint64
-	out      mutantOutcome
-	probes   bool
-	done     bool // mutant finished: where runMutant would have returned
-	diverged bool // within the current case
-}
-
-func (l *laneState) kill(ci int, reason string) {
-	l.out.Killed = true
-	l.out.KilledBy = ci
-	l.out.Reason = reason
-	l.h = hashBytes(l.h, []uint8(reason))
-}
-
-// compileLane compiles one mutant for batch execution, converting a compile
-// panic (a mutant the threaded backend rejects) into a fallback signal.
-func compileLane(p *ir.Program) (c *vm.Code, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok = nil, false
-		}
-	}()
-	return vm.CompileThreaded(p), true
-}
-
-// compiledCode returns the mutant's cached threaded code, compiling on first
-// use: one compile per mutant amortized over every scoring pass that sees it
-// (the survivor feedback loop rescored survivors each round).
-func compiledCode(mu *Mutant) (*vm.Code, bool) {
-	if mu.codeBad {
-		return nil, false
-	}
-	if mu.code == nil {
-		c, ok := compileLane(mu.Prog)
-		if !ok {
-			mu.codeBad = true
-			return nil, false
-		}
-		mu.code = c
-	}
-	return mu.code, true
-}
-
-// safeBatchInit/safeBatchStep convert lane panics into a "crash" terminal
-// event, mirroring safeInit/safeStep on the sequential path.
-func safeBatchInit(b *vm.Batch, lane int) (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			crashed = true
-		}
-	}()
-	return b.Init(lane), false
-}
-
-func safeBatchStep(b *vm.Batch, lane int, in []uint64) (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			crashed = true
-		}
-	}()
-	return b.Step(lane, in), false
-}
-
-// runMutantGroup executes up to batchGroupLanes mutants as lanes of one
-// vm.Batch, input-major: every live lane advances through the same case and
-// step together, so each decoded input vector is touched once per step while
-// the lanes' register files stream through adjacent structure-of-arrays
-// slabs. The kill logic, hash accumulation and counter increments reproduce
-// runMutant exactly — a lane is simply runMutant's control flow flattened
-// into a per-lane state machine. Mutants whose program the threaded compiler
-// rejects fall back to the sequential path.
-func runMutantGroup(muts []*Mutant, decoded [][][]uint64, base []caseTrace, cfg RunConfig, rep *Report, outs []mutantOutcome) {
-	codes := make([]*vm.Code, 0, len(muts))
-	recs := make([]*coverage.Recorder, 0, len(muts))
-	lanes := make([]int, 0, len(muts)) // lane -> index into muts/outs
-	for i, mu := range muts {
-		code, ok := compiledCode(mu)
-		if !ok {
-			outs[i] = runMutant(mu, decoded, base, cfg, rep)
-			continue
-		}
-		var rec *coverage.Recorder
-		if mu.SamePlan && !cfg.NoProbe {
-			rec = coverage.NewRecorder(mu.Plan)
-		}
-		codes = append(codes, code)
-		recs = append(recs, rec)
-		lanes = append(lanes, i)
-	}
-	if len(codes) == 0 {
-		return
-	}
-	b := vm.NewBatchMulti(codes, recs)
-	b.SetFuel(cfg.Fuel)
-	ls := make([]laneState, len(lanes))
-	for li := range ls {
-		ls[li] = laneState{
-			rec:    recs[li],
-			h:      fnvOffset,
-			out:    mutantOutcome{Result: Result{KilledBy: -1}},
-			probes: recs[li] != nil,
-		}
-	}
-
-	for ci, steps := range decoded {
-		ref := base[ci]
-		inCase := false
-		for li := range ls {
-			l := &ls[li]
-			if l.done {
-				continue
-			}
-			rep.Execs++
-			if err, crashed := safeBatchInit(b, li); crashed || err != nil {
-				term := termOf(err, crashed)
-				l.h = hash64(l.h, uint64(ci))
-				l.h = hashBytes(l.h, []uint8("init-"+term))
-				if ref.term == "" || len(ref.steps) > 0 {
-					l.kill(ci, term)
-				}
-				l.done = true
-				continue
-			}
-			l.diverged = false
-			inCase = true
-		}
-		if !inCase {
-			continue
-		}
-		for si, in := range steps {
-			for li := range ls {
-				l := &ls[li]
-				if l.done {
-					continue
-				}
-				if l.rec != nil {
-					l.rec.BeginStep()
-				}
-				err, crashed := safeBatchStep(b, li, in)
-				rep.Steps++
-				if crashed || err != nil {
-					term := termOf(err, crashed)
-					l.h = hash64(l.h, uint64(si))
-					l.h = hashBytes(l.h, []uint8(term))
-					if !l.diverged {
-						l.kill(ci, term)
-					}
-					l.done = true
-					continue
-				}
-				for _, o := range b.Out(li) {
-					l.h = hash64(l.h, o)
-				}
-				ph := probeHash(l.rec)
-				if l.probes {
-					l.h = hash64(l.h, ph)
-				}
-				if l.diverged {
-					continue
-				}
-				switch {
-				case si >= len(ref.steps):
-					l.kill(ci, "outlived-"+ref.term)
-					l.diverged = true
-				case !equalWords(b.Out(li), ref.steps[si].out):
-					l.kill(ci, "output")
-					l.diverged = true
-				case l.probes && ph != ref.steps[si].probe:
-					l.kill(ci, "probe")
-					l.diverged = true
-				}
-			}
-		}
-		for li := range ls {
-			l := &ls[li]
-			if l.done {
-				continue
-			}
-			if l.diverged {
-				l.done = true // rest of the divergent case hashed; later cases moot
-				continue
-			}
-			if ref.term != "" && len(steps) > len(ref.steps) {
-				l.kill(ci, "outlived-"+ref.term)
-				l.done = true
-			}
-		}
-	}
-	for li, mi := range lanes {
-		ls[li].out.hash = ls[li].h
-		outs[mi] = ls[li].out
-	}
 }
 
 func equalWords(a, b []uint64) bool {

@@ -109,84 +109,6 @@ func TestBackendsLockstepFuelSweep(t *testing.T) {
 	}
 }
 
-// TestBatchLanesAreIsolated drives a multi-program batch (shared SoA slabs,
-// maximum strides) against one reference machine per lane, interleaving the
-// lanes, and checks no lane's registers, state, outputs or coverage leak
-// into a neighbour. The ResetAll halfway through must be equivalent to
-// constructing fresh machines.
-func TestBatchLanesAreIsolated(t *testing.T) {
-	seeds := []int64{11, 12, 13, 14}
-	type lane struct {
-		prog *ir.Program
-		rec  *coverage.Recorder // batch lane recorder
-		mrec *coverage.Recorder // reference machine recorder
-		m    *Machine
-		rnd  *rand.Rand
-	}
-	lanes := make([]*lane, len(seeds))
-	codes := make([]*Code, len(seeds))
-	recs := make([]*coverage.Recorder, len(seeds))
-	for i, seed := range seeds {
-		p, decs := ir.GenProgram(seed)
-		plan := planFor(decs)
-		lanes[i] = &lane{
-			prog: p,
-			rec:  coverage.NewRecorder(plan),
-			mrec: coverage.NewRecorder(plan),
-			m:    New(p, nil),
-			rnd:  rand.New(rand.NewSource(seed)),
-		}
-		lanes[i].m = New(p, lanes[i].mrec)
-		codes[i] = CompileThreaded(p)
-		recs[i] = lanes[i].rec
-	}
-	b := NewBatchMulti(codes, recs)
-
-	check := func(i int, refErr, gotErr error) {
-		t.Helper()
-		l := lanes[i]
-		if msg := sameErr(refErr, gotErr); msg != "" {
-			t.Fatalf("lane %d: %s", i, msg)
-		}
-		if msg := diffWords("out", l.m.Out(), b.Out(i)); msg != "" {
-			t.Fatalf("lane %d: %s", i, msg)
-		}
-		if msg := diffWords("state", l.m.State(), b.State(i)); msg != "" {
-			t.Fatalf("lane %d: %s", i, msg)
-		}
-		if l.m.LastFuelUsed() != b.LastFuelUsed(i) {
-			t.Fatalf("lane %d: fuel %d vs %d", i, l.m.LastFuelUsed(), b.LastFuelUsed(i))
-		}
-		if msg := diffWords("Curr", l.mrec.Curr, l.rec.Curr); msg != "" {
-			t.Fatalf("lane %d: %s", i, msg)
-		}
-	}
-
-	order := rand.New(rand.NewSource(99))
-	for round := 0; round < 2; round++ {
-		for _, i := range order.Perm(len(lanes)) {
-			check(i, lanes[i].m.Init(), b.Init(i))
-		}
-		for s := 0; s < 10; s++ {
-			for _, i := range order.Perm(len(lanes)) {
-				l := lanes[i]
-				in := genInputs(l.rnd, l.prog.In)
-				l.mrec.BeginStep()
-				l.rec.BeginStep()
-				check(i, l.m.Step(in), b.Step(i, in))
-			}
-		}
-		// ResetAll zeroes the slabs; fresh machines (and recorders) are the
-		// reference for everything that follows.
-		b.ResetAll()
-		for i := range lanes {
-			lanes[i].m = New(lanes[i].prog, lanes[i].mrec)
-			lanes[i].mrec.ResetAll()
-			lanes[i].rec.ResetAll()
-		}
-	}
-}
-
 func TestGeneratedProgramsAreVerifierClean(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		p, decs := ir.GenProgram(seed)

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzVMBackendsLockstep hands the differential rig to the native fuzzer:
 // every (seed, steps, fuel) triple generates a verifier-clean program and
-// runs it on the switch, threaded and batch backends in lockstep, comparing
+// runs it on the switch and threaded backends in lockstep, comparing
 // errors, fuel, outputs, state, registers and coverage after every call.
 // The fuel dimension deliberately sweeps tiny budgets so the fuzzer spends
 // much of its time landing hangs inside fused spans and replay paths.

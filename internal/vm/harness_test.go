@@ -16,9 +16,7 @@ import (
 // semantic test runs against every backend.
 type makeBackend func(p *ir.Program, rec *coverage.Recorder) Backend
 
-// backendCase names one backend under test. "batch" is a single-lane Batch
-// driven through its Lane adapter — the SoA data path with the scalar
-// surface.
+// backendCase names one backend under test.
 type backendCase struct {
 	name string
 	make makeBackend
@@ -31,13 +29,6 @@ func allBackends() []backendCase {
 		}},
 		{"threaded", func(p *ir.Program, rec *coverage.Recorder) Backend {
 			return NewThreaded(p, rec)
-		}},
-		{"batch", func(p *ir.Program, rec *coverage.Recorder) Backend {
-			var recs []*coverage.Recorder
-			if rec != nil {
-				recs = []*coverage.Recorder{rec}
-			}
-			return NewBatch(CompileThreaded(p), 1, recs).Lane(0)
 		}},
 	}
 }
@@ -161,8 +152,6 @@ func regsOf(b Backend) []uint64 {
 		return v.regs
 	case *Threaded:
 		return v.s.regs
-	case *batchLane:
-		return v.b.sts[v.i].regs
 	}
 	return nil
 }

@@ -729,7 +729,7 @@ func rst(base unsafe.Pointer, i int32, v uint64) {
 	*(*uint64)(unsafe.Add(base, uintptr(uint32(i))*8)) = v
 }
 
-// runMops is the inner interpreter loop, shared by Threaded and Batch. Fuel
+// runMops is the inner interpreter loop of every Threaded machine. Fuel
 // is charged before execution, exactly mirroring the reference interpreter's
 // check-before-execute order: cost instructions per dispatch. When the
 // budget dies inside a fused span, the still-affordable prefix of the span

@@ -30,12 +30,11 @@ import (
 // before execution in the same check-before-execute order as the reference.
 //
 // The compiled Code is shared: one compile serves any number of Threaded
-// machines and Batch lanes, on any number of goroutines. Its only mutable
-// part, the lazily built replay closures, is guarded by a sync.Once.
+// machines, on any number of goroutines. Its only mutable part, the lazily
+// built replay closures, is guarded by a sync.Once.
 
 // execState is the mutable register/state/output file a compiled program
-// executes against. Threaded owns one; Batch owns one per lane, backed by
-// structure-of-arrays slabs.
+// executes against; each Threaded machine owns one.
 type execState struct {
 	regs  []uint64
 	state []uint64
@@ -92,7 +91,7 @@ func (c *Code) Program() *ir.Program { return c.prog }
 func (c *Code) Fused() int { return c.fused }
 
 // CompileThreaded translates a program into threaded code. The result is
-// safe to share across machines, batch lanes and goroutines.
+// safe to share across machines and goroutines.
 //
 // The program must be valid: the compiled stream addresses the register
 // file without per-access bounds checks, relying on Validate's range checks

@@ -2,14 +2,13 @@
 # bench.sh — run the pinned benchmark set and write a machine-readable
 # snapshot (default BENCH_v9.json) for cross-PR performance tracking.
 # The pinned set is the fast, stable subset of the root bench_test.go
-# harness: mutation-strategy costs, mutant-runner throughput (batched lanes
-# vs the sequential reference), the switch-vs-threaded backend comparison,
-# and the batch (SoA lanes) vs separate-machines comparison.
+# harness: mutation-strategy costs, mutant-runner throughput, and the
+# switch-vs-threaded backend comparison.
 set -eu
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_v9.json}"
-pattern='^(BenchmarkTable1MutationStrategies|BenchmarkMutantKill|BenchmarkVMBackends|BenchmarkVMBatch)$'
+pattern='^(BenchmarkTable1MutationStrategies|BenchmarkMutantKill|BenchmarkVMBackends)$'
 
 raw=$(go test -run '^$' -bench "$pattern" -benchtime 200ms .)
 echo "$raw" >&2
