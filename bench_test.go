@@ -245,8 +245,8 @@ func BenchmarkSpeedVMvsInterp(b *testing.B) {
 // interpreter against the threaded backend on every benchmark model, in both
 // fuzzing shape (coverage recorder attached, "rec") and mutant-grind shape
 // (no recorder, "norec" — mutants only need outputs). The superinstruction
-// count is attached as a metric. scripts/bench.sh snapshots the
-// switch/threaded pairs into BENCH_v9.json.
+// count is attached as a metric. The historical BENCH_v9.json holds one
+// 200 ms pass of the switch/threaded pairs.
 func BenchmarkVMBackends(b *testing.B) {
 	for _, e := range benchmodels.All() {
 		e := e

@@ -30,6 +30,7 @@ import (
 
 	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
+	"cftcg/internal/campaign"
 	"cftcg/internal/core"
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
@@ -56,7 +57,7 @@ func main() {
 		mode := fs.String("mode", "cftcg", "cftcg | fuzz-only | no-iterdiff")
 		out := fs.String("o", "", "output directory for the suite")
 		maxTuples := fs.Int("max-tuples", 64, "input length cap in tuples")
-		workers := fs.Int("workers", 1, "parallel fuzzing workers")
+		workers := fs.Int("workers", 1, "parallel fuzzing workers (campaign shards, each checkpointing to <path>.shardK)")
 		minimize := fs.Bool("minimize", false, "greedily minimize the suite before writing")
 		trim := fs.Bool("trim", false, "shorten each emitted case without losing its coverage")
 		seeds := fs.String("seeds", "", "directory of .bin cases to seed the corpus (resume a campaign)")
@@ -76,21 +77,6 @@ func main() {
 				fmt.Printf("static analysis: %d dead objective(s) excluded from coverage denominators\n", n)
 			}
 		}
-		// A single checkpoint file cannot represent the independent corpora
-		// of multiple workers, so fuzz.RunParallel runs workers 1..N-1
-		// stateless. Resuming such an ensemble would silently restore only
-		// worker 0 — reject it outright rather than mislead; plain
-		// checkpointing degrades visibly, so it only warns. The cftcgd
-		// campaign daemon checkpoints and resumes every shard.
-		if *workers > 1 && *resume != "" {
-			fail(fmt.Errorf("-resume with -workers %d: only worker 0 would resume; "+
-				"use -workers 1 or a cftcgd campaign (per-shard checkpoints)", *workers))
-		}
-		if *workers > 1 && *checkpoint != "" {
-			fmt.Fprintf(os.Stderr,
-				"cftcg: warning: -checkpoint with -workers %d saves worker 0 only; "+
-					"a cftcgd campaign checkpoints every shard\n", *workers)
-		}
 		opts := fuzz.Options{
 			Seed: *seed, Mode: m, Budget: *budget, MaxExecs: *execs, MaxTuples: *maxTuples,
 			Fuel:           *fuel,
@@ -104,9 +90,9 @@ func main() {
 			fmt.Printf("seeded corpus with %d case(s) from %s\n", len(seedInputs), *seeds)
 		}
 
-		// Graceful shutdown: the first SIGINT/SIGTERM asks the engine to stop
-		// (checkpoint is flushed, the report below still prints); a second
-		// signal kills the process outright.
+		// Graceful shutdown: the first SIGINT/SIGTERM asks the engine (or
+		// every shard) to stop (checkpoints are flushed, the report below
+		// still prints); a second signal kills the process outright.
 		stop := make(chan struct{})
 		sigc := make(chan os.Signal, 2)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -121,11 +107,16 @@ func main() {
 
 		var res *fuzz.Result
 		if *workers > 1 {
-			res, err = fuzz.RunParallel(sys.Compiled, opts, *workers)
+			// A campaign of independent shards, merged at the end: each shard
+			// checkpoints to and resumes from its own <path>.shardK file.
+			cm, err := campaign.New(sys.Compiled, campaign.Config{Shards: *workers, Fuzz: opts})
+			check(err)
+			res, err = cm.Run()
+			check(err)
 		} else {
 			res, err = sys.Fuzz(opts)
+			check(err)
 		}
-		check(err)
 		signal.Stop(sigc)
 		if *minimize {
 			res.Suite.Cases = fuzz.Minimize(sys.Compiled, res.Suite.Cases)
@@ -153,6 +144,9 @@ func main() {
 		}
 		if res.CheckpointErr != nil {
 			fmt.Fprintln(os.Stderr, "cftcg: checkpoint write failed:", res.CheckpointErr)
+		} else if *checkpoint != "" && *workers > 1 {
+			fmt.Printf("checkpoints saved to %s ... %s\n",
+				fuzz.ShardCheckpointPath(*checkpoint, 0), fuzz.ShardCheckpointPath(*checkpoint, *workers-1))
 		} else if *checkpoint != "" {
 			fmt.Printf("checkpoint saved to %s\n", *checkpoint)
 		}

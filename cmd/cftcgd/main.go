@@ -1,7 +1,8 @@
 // Command cftcgd is the CFTCG campaign daemon: a long-running fuzzing
 // service that accepts campaign submissions over HTTP, runs each one as a
-// multi-shard ensemble with live cross-pollination, and exposes a JSON
-// status API plus Prometheus-text metrics.
+// multi-shard ensemble of independent shards merged at the end (the same
+// engine `cftcg fuzz -workers N` runs), and exposes a JSON status API plus
+// Prometheus-text metrics.
 //
 //	cftcgd [-addr host:port] [-runners n] [-drain-timeout d] [-journal dir]
 //	        [-max-queue n] [-max-import-bytes n]

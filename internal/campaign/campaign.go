@@ -1,17 +1,22 @@
-// Package campaign is the long-running service layer above the fuzzing
-// engine: a Campaign manages N shard engines over one compiled model with
-// live cross-pollination, whole-campaign checkpointing and per-shard
-// supervision (panic capture, stall watchdog, restart-from-checkpoint,
-// quarantine), and Server wraps campaigns in an HTTP control plane (queue,
-// crash-durable WAL journal, JSON status, Prometheus-text metrics, corpus
-// export/import, graceful drain).
+// Package campaign is the multi-worker layer above the fuzzing engine: a
+// Campaign runs N shard engines over one compiled model with whole-campaign
+// checkpointing and per-shard supervision (panic capture, stall watchdog,
+// restart-from-checkpoint, quarantine), and Server wraps campaigns in an
+// HTTP control plane (queue, crash-durable WAL journal, JSON status,
+// Prometheus-text metrics, corpus export/import, graceful drain). Both
+// `cftcg fuzz -workers N` and the cftcgd daemon run their shards here.
 //
-// Cross-pollination fixes the main weakness of share-nothing parallel
-// fuzzing: with independent shards a discovery only helps its finder until
-// the end-of-run merge. Here every input that reaches *globally* new
-// coverage — gated by a mutex-guarded campaign-wide coverage.Progress — is
-// broadcast to the other shards' corpora while they run, the ensemble
-// analogue of libFuzzer's fork-mode corpus exchange.
+// Shards share nothing while they run. Each fuzzes its own corpus from its
+// own seed (Seed + k·7919); Run merges them once all finish: union
+// coverage, concatenated suites minimized against the merged plan, summed
+// counters, findings deduplicated by site. A campaign is therefore
+// deterministic per seed. The one campaign-wide structure is a
+// mutex-guarded coverage.Progress that shards report new coverage into, so
+// the status plane can show union coverage live. Shards exchange no
+// inputs: broadcasting campaign-wide discoveries into the other shards'
+// corpora lowered merged decision coverage on the paper's benchmarks and
+// made results depend on goroutine scheduling (EXPERIMENTS.md,
+// "Multi-shard campaigns").
 package campaign
 
 import (
@@ -24,6 +29,7 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
+	"cftcg/internal/testcase"
 )
 
 // Config describes a multi-shard campaign over one compiled model.
@@ -32,14 +38,10 @@ type Config struct {
 	Shards int
 	// Fuzz is the per-shard option template. Seeds are prime-spaced per
 	// shard; CheckpointPath and ResumeFrom are rewritten to per-shard
-	// suffixed files (fuzz.ShardCheckpointPath) so every shard — not just
-	// shard 0 — checkpoints and resumes; Stop, OnNewCoverage, OnCheckpoint
-	// and Label are owned by the campaign.
+	// suffixed files (fuzz.ShardCheckpointPath) so every shard checkpoints
+	// and resumes; OnNewCoverage, OnCheckpoint and Label are owned by the
+	// campaign, and closing Stop stops every shard.
 	Fuzz fuzz.Options
-	// ShardSeeds optionally gives shard k additional seed inputs beyond
-	// Fuzz.SeedInputs (which every shard receives). Shorter than Shards is
-	// fine; extra entries are ignored.
-	ShardSeeds [][][]byte
 	// Supervise tunes the shard supervisor; the zero value means defaults.
 	Supervise Supervise
 	// ResumeLenient makes a missing or unreadable per-shard resume
@@ -48,15 +50,15 @@ type Config struct {
 	// may have been killed before some shard ever checkpointed; explicit
 	// user-requested resumes stay strict so typos surface.
 	ResumeLenient bool
-	// Observer, when set, receives lifecycle events (checkpoints,
-	// pollinations, restarts, quarantines) synchronously from campaign
-	// goroutines. The daemon uses it to journal shard progress.
+	// Observer, when set, receives lifecycle events (checkpoints, restarts,
+	// quarantines) synchronously from campaign goroutines. The daemon uses
+	// it to journal shard progress.
 	Observer func(ObserverEvent)
 }
 
-// Campaign runs one model across N shard engines with live corpus
-// cross-pollination, each shard under a supervisor. Create with New, drive
-// with Run (blocking), observe concurrently with Snapshot, stop with Stop.
+// Campaign runs one model across N independent shard engines, each under a
+// supervisor, and merges their results. Create with New, drive with Run
+// (blocking), observe concurrently with Snapshot, stop with Stop.
 type Campaign struct {
 	c      *codegen.Compiled
 	cfg    Config
@@ -67,7 +69,7 @@ type Campaign struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	pollinated atomic.Int64 // inputs broadcast for globally-new coverage
+	pollinated atomic.Int64 // inputs that reached campaign-wide new coverage
 	running    atomic.Bool
 	degraded   atomic.Bool // at least one shard quarantined
 
@@ -98,13 +100,8 @@ func New(c *codegen.Compiled, cfg Config) (*Campaign, error) {
 		o.ResumeFrom = fuzz.ShardCheckpointPath(cfg.Fuzz.ResumeFrom, w)
 		o.Stop = cm.stop
 		o.Label = fmt.Sprintf("shard%d", w)
-		if w < len(cfg.ShardSeeds) && len(cfg.ShardSeeds[w]) > 0 {
-			o.SeedInputs = append(append([][]byte(nil), cfg.Fuzz.SeedInputs...), cfg.ShardSeeds[w]...)
-		}
+		o.OnNewCoverage = cm.onNewCoverage
 		shard := w
-		o.OnNewCoverage = func(input []byte, seen []uint64) {
-			cm.onNewCoverage(shard, input, seen)
-		}
 		o.OnCheckpoint = func(err error) {
 			cm.observe(ObserverEvent{Kind: EventCheckpoint, Shard: shard, Err: err})
 		}
@@ -129,28 +126,18 @@ func (cm *Campaign) observe(ev ObserverEvent) {
 }
 
 // onNewCoverage is each shard's discovery callback (invoked from the
-// shard's own goroutine). The shared progress tracker decides global
-// novelty: a discovery that is new only locally — another shard got there
-// first — is not rebroadcast, which both keeps the broadcast volume
-// proportional to real frontier progress and prevents echo storms when a
-// pollinated input is re-admitted by its receiver.
-func (cm *Campaign) onNewCoverage(shard int, input []byte, seen []uint64) {
-	if cm.shared.Absorb(seen) == 0 {
-		return
+// shard's own goroutine): it folds the shard's covered set into the
+// campaign-wide view and counts the discoveries that were new campaign-wide.
+// Nothing flows back into the shards.
+func (cm *Campaign) onNewCoverage(seen []uint64) {
+	if cm.shared.Absorb(seen) > 0 {
+		cm.pollinated.Add(1)
 	}
-	cm.pollinated.Add(1)
-	for _, sl := range cm.shards {
-		if sl.idx != shard {
-			sl.engine().Inject(input) // Inject copies; input is only valid during this call
-		}
-	}
-	cm.observe(ObserverEvent{Kind: EventPollinate, Shard: shard})
 }
 
 // Run executes every shard concurrently under supervision and blocks until
-// all finish, then merges the surviving shards' results exactly like
-// fuzz.RunParallel (union coverage, deduplicated findings, ensemble
-// timeline, minimized suite). Quarantined shards are excluded from the
+// all finish, then merges the surviving shards' results (see mergeResults)
+// and minimizes the merged suite. Quarantined shards are excluded from the
 // merge; only if every shard was quarantined does Run fail. Run may be
 // called once.
 func (cm *Campaign) Run() (*fuzz.Result, error) {
@@ -204,7 +191,7 @@ func (cm *Campaign) Run() (*fuzz.Result, error) {
 	if len(mres) == 0 {
 		return nil, fmt.Errorf("campaign: all %d shards quarantined", len(cm.shards))
 	}
-	out := fuzz.MergeResults(cm.c, mrecs, mres)
+	out := mergeResults(cm.c, mrecs, mres)
 	out.Suite.Cases = fuzz.Minimize(cm.c, out.Suite.Cases)
 	if cm.degraded.Load() {
 		out.Stopped = true // partial ensemble: flag the result as incomplete
@@ -214,6 +201,40 @@ func (cm *Campaign) Run() (*fuzz.Result, error) {
 	cm.result = out
 	cm.mu.Unlock()
 	return out, nil
+}
+
+// mergeResults folds per-shard results into one ensemble result: the union
+// of coverage (recs[i] must be the recorder that produced results[i]),
+// concatenated suites in shard order, summed work counters, findings
+// deduplicated by (kind, site), and the merged ensemble timeline. The suite
+// is the raw concatenation; Run minimizes it against the merged plan.
+func mergeResults(c *codegen.Compiled, recs []*coverage.Recorder, results []*fuzz.Result) *fuzz.Result {
+	merged := coverage.NewRecorder(c.Plan)
+	out := &fuzz.Result{Suite: &testcase.Suite{Model: c.Prog.Name}}
+	if len(results) > 0 {
+		out.Suite.Layout = results[0].Suite.Layout
+	}
+	timelines := make([][]fuzz.Point, 0, len(results))
+	for i, r := range results {
+		merged.Merge(recs[i])
+		out.Execs += r.Execs
+		out.Steps += r.Steps
+		out.Corpus += r.Corpus
+		out.Suite.Cases = append(out.Suite.Cases, r.Suite.Cases...)
+		out.Violations = append(out.Violations, r.Violations...)
+		out.Stopped = out.Stopped || r.Stopped
+		out.DroppedFindings += r.DroppedFindings
+		if r.CheckpointErr != nil {
+			out.CheckpointErr = r.CheckpointErr
+		}
+		out.Findings = fuzz.MergeFindings(out.Findings, r.Findings)
+		timelines = append(timelines, r.Timeline)
+	}
+	// Summed execs and max coverage at aligned elapsed instants, so the
+	// Figure 7 curve reflects the whole ensemble rather than shard 0 alone.
+	out.Timeline = coverage.MergeTimelines(timelines)
+	out.Report = merged.Report()
+	return out
 }
 
 // Stop asks every shard to stop cleanly: in-flight executions finish, final
@@ -227,7 +248,7 @@ func (cm *Campaign) Stop() {
 // still producing a result, but from a partial ensemble.
 func (cm *Campaign) Degraded() bool { return cm.degraded.Load() }
 
-// Inject broadcasts an external input (corpus import) to every shard; each
+// Inject delivers an external input (corpus import) to every shard; each
 // shard's own admission policy decides whether it enters that corpus.
 func (cm *Campaign) Inject(data []byte) {
 	for _, sl := range cm.shards {
@@ -275,7 +296,7 @@ type Snapshot struct {
 	Corpus      int     `json:"corpus"`
 	Cases       int     `json:"cases"`
 
-	// Global (union) coverage as tracked by the cross-pollination gate.
+	// Global (union) coverage of every shard's discoveries so far.
 	Decision  float64 `json:"decision"`
 	Condition float64 `json:"condition"`
 	Covered   int     `json:"covered"`
@@ -284,9 +305,9 @@ type Snapshot struct {
 	// merged Result dedups by site).
 	Findings map[string]int `json:"findings,omitempty"`
 
-	// Pollinated counts inputs broadcast for globally-new coverage;
-	// Received counts broadcasts that were admitted into some other
-	// shard's corpus.
+	// Pollinated counts inputs that reached campaign-wide new coverage;
+	// Received counts imported inputs (Inject) that some shard admitted
+	// into its corpus.
 	Pollinated int64 `json:"pollinated"`
 	Received   int64 `json:"received"`
 

@@ -19,12 +19,13 @@ import (
 //
 // Event types. "snapshot" is the compaction record: a full job-table dump
 // that resets the fold, written as the first record of a fresh WAL segment
-// so older segments can be deleted.
+// so older segments can be deleted. Types this build does not know — such as
+// the "pollinated" records of journals written while shards still exchanged
+// inputs — only advance the next job ID.
 const (
 	evSubmitted    = "submitted"
 	evStarted      = "started"
 	evCheckpointed = "checkpointed"
-	evPollinated   = "pollinated"
 	evRestarted    = "restarted"
 	evQuarantined  = "quarantined"
 	evFinished     = "finished"
@@ -76,9 +77,13 @@ type journal struct {
 	log *wal.Log
 }
 
+// journalSegmentBytes is the journal's WAL segment size (0 selects
+// wal.DefaultSegmentBytes). Tests lower it to reach compaction quickly.
+var journalSegmentBytes int64
+
 // openJournal opens (creating if needed) the journal WAL in dir.
-func openJournal(dir string, segmentBytes int64) (*journal, error) {
-	log, err := wal.Open(dir, wal.Options{SegmentBytes: segmentBytes})
+func openJournal(dir string) (*journal, error) {
+	log, err := wal.Open(dir, wal.Options{SegmentBytes: journalSegmentBytes})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: journal: %w", err)
 	}
@@ -178,8 +183,8 @@ func (j *journal) replay() ([]*journalJob, int, error) {
 			jj := get(ev.Job)
 			jj.State = StateCanceled
 			jj.Finished = ev.Time
-		case evCheckpointed, evPollinated, evRestarted, evQuarantined:
-			// Progress markers: they advance nextID and timestamps only.
+		case evCheckpointed, evRestarted, evQuarantined:
+			// Progress markers: they advance nextID only.
 		}
 		return nil
 	})

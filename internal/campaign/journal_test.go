@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -88,7 +90,7 @@ func TestJournalDurableLifecycle(t *testing.T) {
 // requeue the job and run it to completion.
 func TestJournalRequeuesInterrupted(t *testing.T) {
 	dir := t.TempDir()
-	jnl, err := openJournal(dir, 0)
+	jnl, err := openJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestJournalRequeuesInterrupted(t *testing.T) {
 // must survive.
 func TestJournalTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
-	jnl, err := openJournal(dir, 0)
+	jnl, err := openJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestJournalTornFinalRecord(t *testing.T) {
 // recovery cycle must not mint a duplicate either.
 func TestJournalDoubleResumeIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	jnl, err := openJournal(dir, 0)
+	jnl, err := openJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestJournalDoubleResumeIdempotent(t *testing.T) {
 	jnl.record(journalEvent{Type: evStarted, Job: 1}) // requeued start after first crash
 	jnl.close()
 
-	jnl2, err := openJournal(dir, 0)
+	jnl2, err := openJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +189,114 @@ func TestJournalDoubleResumeIdempotent(t *testing.T) {
 		t.Fatalf("double recovery minted %d jobs, want 1", got)
 	}
 	drain(t, srv2)
+}
+
+// TestJournalCompaction: with one-byte WAL segments every record opens a new
+// segment, so each finished job leaves more than compactSegments of them and
+// the server compacts the journal into one snapshot record. A server
+// restarted from that snapshot replays every job's state, report and
+// mutation summary, and continues the job ID sequence. A legacy
+// "pollinated" record appended afterwards only advances the next ID.
+func TestJournalCompaction(t *testing.T) {
+	defer func(old int64) { journalSegmentBytes = old }(journalSegmentBytes)
+	journalSegmentBytes = 1
+
+	dir := t.TempDir()
+	cfg := ServerConfig{Journal: dir}
+	srv, err := NewServerWithConfig(testResolver(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []JobStatus
+	for _, run := range []struct {
+		spec  Spec
+		state string
+	}{
+		{Spec{Model: "Magic", Shards: 2, MaxExecs: 300, Mutate: true, MutantBudget: 20}, StateDone},
+		{Spec{Model: "NoSuch", MaxExecs: 100}, StateFailed},
+		{Spec{Model: "Magic", MaxExecs: 200}, StateDone},
+	} {
+		job, err := srv.Submit(run.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, waitState(t, srv, job.ID, run.state))
+	}
+	if want[0].Mutation == nil || want[0].Report == nil || want[1].Error == "" {
+		t.Fatalf("jobs finished without the state under test: %+v", want)
+	}
+	drain(t, srv)
+
+	// The WAL shrank to the snapshot of the last compaction.
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("compacted journal should be one segment, got %v (%v)", segs, err)
+	}
+	jnl, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	jnl.log.Replay(func(rec []byte) error {
+		var ev journalEvent
+		if err := json.Unmarshal(rec, &ev); err != nil {
+			return err
+		}
+		types = append(types, ev.Type)
+		return nil
+	})
+	jnl.close()
+	if len(types) != 1 || types[0] != evSnapshot {
+		t.Fatalf("compacted journal records: %v, want one %s", types, evSnapshot)
+	}
+
+	srv2, err := NewServerWithConfig(testResolver(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range want {
+		j, ok := srv2.Job(w.ID)
+		if !ok {
+			t.Fatalf("job %d lost in compaction", w.ID)
+		}
+		got := j.status()
+		if got.State != w.State || got.Error != w.Error ||
+			!reflect.DeepEqual(got.Report, w.Report) || !reflect.DeepEqual(got.Mutation, w.Mutation) {
+			t.Errorf("job %d replayed as %+v, want %+v", w.ID, got, w)
+		}
+	}
+	next, err := srv2.Submit(Spec{Model: "Magic", MaxExecs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != len(want)+1 {
+		t.Fatalf("next job ID after compaction: %d, want %d", next.ID, len(want)+1)
+	}
+	waitState(t, srv2, next.ID, StateDone)
+	drain(t, srv2)
+
+	jnl, err = openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, nextBefore, err := jnl.replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.log.Append([]byte(`{"type":"pollinated","job":9,"shard":1,"time":"2024-01-01T00:00:00Z"}`)); err != nil {
+		t.Fatal(err)
+	}
+	after, nextAfter, err := jnl.replay()
+	jnl.close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nextBefore != next.ID+1 || nextAfter != 10 {
+		t.Errorf("next ID %d before and %d after the legacy record, want %d and 10", nextBefore, nextAfter, next.ID+1)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("legacy pollinated record changed the job table:\n%+v\nvs\n%+v", before, after)
+	}
 }
 
 // TestSubmitShedsWhenOverloaded: with the single runner wedged and the queue
@@ -288,7 +398,10 @@ func TestDrainMidCheckpoint(t *testing.T) {
 // TestReadyzDrain: readiness flips to 503 when the server drains; liveness
 // (healthz) stays 200 — the process is healthy, just finishing.
 func TestReadyzDrain(t *testing.T) {
-	srv := NewServer(testResolver(t), 1)
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -57,7 +57,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_condition_coverage_percent gauge")
 	fmt.Fprintln(w, "# HELP cftcg_campaign_findings_total Distinct findings per campaign by kind.")
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_findings_total counter")
-	fmt.Fprintln(w, "# HELP cftcg_campaign_pollinations_total Inputs broadcast between shards for globally-new coverage.")
+	fmt.Fprintln(w, "# HELP cftcg_campaign_pollinations_total Inputs that reached campaign-wide new coverage.")
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_pollinations_total counter")
 	fmt.Fprintln(w, "# HELP cftcg_campaign_shard_execs_total Fuzz-driver executions per shard.")
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_shard_execs_total counter")

@@ -204,11 +204,6 @@ type ServerConfig struct {
 	// API, interrupted ones are requeued and resume from their shards'
 	// checkpoints.
 	Journal string
-	// JournalSegmentBytes overrides the WAL segment size (testing).
-	JournalSegmentBytes int64
-	// CompactSegments triggers journal compaction when the WAL grows past
-	// this many segments (default 4).
-	CompactSegments int
 	// Supervise tunes shard supervision for every campaign this server runs.
 	Supervise Supervise
 }
@@ -223,11 +218,12 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxImportBytes <= 0 {
 		c.MaxImportBytes = 32 << 20
 	}
-	if c.CompactSegments <= 0 {
-		c.CompactSegments = 4
-	}
 	return c
 }
+
+// compactSegments is the WAL segment count past which the journal is
+// compacted into one snapshot record.
+const compactSegments = 4
 
 // Server is the campaign service: a submission queue, a bounded pool of
 // campaign runners, an optional crash-durable journal, and the HTTP
@@ -249,19 +245,6 @@ type Server struct {
 	draining bool
 }
 
-// NewServer builds a campaign server with default configuration running up
-// to `runners` campaigns concurrently (each campaign itself fans out over
-// its shards). Call Drain to shut it down.
-func NewServer(resolve ModelResolver, runners int) *Server {
-	s, err := NewServerWithConfig(resolve, ServerConfig{Runners: runners})
-	if err != nil {
-		// Unreachable without a journal (the only fallible part); keep the
-		// historical infallible signature for the common case.
-		panic(err)
-	}
-	return s
-}
-
 // NewServerWithConfig builds a campaign server. With cfg.Journal set, the
 // journal is replayed first: completed jobs are restored read-only and jobs
 // that were queued or running when the previous process died are requeued,
@@ -278,7 +261,7 @@ func NewServerWithConfig(resolve ModelResolver, cfg ServerConfig) (*Server, erro
 	}
 	var requeue []*Job
 	if cfg.Journal != "" {
-		jnl, err := openJournal(cfg.Journal, cfg.JournalSegmentBytes)
+		jnl, err := openJournal(cfg.Journal)
 		if err != nil {
 			return nil, err
 		}
@@ -495,8 +478,6 @@ func (s *Server) observerFor(jobID int) func(ObserverEvent) {
 		switch ev.Kind {
 		case EventCheckpoint:
 			rec.Type = evCheckpointed
-		case EventPollinate:
-			rec.Type = evPollinated
 		case EventRestart:
 			rec.Type = evRestarted
 		case EventQuarantine:
@@ -509,9 +490,9 @@ func (s *Server) observerFor(jobID int) func(ObserverEvent) {
 }
 
 // maybeCompact rewrites the journal as one snapshot record once it has grown
-// past the configured segment count, releasing the older segments.
+// past compactSegments segments, releasing the older segments.
 func (s *Server) maybeCompact() {
-	if s.journal == nil || s.journal.segments() <= s.cfg.CompactSegments {
+	if s.journal == nil || s.journal.segments() <= compactSegments {
 		return
 	}
 	s.mu.Lock()

@@ -63,7 +63,10 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body, out any) int
 // submit, watch the live snapshot and /metrics while the campaign runs,
 // inject a corpus, stop, export the corpus, drain.
 func TestServerLiveStatusAndMetrics(t *testing.T) {
-	srv := NewServer(testResolver(t), 1)
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -172,7 +175,10 @@ func TestServerLiveStatusAndMetrics(t *testing.T) {
 }
 
 func TestServerSubmissionErrors(t *testing.T) {
-	srv := NewServer(testResolver(t), 1)
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -226,7 +232,10 @@ func TestServerSubmissionErrors(t *testing.T) {
 // TestServerDrainStopsRunningCampaign: SIGTERM path — a running campaign is
 // stopped through its shards' stop channels and the drain completes.
 func TestServerDrainStopsRunningCampaign(t *testing.T) {
-	srv := NewServer(testResolver(t), 1)
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	job, err := srv.Submit(Spec{Model: "Magic", Shards: 2, Budget: "1m"})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +286,7 @@ func TestRetiredSpecKeysAccepted(t *testing.T) {
 	const legacy = `{"model":"Magic","execs":200,"backend":"switch","optimize":true}`
 
 	dir := t.TempDir()
-	jnl, err := openJournal(dir, 0)
+	jnl, err := openJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,6 @@ type Supervise struct {
 	// Poll is the watchdog's sampling interval (default StallTimeout/8,
 	// clamped to [10ms, 1s]).
 	Poll time.Duration
-	// MaxStrikes is the failure count at which a shard is quarantined
-	// instead of restarted (default 3).
-	MaxStrikes int
 	// BackoffBase and BackoffMax bound the exponential backoff (with up to
 	// 50% jitter) between restarts (defaults 50ms and 2s).
 	BackoffBase time.Duration
@@ -30,10 +27,11 @@ type Supervise struct {
 	// KillGrace is how long a stalled shard gets to honour the stop request
 	// before its goroutine is abandoned (default 2s).
 	KillGrace time.Duration
-	// Disabled runs shards bare: no panic capture, no watchdog — the
-	// pre-supervision behavior, for callers that want failures loud.
-	Disabled bool
 }
+
+// maxStrikes is the failure count at which a shard is quarantined instead
+// of restarted.
+const maxStrikes = 3
 
 // withDefaults fills unset supervision knobs.
 func (s Supervise) withDefaults() Supervise {
@@ -48,9 +46,6 @@ func (s Supervise) withDefaults() Supervise {
 	}
 	if s.Poll > time.Second {
 		s.Poll = time.Second
-	}
-	if s.MaxStrikes <= 0 {
-		s.MaxStrikes = 3
 	}
 	if s.BackoffBase <= 0 {
 		s.BackoffBase = 50 * time.Millisecond
@@ -67,14 +62,13 @@ func (s Supervise) withDefaults() Supervise {
 // Observer event kinds.
 const (
 	EventCheckpoint = "checkpoint"
-	EventPollinate  = "pollinate"
 	EventRestart    = "restart"
 	EventQuarantine = "quarantine"
 )
 
 // ObserverEvent is a campaign lifecycle notification delivered to
-// Config.Observer: shard checkpoint writes, cross-pollinations, supervisor
-// restarts and quarantines. Events are delivered synchronously from campaign
+// Config.Observer: shard checkpoint writes, supervisor restarts and
+// quarantines. Events are delivered synchronously from campaign
 // goroutines — observers must be fast and thread-safe. The daemon journals
 // them.
 type ObserverEvent struct {
@@ -85,8 +79,8 @@ type ObserverEvent struct {
 
 // shardSlot owns one shard position in the ensemble: the currently live
 // engine (replaced on restart) plus the supervisor's counters. The slot — not
-// the engine — is the ensemble's stable identity: cross-pollination,
-// snapshots and the final merge all go through it.
+// the engine — is the ensemble's stable identity: corpus import, snapshots
+// and the final merge all go through it.
 type shardSlot struct {
 	idx  int
 	opts fuzz.Options // rebuild template; ResumeFrom is rewritten per restart
@@ -113,14 +107,10 @@ func (sl *shardSlot) isQuarantined() bool {
 // superviseShard drives one shard to completion: panics are captured, a
 // wedged engine is detected by the liveness watchdog and replaced (resuming
 // from its last checkpoint), repeated failures back off exponentially with
-// jitter, and after MaxStrikes failures the shard is quarantined — the
+// jitter, and after maxStrikes failures the shard is quarantined — the
 // ensemble continues degraded rather than hanging. Returns the shard's final
 // result and recorder, or (nil, nil) if it never completed an attempt.
 func (cm *Campaign) superviseShard(sl *shardSlot) (*fuzz.Result, *coverage.Recorder) {
-	if cm.sup.Disabled {
-		eng := sl.engine()
-		return eng.Run(), eng.Recorder()
-	}
 	strikes := 0
 	for {
 		eng := sl.engine()
@@ -132,7 +122,7 @@ func (cm *Campaign) superviseShard(sl *shardSlot) (*fuzz.Result, *coverage.Recor
 		sl.mu.Lock()
 		sl.lastErr = failure
 		sl.mu.Unlock()
-		if strikes >= cm.sup.MaxStrikes {
+		if strikes >= maxStrikes {
 			sl.mu.Lock()
 			sl.quarantined = true
 			sl.mu.Unlock()

@@ -103,7 +103,7 @@ func (pr *Progress) Covered() int { return pr.covOut + pr.covCond }
 // view of a multi-shard campaign: every shard folds its packed covered-branch
 // set in from its own goroutine, and the status plane reads percentages
 // concurrently. Absorb's return value — how many slots were *globally* new —
-// is what gates cross-shard corpus broadcasts.
+// is what the campaign counts as a campaign-wide discovery.
 type SharedProgress struct {
 	mu sync.Mutex
 	pr *Progress

@@ -59,8 +59,6 @@ type Options struct {
 	MaxTuples int           // input length cap in tuples (default 64)
 	MaxExecs  int64         // execution budget (0 = unlimited)
 	Budget    time.Duration // wall-clock budget (0 = unlimited)
-	// CorpusCap bounds corpus size (default 256; lowest-weight evicted).
-	CorpusCap int
 
 	// NoHints disables the comparison-constant dictionary extracted from
 	// the instrumented program (§5's "dynamic numerical range constraint"
@@ -108,12 +106,11 @@ type Options struct {
 
 	// OnNewCoverage, when non-nil, is invoked from the engine's goroutine
 	// whenever an input reaches branches this engine had never covered.
-	// input is the triggering test input and seen the engine's cumulative
-	// covered-branch set, packed like coverage.Recorder.Curr; both are only
-	// valid for the duration of the call and must be copied if retained.
-	// The campaign layer uses this to cross-pollinate globally-new inputs
-	// between shards.
-	OnNewCoverage func(input []byte, seen []uint64)
+	// seen is the engine's cumulative covered-branch set, packed like
+	// coverage.Recorder.Curr; it is only valid for the duration of the call
+	// and must be copied if retained. The campaign layer folds it into the
+	// campaign-wide coverage its status plane reports.
+	OnNewCoverage func(seen []uint64)
 
 	// OnCheckpoint, when non-nil, is invoked from the engine's goroutine
 	// after every checkpoint write attempt (periodic and final) with the
@@ -144,9 +141,6 @@ func ParseMode(s string) (Mode, error) {
 func (o *Options) Validate() error {
 	if o.MaxTuples < 0 {
 		return fmt.Errorf("fuzz: negative MaxTuples %d", o.MaxTuples)
-	}
-	if o.CorpusCap < 0 {
-		return fmt.Errorf("fuzz: negative CorpusCap %d", o.CorpusCap)
 	}
 	if o.MaxExecs < 0 {
 		return fmt.Errorf("fuzz: negative MaxExecs %d", o.MaxExecs)
@@ -263,8 +257,8 @@ type Engine struct {
 	ckptOff         atomic.Bool // set when a supervisor abandons this engine
 	fpLoop          string      // per-engine run-loop failpoint name
 
-	// cross-pollination inbox: inputs other shards discovered, delivered by
-	// Inject from foreign goroutines and drained by the run loop.
+	// import inbox: external inputs (a campaign's corpus import), delivered
+	// by Inject from foreign goroutines and drained by the run loop.
 	inboxMu          sync.Mutex
 	inbox            [][]byte
 	inboxFlag        atomic.Bool
@@ -289,8 +283,8 @@ type LiveStats struct {
 	Findings   int   `json:"findings"` // distinct (kind, site) findings
 	// FindingsByKind counts distinct findings per FindingKind.
 	FindingsByKind [numFindingKinds]int `json:"findingsByKind"`
-	// InjectedAdmitted counts cross-pollinated inputs (delivered via Inject)
-	// that carried coverage new to this engine and entered its corpus.
+	// InjectedAdmitted counts imported inputs (delivered via Inject) that
+	// carried coverage new to this engine and entered its corpus.
 	InjectedAdmitted int64 `json:"injectedAdmitted"`
 	// FieldHits counts targeted value mutations per input field (indexed
 	// like Prog.In) — under directed mode this shows where the influence
@@ -312,6 +306,10 @@ type floatOut struct {
 	name string
 }
 
+// corpusCap bounds the corpus size; past it, evict drops the lowest-weight
+// entry.
+const corpusCap = 256
+
 type entry struct {
 	data   []byte
 	weight float64
@@ -329,9 +327,6 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 	}
 	if opts.MaxTuples <= 0 {
 		opts.MaxTuples = 64
-	}
-	if opts.CorpusCap <= 0 {
-		opts.CorpusCap = 256
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 30 * time.Second
@@ -409,12 +404,12 @@ func MustEngine(c *codegen.Compiled, opts Options) *Engine {
 // goroutine (the CLI's signal handler).
 func (e *Engine) Stop() { e.stopFlag.Store(true) }
 
-// Inject delivers a foreign input — typically one that hit globally-new
-// coverage on another shard — into this engine's corpus pipeline. Safe to
-// call from any goroutine; the input is copied, queued, and executed by the
-// run loop like any candidate, so it only enters the corpus if it carries
-// coverage (or metric) value for *this* engine. Injections delivered after
-// Run returns are ignored.
+// Inject delivers an external input — a case from a campaign's corpus
+// import — into this engine's corpus pipeline. Safe to call from any
+// goroutine; the input is copied, queued, and executed by the run loop like
+// any candidate, so it only enters the corpus if it carries coverage (or
+// metric) value for *this* engine. Injections delivered after Run returns
+// are ignored.
 func (e *Engine) Inject(data []byte) {
 	cp := append([]byte(nil), data...)
 	e.inboxMu.Lock()
@@ -423,8 +418,8 @@ func (e *Engine) Inject(data []byte) {
 	e.inboxFlag.Store(true)
 }
 
-// drainInbox executes queued cross-pollinated inputs. The fast path is one
-// relaxed atomic load, so an engine outside a campaign pays nothing.
+// drainInbox executes queued imported inputs. The fast path is one relaxed
+// atomic load, so an engine nobody imports into pays nothing.
 func (e *Engine) drainInbox() {
 	if !e.inboxFlag.Load() {
 		return
@@ -806,7 +801,7 @@ func (e *Engine) tryInput(data []byte) bool {
 		e.samplePoint()
 		e.refreshBias()
 		if e.opts.OnNewCoverage != nil {
-			e.opts.OnNewCoverage(data, e.prog.Seen)
+			e.opts.OnNewCoverage(e.prog.Seen)
 		}
 	}
 	if e.lastViolated && (newAny > 0 || len(e.violations) < 8) {
@@ -843,7 +838,7 @@ func (e *Engine) tryInput(data []byte) bool {
 			weight: weight,
 			pinned: newMasked > 0,
 		})
-		if len(e.corpus) > e.opts.CorpusCap {
+		if len(e.corpus) > corpusCap {
 			e.evict()
 		}
 	}

@@ -175,7 +175,6 @@ func TestOptionsValidate(t *testing.T) {
 	c := switchOnly(t)
 	bad := []Options{
 		{MaxTuples: -1, MaxExecs: 1},
-		{CorpusCap: -1, MaxExecs: 1},
 		{MaxExecs: -1},
 		{Budget: -time.Second, MaxExecs: 1},
 		{Fuel: -1, MaxExecs: 1},

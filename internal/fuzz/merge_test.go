@@ -39,64 +39,10 @@ func TestMergeFindingsDedupsBySite(t *testing.T) {
 	}
 }
 
-// TestRunParallelEnsembleDeterminism: same seed + same worker count must
-// yield the identical merged coverage report across two runs — the ensemble
-// merge introduces no scheduling-dependent coverage.
-func TestRunParallelEnsembleDeterminism(t *testing.T) {
-	c := minimizeTarget(t)
-	opts := Options{Seed: 11, MaxExecs: 2000}
-	r1, err := RunParallel(c, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunParallel(c, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1.Report, r2.Report) {
-		t.Errorf("merged coverage reports differ:\n%v\nvs\n%v", r1.Report, r2.Report)
-	}
-	if r1.Execs != r2.Execs || r1.Steps != r2.Steps {
-		t.Errorf("work counters differ: execs %d/%d steps %d/%d",
-			r1.Execs, r2.Execs, r1.Steps, r2.Steps)
-	}
-	if len(r1.Suite.Cases) != len(r2.Suite.Cases) {
-		t.Errorf("suite sizes differ: %d vs %d", len(r1.Suite.Cases), len(r2.Suite.Cases))
-	}
-}
-
-// TestRunParallelMergesTimelines: the merged timeline must reflect the whole
-// ensemble — its final execution count is the sum over workers, not worker
-// 0's alone.
-func TestRunParallelMergesTimelines(t *testing.T) {
-	c := minimizeTarget(t)
-	res, err := RunParallel(c, Options{Seed: 7, MaxExecs: 1500}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("merged timeline empty")
-	}
-	last := res.Timeline[len(res.Timeline)-1]
-	if last.Execs != res.Execs {
-		t.Errorf("ensemble timeline should end at the summed exec count %d, got %d",
-			res.Execs, last.Execs)
-	}
-	for i := 1; i < len(res.Timeline); i++ {
-		if res.Timeline[i].Execs < res.Timeline[i-1].Execs {
-			t.Fatalf("merged timeline execs not monotone at %d", i)
-		}
-		if res.Timeline[i].Elapsed < res.Timeline[i-1].Elapsed {
-			t.Fatalf("merged timeline not time-ordered at %d", i)
-		}
-	}
-}
-
 // magicModel has a branch that undirected mutation essentially never hits:
 // an equality against a magic constant. With hints disabled (the dictionary
 // would leak the constant to the mutator), the eq-true outcome is only
-// reachable by being *given* the input — the shape cross-pollination must
-// transport between shards.
+// reachable by being *given* the input — through a seed or an Inject.
 func magicModel(t *testing.T) *codegen.Compiled {
 	t.Helper()
 	b := model.NewBuilder("Magic")
@@ -110,9 +56,9 @@ func magicModel(t *testing.T) *codegen.Compiled {
 	return c
 }
 
-// TestEngineInjectCrossPollination: an input delivered via Inject that
-// carries coverage new to the engine must enter its corpus and be counted
-// as an admitted injection.
+// TestEngineInjectCrossPollination: an input delivered via Inject (the
+// campaign's corpus import) that carries coverage new to the engine must
+// enter its corpus and be counted as an admitted injection.
 func TestEngineInjectCrossPollination(t *testing.T) {
 	c := magicModel(t)
 	e := MustEngine(c, Options{Seed: 5, MaxExecs: 2000, NoHints: true})

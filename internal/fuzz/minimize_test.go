@@ -137,23 +137,6 @@ if (phase == 2) { hit = true; }
 	}
 }
 
-func TestRunParallelMergesCoverage(t *testing.T) {
-	c := minimizeTarget(t)
-	res, err := RunParallel(c, Options{Seed: 1, MaxExecs: 3000}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Execs < 4*3000 {
-		t.Errorf("workers should sum execs: %d", res.Execs)
-	}
-	if res.Report.Decision() < 100 {
-		t.Errorf("merged coverage should be complete on this model: %.1f%%", res.Report.Decision())
-	}
-	if len(res.Suite.Cases) == 0 {
-		t.Error("merged suite empty")
-	}
-}
-
 func TestAssertionViolationsReported(t *testing.T) {
 	b := model.NewBuilder("Viol")
 	x := b.Inport("x", model.Int32)

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
@@ -49,23 +48,18 @@ type Config struct {
 	Seed int64
 
 	// SLDV parameters.
-	SLDVDepth  int
-	SLDVNodes  int64
-	SLDVMemory int64
+	SLDVDepth int
+	SLDVNodes int64
 
-	// SimCoTest parameters.
-	SimHorizon int
 	// SimThrottleStepsPerSec emulates the paper's measured Simulink engine
-	// rate when positive; 0 runs the interpreter at native speed.
+	// rate for SimCoTest (at its default 50-step horizon) when positive; 0
+	// runs the interpreter at native speed.
 	SimThrottleStepsPerSec float64
 
-	// Fuzzer parameters.
-	FuzzMaxTuples int
-	// FuzzFuel bounds instructions per model step (0 = vm.DefaultFuel).
-	FuzzFuel int64
-	// FuzzMaxExecs additionally bounds the fuzz-based tools by execution
-	// count (0 = wall-clock Budget only). Deterministic comparisons — equal
-	// effort regardless of host speed — set this and a generous Budget.
+	// FuzzMaxExecs additionally bounds the fuzz-based tools (at the engine's
+	// default input cap and step fuel) by execution count (0 = wall-clock
+	// Budget only). Deterministic comparisons — equal effort regardless of
+	// host speed — set this and a generous Budget.
 	FuzzMaxExecs int64
 
 	// MutantBudget enables mutation scoring: after the coverage runs, up to
@@ -73,14 +67,6 @@ type Config struct {
 	// tool) and each tool's suite is scored by how many it kills. 0
 	// disables the pass.
 	MutantBudget int
-
-	// Analyze runs the static dead-objective analysis on each compiled
-	// model, so branch slots proved unreachable drop out of every tool's
-	// coverage denominators (Table 3 then reports achievable objectives).
-	Analyze bool
-	// Directed biases CFTCG/Hybrid mutation toward input fields that the
-	// influence map links to still-unsatisfied objectives.
-	Directed bool
 
 	// CellTimeout is the hard deadline for one tool×model×seed cell. A cell
 	// that exceeds it (or panics) is rendered as degraded in Table 3 instead
@@ -112,9 +98,7 @@ func DefaultConfig() Config {
 		Seed:                   1,
 		SLDVDepth:              5,
 		SLDVNodes:              1 << 40, // wall budget governs
-		SimHorizon:             50,
 		SimThrottleStepsPerSec: 500,
-		FuzzMaxTuples:          64,
 	}
 }
 
@@ -168,12 +152,8 @@ func suiteBytes(s *testcase.Suite) [][]byte {
 type ModelResult struct {
 	Entry    benchmodels.Entry
 	Branches int
-	// Dead counts branch slots the static analyzer proved unreachable
-	// (only populated when Config.Analyze is set); every tool's coverage
-	// percentages then exclude them.
-	Dead    int
-	Blocks  int
-	Results map[Tool]ToolResult
+	Blocks   int
+	Results  map[Tool]ToolResult
 }
 
 // RunTool executes one tool on one compiled model with one seed.
@@ -181,10 +161,9 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 	switch tool {
 	case ToolSLDV:
 		res := sldv.Run(c, sldv.Options{
-			MaxDepth:         cfg.SLDVDepth,
-			NodeBudget:       cfg.SLDVNodes,
-			Budget:           cfg.Budget,
-			MemoryLimitBytes: cfg.SLDVMemory,
+			MaxDepth:   cfg.SLDVDepth,
+			NodeBudget: cfg.SLDVNodes,
+			Budget:     cfg.Budget,
 		})
 		rep := res.Report
 		return ToolResult{
@@ -196,7 +175,6 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 	case ToolSimCoTest:
 		res, err := simcotest.Run(c.Design, c.Plan, c.Index, simcotest.Options{
 			Seed:                seed,
-			Horizon:             cfg.SimHorizon,
 			Budget:              cfg.Budget,
 			ThrottleStepsPerSec: cfg.SimThrottleStepsPerSec,
 		})
@@ -216,13 +194,10 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 			mode = fuzz.ModeFuzzOnly
 		}
 		eng, err := fuzz.NewEngine(c, fuzz.Options{
-			Seed:      seed,
-			Mode:      mode,
-			MaxTuples: cfg.FuzzMaxTuples,
-			Budget:    cfg.Budget,
-			MaxExecs:  cfg.FuzzMaxExecs,
-			Fuel:      cfg.FuzzFuel,
-			Directed:  cfg.Directed,
+			Seed:     seed,
+			Mode:     mode,
+			Budget:   cfg.Budget,
+			MaxExecs: cfg.FuzzMaxExecs,
 		})
 		if err != nil {
 			return ToolResult{}, err
@@ -250,12 +225,9 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 		eng, err := fuzz.NewEngine(c, fuzz.Options{
 			Seed:       seed,
 			Mode:       fuzz.ModeModelOriented,
-			MaxTuples:  cfg.FuzzMaxTuples,
 			Budget:     cfg.Budget - cfg.Budget/4,
 			MaxExecs:   cfg.FuzzMaxExecs,
-			Fuel:       cfg.FuzzFuel,
 			SeedInputs: seedInputs,
-			Directed:   cfg.Directed,
 		})
 		if err != nil {
 			return ToolResult{}, err
@@ -319,13 +291,9 @@ func RunModel(e benchmodels.Entry, tools []Tool, cfg Config) (ModelResult, error
 	if err != nil {
 		return ModelResult{}, fmt.Errorf("harness: %s: %w", e.Name, err)
 	}
-	if cfg.Analyze {
-		analysis.MarkDead(c.Prog, c.Plan)
-	}
 	mr := ModelResult{
 		Entry:    e,
 		Branches: c.Plan.NumBranches,
-		Dead:     c.Plan.DeadCount(),
 		Blocks:   m.Root.CountBlocks(),
 		Results:  map[Tool]ToolResult{},
 	}

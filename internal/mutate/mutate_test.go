@@ -1,6 +1,7 @@
 package mutate
 
 import (
+	"math/rand"
 	"testing"
 
 	"cftcg/internal/analysis"
@@ -276,6 +277,65 @@ while (s < n && s < 5) {
 	if reasons["outlived-timeout"] == 0 {
 		t.Fatalf("%d mutants, none killed as outlived-timeout: reasons %v", len(all), reasons)
 	}
+}
+
+// TestSameStepHangIsNoKill: under a step fuel too small for the original
+// (RunConfig{Fuel: 60}) the reference hangs on step 0 of most benchmark
+// models. A mutant that hangs or crashes on the same step of a case, with
+// the same terminal, behaves there exactly as the original does: that is no
+// kill, and the later cases decide. So every timeout or crash kill of a
+// mutant that gets through init must rest on a terminal that differs from
+// the reference's, in step or in kind.
+func TestSameStepHangIsNoKill(t *testing.T) {
+	const fuel = 60
+	trace := func(code *vm.Code, steps [][]uint64) (tr caseTrace, initOK bool) {
+		m := vm.NewThreadedFromCode(code, nil)
+		m.SetFuel(fuel)
+		if err, crashed := safeInit(m); crashed || err != nil {
+			return caseTrace{}, false
+		}
+		return traceCase(m, nil, steps), true
+	}
+	rng := rand.New(rand.NewSource(17))
+	hung, survived := 0, 0
+	for _, e := range benchmodels.All() {
+		m := e.Build()
+		c := compile(t, m)
+		suite := make([][]byte, 4)
+		for i := range suite {
+			suite[i] = make([]byte, 12*c.Prog.TupleSize())
+			rng.Read(suite[i])
+		}
+		decoded := decodeCases(c.Prog, suite)
+		if ref, _ := trace(c.Threaded(), decoded[0]); ref.term == "timeout" && len(ref.steps) == 0 {
+			hung++
+		}
+		muts := Generate(c, m, Config{Limit: 90, Seed: 11})
+		rep := Run(c, muts, suite, RunConfig{Fuel: fuel, NoProve: true})
+		survived += rep.Summary.Survived
+		for i, mu := range muts {
+			res := rep.Results[i]
+			if !res.Killed || (res.Reason != "timeout" && res.Reason != "crash") {
+				continue
+			}
+			got, initOK := trace(mu.threaded(), decoded[res.KilledBy])
+			if !initOK {
+				continue // an init-level kill: the reference got through init
+			}
+			ref, _ := trace(c.Threaded(), decoded[res.KilledBy])
+			if len(got.steps) == len(ref.steps) && got.term == ref.term {
+				t.Errorf("%s: mutant %d (%s) killed as %s by case %d, where it ends on step %d with %q exactly like the original",
+					e.Name, mu.ID, mu.Site, res.Reason, res.KilledBy, len(got.steps), got.term)
+			}
+		}
+	}
+	if hung == 0 {
+		t.Fatalf("no reference hung on step 0 under fuel %d; the test exercises nothing", fuel)
+	}
+	if survived == 0 {
+		t.Errorf("under fuel %d every mutant of %d models was killed", fuel, len(benchmodels.All()))
+	}
+	t.Logf("reference hangs on step 0 of %d models; %d mutants survive", hung, survived)
 }
 
 // TestGuardMutationsTokens checks the mlfunc guard tokenizer: every

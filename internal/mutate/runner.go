@@ -336,7 +336,9 @@ type mutantOutcome struct {
 // runMutant replays the suite on one mutant, comparing step-lockstep with
 // the reference traces. The first divergence kills; the remainder of the
 // divergent case is still executed and hashed so the dedup hash reflects
-// the mutant's observable behavior, not just the detection point.
+// the mutant's observable behavior, not just the detection point. A case
+// that hangs or crashes on the same step as the reference's, with the same
+// terminal, is no divergence.
 func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, fuel int64, rep *Report) (out mutantOutcome) {
 	out = mutantOutcome{Result: Result{KilledBy: -1}}
 	var rec *coverage.Recorder // nil: the probe oracle has no common plan
@@ -355,6 +357,7 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, fuel int64, r
 		h = hashBytes(h, []uint8(reason))
 	}
 
+cases:
 	for ci, steps := range decoded {
 		ref := base[ci]
 		rep.Execs++
@@ -378,6 +381,11 @@ func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, fuel int64, r
 				term := termOf(err, crashed)
 				h = hash64(h, uint64(si))
 				h = hashBytes(h, []uint8(term))
+				if !diverged && si == len(ref.steps) && term == ref.term {
+					// The case ended exactly as the reference's did (same
+					// step, same terminal): no divergence, next case.
+					continue cases
+				}
 				if !diverged {
 					// The reference ran past this step cleanly (or hit a
 					// different terminal): the mutation made this input

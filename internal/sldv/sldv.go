@@ -28,10 +28,6 @@ type Options struct {
 	NodeBudget int64
 	// Budget is the wall-clock cap (0 = none).
 	Budget time.Duration
-	// MemoryLimitBytes aborts the analysis when the simulated solver
-	// frontier exceeds this footprint (the paper observed SLDV exceeding
-	// 12 GB on SolarPV). 0 = unlimited.
-	MemoryLimitBytes int64
 }
 
 // Result reports the analysis outcome.
@@ -203,10 +199,6 @@ func (s *solver) explore(root box, budget int64, deadline time.Time) {
 		mem := int64(len(stack)) * int64(len(root.dims)) * 16
 		if mem > s.peakMem {
 			s.peakMem = mem
-		}
-		if s.opts.MemoryLimitBytes > 0 && mem > s.opts.MemoryLimitBytes {
-			s.aborted = true // solver out of memory
-			return
 		}
 
 		b := stack[len(stack)-1]

@@ -65,6 +65,25 @@ echo "mutation score: $score"
 awk "BEGIN { exit !($score > 0 && $score <= 1) }" </dev/null \
 	|| { echo "mutate-smoke: score $score outside (0, 1]"; exit 1; }
 
+# Multi-worker checkpoint/resume smoke: `cftcg fuzz -workers 2` runs a
+# two-shard campaign, so each shard checkpoints to <base>.shardK and a
+# resumed run carries on from the saved exec counts.
+echo "== workers checkpoint/resume smoke =="
+ckdir=$(mktemp -d)
+go build -o "$ckdir/cftcg" ./cmd/cftcg
+execs_of() { sed -n 's/^executions: \([0-9]*\),.*/\1/p' "$1"; }
+"$ckdir/cftcg" fuzz SolarPV -workers 2 -execs 2000 -budget 60s -checkpoint "$ckdir/c.ckpt" >"$ckdir/first.txt"
+for shard in 0 1; do
+	[ -s "$ckdir/c.ckpt.shard$shard" ] || { echo "missing shard $shard checkpoint"; cat "$ckdir/first.txt"; exit 1; }
+done
+"$ckdir/cftcg" fuzz SolarPV -workers 2 -execs 3000 -budget 60s -resume "$ckdir/c.ckpt" >"$ckdir/resumed.txt"
+first=$(execs_of "$ckdir/first.txt")
+resumed=$(execs_of "$ckdir/resumed.txt")
+echo "executions: $first saved, $resumed after resume"
+[ "$first" = 4000 ] && [ "$resumed" = 6000 ] \
+	|| { echo "resumed run did not carry on from the saved exec count"; cat "$ckdir/first.txt" "$ckdir/resumed.txt"; exit 1; }
+rm -rf "$ckdir"
+
 # Chaos suite: arm the build-tag-gated failpoints and run the
 # fault-injection tests (torn WAL writes, fsync failures, checkpoint
 # panics, hanging shards, kill-9 of a journaled daemon) under -race.
