@@ -55,8 +55,8 @@ chaos:
 
 # cover enforces the statement-coverage floors on the load-bearing
 # packages (VM backends, IR, coverage recorder, fuzz engine, mutation
-# subsystem and its equivalence prover); see scripts/cover.sh for the
-# committed floors.
+# subsystem and its equivalence prover, static analysis); see
+# scripts/cover.sh for the committed floors.
 cover:
 	scripts/cover.sh
 

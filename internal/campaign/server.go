@@ -111,6 +111,10 @@ const (
 // HTTP layer maps it to 503 so load balancers retry elsewhere.
 var ErrOverloaded = errors.New("campaign: queue full")
 
+// ErrInvalidSpec wraps every Submit rejection of the spec itself; the HTTP
+// layer maps it to 400, because no retry can make the spec run.
+var ErrInvalidSpec = errors.New("campaign: invalid spec")
+
 // Job is one queued or executed campaign.
 type Job struct {
 	ID        int
@@ -513,14 +517,21 @@ func (s *Server) maybeCompact() {
 	s.journal.compact(table, nextID)
 }
 
-// Submit enqueues a campaign, returning the job or an error if the server
-// is draining or the queue is at capacity (ErrOverloaded).
+// Submit enqueues a campaign, returning the job or an error if the spec is
+// invalid (ErrInvalidSpec), the server is draining or the queue is at
+// capacity (ErrOverloaded). The spec is validated here, once, so a job that
+// is accepted fails later only on what the runner alone can see, such as an
+// unknown model.
 func (s *Server) Submit(spec Spec) (*Job, error) {
 	if spec.Model == "" {
-		return nil, fmt.Errorf("campaign: missing model")
+		return nil, fmt.Errorf("%w: missing model", ErrInvalidSpec)
 	}
-	if _, err := fuzz.ParseMode(spec.Mode); err != nil {
-		return nil, err
+	opts, err := spec.options()
+	if err == nil {
+		err = opts.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	s.mu.Lock()
 	if s.draining {
@@ -758,7 +769,11 @@ func (s *Server) Handler() http.Handler {
 		}
 		job, err := s.Submit(spec)
 		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err)
+			code := http.StatusServiceUnavailable
+			if errors.Is(err, ErrInvalidSpec) {
+				code = http.StatusBadRequest
+			}
+			httpError(w, code, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, job.status())

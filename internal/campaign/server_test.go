@@ -175,18 +175,38 @@ func TestServerLiveStatusAndMetrics(t *testing.T) {
 }
 
 func TestServerSubmissionErrors(t *testing.T) {
-	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{})
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code := postJSON(t, ts, "/api/campaigns", Spec{}, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("missing model: want 503, got %d", code)
+	records := func() int {
+		n := 0
+		if err := srv.journal.log.Replay(func([]byte) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	if code := postJSON(t, ts, "/api/campaigns", Spec{Model: "Magic", Mode: "bogus"}, nil); code != http.StatusServiceUnavailable {
-		t.Errorf("bad mode: want 503, got %d", code)
+	before := records()
+	// An invalid spec is refused with 400, not 503 (no retry can make it
+	// run), before any job or journal record exists.
+	for _, body := range []string{
+		`{}`,
+		`{"model":"Magic","mode":"bogus"}`,
+		`{"model":"Magic","budget":"bogus"}`,
+		`{"model":"Magic","execs":-1}`,
+	} {
+		if code := postJSON(t, ts, "/api/campaigns", json.RawMessage(body), nil); code != http.StatusBadRequest {
+			t.Errorf("%s: want 400, got %d", body, code)
+		}
+	}
+	if n := len(srv.Jobs()); n != 0 {
+		t.Errorf("invalid specs created %d job(s)", n)
+	}
+	if n := records() - before; n != 0 {
+		t.Errorf("invalid specs wrote %d journal record(s)", n)
 	}
 
 	// Unknown model is accepted (resolution happens on the runner) and the

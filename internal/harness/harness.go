@@ -361,22 +361,6 @@ func scoreMutants(c *codegen.Compiled, m *model.Model, cfg Config, mr *ModelResu
 	}
 }
 
-// RunAll evaluates the given tools across every benchmark model.
-func RunAll(tools []Tool, cfg Config, progress func(model string)) ([]ModelResult, error) {
-	var out []ModelResult
-	for _, e := range benchmodels.All() {
-		if progress != nil {
-			progress(e.Name)
-		}
-		mr, err := RunModel(e, tools, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, mr)
-	}
-	return out, nil
-}
-
 // FormatTable2 renders the benchmark statistics table (paper Table 2),
 // side by side with the paper's numbers.
 func FormatTable2(results []ModelResult) string {

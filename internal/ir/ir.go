@@ -50,7 +50,7 @@ const (
 	OpShl    // dst = a << (b & 31)
 	OpShr    // dst = a >> (b & 31)
 
-	OpTruth  // dst(bool) = a != 0, a has type DT
+	OpTruth  // dst(bool) = a != 0, a has type DT2
 	OpSelect // dst = a != 0 ? b : c
 	OpCast   // dst = DT(a), a has type DT2
 

@@ -1,17 +1,11 @@
 package mutate
 
 import (
-	"math"
+	"slices"
 
 	"cftcg/internal/analysis"
 	"cftcg/internal/interval"
 	"cftcg/internal/ir"
-)
-
-const (
-	optWidenVisits     = 8  // per-block joins before widening inside a function
-	optWidenStepRounds = 4  // outer step iterations before widening the state
-	optMaxStepRounds   = 64 // hard stop for the outer fixpoint
 )
 
 // The product-program equivalence prover. Two same-shape programs (equal
@@ -69,33 +63,13 @@ func joinPenv(a, b *penv) *penv {
 }
 
 func penvEqual(a, b *penv) bool {
-	for i := range a.regs {
-		if a.regs[i].eq != b.regs[i].eq || !a.regs[i].l.eqv(b.regs[i].l) || !a.regs[i].r.eqv(b.regs[i].r) {
-			return false
-		}
-	}
-	for i := range a.state {
-		if a.state[i].eq != b.state[i].eq || !a.state[i].l.eqv(b.state[i].l) || !a.state[i].r.eqv(b.state[i].r) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.regs, b.regs) && slices.Equal(a.state, b.state)
 }
 
 func widenPenv(prev, next *penv) {
 	w := func(p, n pv) pv {
-		if n.l.itv.Lo < p.l.itv.Lo {
-			n.l.itv.Lo = math.Inf(-1)
-		}
-		if n.l.itv.Hi > p.l.itv.Hi {
-			n.l.itv.Hi = math.Inf(1)
-		}
-		if n.r.itv.Lo < p.r.itv.Lo {
-			n.r.itv.Lo = math.Inf(-1)
-		}
-		if n.r.itv.Hi > p.r.itv.Hi {
-			n.r.itv.Hi = math.Inf(1)
-		}
+		n.l.Value = n.l.Widen(p.l.Value)
+		n.r.Value = n.r.Widen(p.r.Value)
 		return n
 	}
 	for i := range next.regs {
@@ -116,7 +90,7 @@ func (e *penv) valEq(la, ra int32) bool {
 }
 
 type prover struct {
-	in []av // shared abstract inputs (both sides read the same tuple)
+	in []analysis.Value // shared abstract inputs (both sides read the same tuple)
 }
 
 // nopish treats identity movs as nops: they change no machine state.
@@ -174,7 +148,7 @@ func (pr *prover) stepPair(e *penv, li, ri *ir.Instr) bool {
 	evalSide := func(ins *ir.Instr, get func(int32) av, stateAt func(uint64) av) av {
 		switch ins.Op {
 		case ir.OpLoadIn:
-			return pr.in[ins.Imm]
+			return av{Value: pr.in[ins.Imm]}
 		case ir.OpLoadState:
 			return stateAt(ins.Imm)
 		}
@@ -350,7 +324,7 @@ func (pr *prover) productFunc(lc, rc []ir.Instr, entry *penv) (*penv, bool) {
 		} else {
 			joined := joinPenv(ins[succ], e)
 			visits[succ]++
-			if visits[succ] >= optWidenVisits {
+			if visits[succ] >= analysis.WidenBlockVisits {
 				widenPenv(ins[succ], joined)
 			}
 			if penvEqual(joined, ins[succ]) {
@@ -449,12 +423,13 @@ func proveEquiv(l, r *ir.Program) bool {
 	if !sameShape(l, r) {
 		return false
 	}
-	pr := &prover{in: inputAvs(l)}
+	pr := &prover{in: analysis.InputValues(l)}
 	entry := &penv{regs: make([]pv, l.NumRegs), state: make([]pv, l.NumState)}
+	top := av{Value: analysis.Top()}
 	for i := range entry.regs {
-		entry.regs[i] = pv{l: top(), r: top()}
+		entry.regs[i] = pv{l: top, r: top}
 	}
-	zero := av{known: true, raw: 0, itv: interval.Point(0)}
+	zero := av{known: true, raw: 0, Value: analysis.Value{Itv: interval.Point(0)}}
 	for i := range entry.state {
 		entry.state[i] = pv{l: zero, r: zero, eq: true}
 	}
@@ -462,13 +437,13 @@ func proveEquiv(l, r *ir.Program) bool {
 	if !ok {
 		return false
 	}
-	for round := 0; round < optMaxStepRounds; round++ {
+	for round := 0; round < analysis.MaxStepRounds; round++ {
 		ex, ok := pr.productFunc(l.Step, r.Step, cur)
 		if !ok {
 			return false
 		}
 		next := joinPenv(cur, ex)
-		if round >= optWidenStepRounds {
+		if round >= analysis.WidenStepRounds {
 			widenPenv(cur, next)
 		}
 		if penvEqual(next, cur) {

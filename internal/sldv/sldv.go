@@ -86,7 +86,7 @@ func Run(c *codegen.Compiled, opts Options) *Result {
 		start: time.Now(),
 		prg:   coverage.NewProgress(c.Plan),
 	}
-	s.machine = vm.New(c.Prog, s.rec)
+	s.machine = vm.NewThreadedFromCode(c.Threaded(), s.rec)
 	s.objDepth = make([]int, c.Plan.NumBranches)
 	for i := range s.objDepth {
 		s.objDepth[i] = -1
@@ -114,7 +114,7 @@ type solver struct {
 	opts    Options
 	prog    *ir.Program
 	rec     *coverage.Recorder
-	machine *vm.Machine
+	machine *vm.Threaded
 	prg     *coverage.Progress
 
 	initState []float64 // concrete initial state as points

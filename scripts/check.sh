@@ -45,7 +45,8 @@ go -C bench vet ./...
 go -C bench test ./...
 
 # Coverage floors on the load-bearing packages (VM backends, IR, coverage
-# recorder, fuzz engine, mutation subsystem and its equivalence prover).
+# recorder, fuzz engine, mutation subsystem and its equivalence prover,
+# static analysis).
 echo "== coverage floors =="
 scripts/cover.sh
 

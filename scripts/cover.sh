@@ -4,9 +4,11 @@
 # executes here), the IR (programs, verifier, disassembler, generator), the
 # coverage recorder and progress tracker (the packed per-step hit set every
 # probe writes), the fuzz engine (Algorithm 1's feedback scan, corpus,
-# checkpoints and minimization), and the mutation subsystem (mutant
+# checkpoints and minimization), the mutation subsystem (mutant
 # generation, the kill oracle, and the equivalence prover that takes
-# unkillable mutants out of the score).
+# unkillable mutants out of the score), and the static analysis (the one
+# abstract transfer function, Eval, that both the dead-objective pass and
+# the equivalence prover trust).
 # Fails when a package drops below its committed floor. Floors ratchet up
 # with the test suite; lower one only with a reviewed justification.
 set -eu
@@ -28,3 +30,4 @@ check internal/ir 80
 check internal/coverage 70
 check internal/fuzz 85
 check internal/mutate 80
+check internal/analysis 85
