@@ -28,13 +28,11 @@ fmt:
 
 # lint is the fast pre-commit gate: formatting, vet, and a full-speed race
 # pass over the concurrency-bearing packages (the engine's status plane, the
-# campaign daemon's shard fan-out, and the shared coverage structures).
-# The mutation package rides along in -short mode: its fuzz-then-grind
-# tests and equivalence-prover sweeps starve under the race detector's ~15x
-# slowdown.
+# campaign daemon's shard fan-out, and the shared coverage structures) and
+# over the mutation package, whose prover oracle then covers all 8 models.
 lint: fmt vet
 	$(GO) test -race ./internal/fuzz ./internal/campaign ./internal/coverage ./internal/vm ./internal/ir
-	$(GO) test -short -race ./internal/mutate
+	$(GO) test -race ./internal/mutate
 
 # mutate-smoke is the mutation-testing end-to-end gate: generate mutants
 # for a small model, kill them with a freshly fuzzed suite, and require a

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"slices"
 
 	"cftcg/internal/coverage"
 	"cftcg/internal/interval"
@@ -31,29 +30,33 @@ func (e *env) clone() *env {
 	return &env{regs: append([]Value(nil), e.regs...), state: append([]Value(nil), e.state...)}
 }
 
-func joinEnvs(a, b *env) *env {
-	out := a.clone()
-	for i := range out.regs {
-		out.regs[i] = out.regs[i].Join(b.regs[i])
-	}
-	for i := range out.state {
-		out.state[i] = out.state[i].Join(b.state[i])
-	}
-	return out
+// joinInto joins src into e in place, widening every joined cell against
+// its old value when widen is set, and reports whether e changed. A cell
+// equal to its source is skipped: a ⊔ a = a, and widening a against itself
+// keeps a.
+func (e *env) joinInto(src *env, widen bool) bool {
+	regs := joinValues(e.regs, src.regs, widen)
+	state := joinValues(e.state, src.state, widen)
+	return regs || state
 }
 
-func envsEqual(a, b *env) bool {
-	return slices.Equal(a.regs, b.regs) && slices.Equal(a.state, b.state)
-}
-
-// widenInto widens every bound of next that grew past prev.
-func widenInto(prev, next *env) {
-	for i := range next.regs {
-		next.regs[i] = next.regs[i].Widen(prev.regs[i])
+func joinValues(dst, src []Value, widen bool) bool {
+	changed := false
+	for i, s := range src {
+		d := dst[i]
+		if d == s {
+			continue
+		}
+		n := d.Join(s)
+		if widen {
+			n = n.Widen(d)
+		}
+		if n != d {
+			dst[i] = n
+			changed = true
+		}
 	}
-	for i := range next.state {
-		next.state[i] = next.state[i].Widen(prev.state[i])
-	}
+	return changed
 }
 
 // absFunc abstractly executes one function from an entry environment and
@@ -82,7 +85,7 @@ func (ai *absInterp) absFunc(code []ir.Instr, entry *env) *env {
 		if exit == nil {
 			exit = e.clone()
 		} else {
-			exit = joinEnvs(exit, e)
+			exit.joinInto(e, false)
 		}
 	}
 	propagate := func(succ int, e *env) {
@@ -93,15 +96,10 @@ func (ai *absInterp) absFunc(code []ir.Instr, entry *env) *env {
 		if ins[succ] == nil {
 			ins[succ] = e.clone()
 		} else {
-			joined := joinEnvs(ins[succ], e)
 			visits[succ]++
-			if visits[succ] >= WidenBlockVisits {
-				widenInto(ins[succ], joined)
-			}
-			if envsEqual(joined, ins[succ]) {
+			if !ins[succ].joinInto(e, visits[succ] >= WidenBlockVisits) {
 				return
 			}
-			ins[succ] = joined
 		}
 		if !inWork[succ] {
 			inWork[succ] = true
@@ -109,12 +107,14 @@ func (ai *absInterp) absFunc(code []ir.Instr, entry *env) *env {
 		}
 	}
 	cmps := make(map[int32]cmpDef)
+	e := entry.clone() // scratch: the environment of the block being run
 	for len(work) > 0 {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[bi] = false
 		b := blocks[bi]
-		e := ins[bi].clone()
+		copy(e.regs, ins[bi].regs)
+		copy(e.state, ins[bi].state)
 		halted := false
 		// Block-local reaching compare definitions, for branch narrowing.
 		for k := range cmps {
@@ -334,15 +334,9 @@ func Feasible(p *ir.Program, plan *coverage.Plan) []bool {
 	}
 	cur := ai.absFunc(p.Init, entry)
 	for round := 0; round < MaxStepRounds; round++ {
-		exit := ai.absFunc(p.Step, cur)
-		next := joinEnvs(cur, exit)
-		if round >= WidenStepRounds {
-			widenInto(cur, next)
-		}
-		if envsEqual(next, cur) {
+		if !cur.joinInto(ai.absFunc(p.Step, cur), round >= WidenStepRounds) {
 			break
 		}
-		cur = next
 	}
 	return ai.feas
 }

@@ -50,30 +50,36 @@ func (i Issue) String() string {
 // and dead-store lint. plan may be nil to skip the probe checks. Issues are
 // ordered init-first, by pc.
 func Verify(p *ir.Program, plan *coverage.Plan) []Issue {
-	v := &verifier{p: p, plan: plan}
-	v.readRegs = globalReads(p)
-	v.live = ComputeLiveness(p)
-	initDefs := v.verifyFunc("init", p.Init, make([]bool, p.NumRegs))
-	// Registers persist in the machine between the init and step calls, so
-	// step may rely on any register init is guaranteed to have written.
-	v.verifyFunc("step", p.Step, initDefs)
-	return v.issues
+	return verify(p, plan, true)
 }
 
 // VerifyStrict returns an error summarizing every SevError issue (nil when
-// the program is verifier-clean; warnings never fail).
+// the program is verifier-clean). It runs the verifier without its lint, so
+// it skips the liveness analysis that only the dead-store lint needs.
 func VerifyStrict(p *ir.Program, plan *coverage.Plan) error {
 	var errs []string
-	for _, is := range Verify(p, plan) {
-		if is.Sev == SevError {
-			errs = append(errs, is.String())
-		}
+	for _, is := range verify(p, plan, false) {
+		errs = append(errs, is.String())
 	}
 	if len(errs) == 0 {
 		return nil
 	}
 	return fmt.Errorf("analysis: %s: %d verifier error(s):\n  %s",
 		p.Name, len(errs), strings.Join(errs, "\n  "))
+}
+
+// verify checks both functions; lint adds the SevWarn findings.
+func verify(p *ir.Program, plan *coverage.Plan, lint bool) []Issue {
+	v := &verifier{p: p, plan: plan, lint: lint}
+	if lint {
+		v.readRegs = globalReads(p)
+		v.live = ComputeLiveness(p)
+	}
+	initDefs := v.verifyFunc("init", p.Init, make([]bool, p.NumRegs))
+	// Registers persist in the machine between the init and step calls, so
+	// step may rely on any register init is guaranteed to have written.
+	v.verifyFunc("step", p.Step, initDefs)
+	return v.issues
 }
 
 // DeadStoreWarnings counts the verifier's dead-store lint findings — the
@@ -91,7 +97,8 @@ func DeadStoreWarnings(p *ir.Program, plan *coverage.Plan) int {
 type verifier struct {
 	p        *ir.Program
 	plan     *coverage.Plan
-	readRegs []bool // registers read anywhere in init+step
+	lint     bool   // report SevWarn findings too
+	readRegs []bool // registers read anywhere in init+step (lint only)
 	live     *Liveness
 	issues   []Issue
 }
@@ -101,6 +108,9 @@ func (v *verifier) errf(fn string, pc int, format string, args ...interface{}) {
 }
 
 func (v *verifier) warnf(fn string, pc int, format string, args ...interface{}) {
+	if !v.lint {
+		return
+	}
 	v.issues = append(v.issues, Issue{Func: fn, PC: pc, Sev: SevWarn, Msg: fmt.Sprintf(format, args...)})
 }
 
@@ -238,7 +248,7 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 		// distinguishes the two; the mutation prover's dead-register rule
 		// reads the same liveness, so it and this lint agree on what "dead"
 		// means.
-		if dst >= 0 && dst < n {
+		if v.lint && dst >= 0 && dst < n {
 			if !v.readRegs[dst] {
 				v.warnf(fn, pc, "dead store: r%d is never read", dst)
 			} else if lo := v.live.LiveOut(fn, pc); lo != nil && int(dst) < len(lo) && !lo[dst] {

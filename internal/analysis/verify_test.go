@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
+	"cftcg/internal/mutate"
 )
 
 // tinyPlan builds a one-decision (2 outcomes), one-condition plan for
@@ -43,17 +45,19 @@ func i(op ir.Op, dt model.DType, dst, a, b int32, imm uint64) ir.Instr {
 	return ir.Instr{Op: op, DT: dt, Dst: dst, A: a, B: b, Imm: imm}
 }
 
-// TestVerifierRejectsMalformed feeds the verifier crafted malformed programs
-// and demands a positional error for each.
-func TestVerifierRejectsMalformed(t *testing.T) {
+// malformedCase is a crafted malformed program and the positional error the
+// verifier must report for it.
+type malformedCase struct {
+	name     string
+	prog     *ir.Program
+	wantFunc string
+	wantPC   int
+	wantMsg  string
+}
+
+func malformedCases() []malformedCase {
 	i8 := model.Int8
-	cases := []struct {
-		name     string
-		prog     *ir.Program
-		wantFunc string
-		wantPC   int
-		wantMsg  string
-	}{
+	return []malformedCase{
 		{
 			name: "jump-out-of-bounds",
 			prog: tinyProg(2, 0, nil, []ir.Instr{
@@ -156,8 +160,13 @@ func TestVerifierRejectsMalformed(t *testing.T) {
 			wantFunc: "step", wantPC: 1, wantMsg: "state slot 3 out of range",
 		},
 	}
+}
+
+// TestVerifierRejectsMalformed feeds the verifier crafted malformed programs
+// and demands a positional error for each.
+func TestVerifierRejectsMalformed(t *testing.T) {
 	plan := tinyPlan()
-	for _, tc := range cases {
+	for _, tc := range malformedCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			issues := analysis.Verify(tc.prog, plan)
 			found := false
@@ -176,6 +185,50 @@ func TestVerifierRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVerifyStrictMatchesVerifyErrors: VerifyStrict runs without the lint,
+// so it must return exactly the error that Verify's SevError issues make,
+// on every malformed program above, every benchmark model and every mutant
+// Generate emits (SolarPV's only, with -short).
+func TestVerifyStrictMatchesVerifyErrors(t *testing.T) {
+	check := func(name string, p *ir.Program, plan *coverage.Plan) {
+		t.Helper()
+		var errs []string
+		for _, is := range analysis.Verify(p, plan) {
+			if is.Sev == analysis.SevError {
+				errs = append(errs, is.String())
+			}
+		}
+		var want error
+		if len(errs) > 0 {
+			want = fmt.Errorf("analysis: %s: %d verifier error(s):\n  %s",
+				p.Name, len(errs), strings.Join(errs, "\n  "))
+		}
+		if got := analysis.VerifyStrict(p, plan); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: VerifyStrict = %v, want %v", name, got, want)
+		}
+	}
+	for _, tc := range malformedCases() {
+		check(tc.name, tc.prog, tinyPlan())
+	}
+	mutants := 0
+	for _, e := range benchmodels.All() {
+		m := e.Build()
+		c, err := codegen.Compile(m)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", e.Name, err)
+		}
+		check(e.Name, c.Prog, c.Plan)
+		if testing.Short() && e.Name != "SolarPV" {
+			continue
+		}
+		for _, mu := range mutate.Generate(c, m, mutate.Config{}) {
+			check(e.Name+" "+mu.String(), mu.Prog, mu.Plan)
+			mutants++
+		}
+	}
+	t.Logf("checked %d mutants", mutants)
 }
 
 // TestVerifierWarnings checks that lint findings (unreachable code, dead

@@ -135,9 +135,9 @@ func guardMutations(guard string) []struct{ text, desc string } {
 }
 
 // chartMutants generates the model-level mutants: guard relational swaps and
-// transition-priority swaps, each recompiled from a deep model clone. keep
-// filters out mutants whose recompiled program fails validation.
-func chartMutants(c *codegen.Compiled, m *model.Model, cfg Config, keep func(*Mutant) bool) []*Mutant {
+// transition-priority swaps, each recompiled from a deep model clone.
+// Generate validates the ones it samples.
+func chartMutants(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
 	var out []*Mutant
 	build := func(patch func(*stateflow.Chart) bool, path []model.BlockID, op, site string) {
 		mm := cloneModel(m)
@@ -149,7 +149,7 @@ func chartMutants(c *codegen.Compiled, m *model.Model, cfg Config, keep func(*Mu
 		if err != nil {
 			return // a mutation that breaks lowering is not a measurable fault
 		}
-		mu := &Mutant{
+		out = append(out, &Mutant{
 			Operator: op,
 			Func:     "chart",
 			PC:       -1,
@@ -157,10 +157,7 @@ func chartMutants(c *codegen.Compiled, m *model.Model, cfg Config, keep func(*Mu
 			Prog:     mc.Prog,
 			Plan:     mc.Plan,
 			SamePlan: mc.Plan.NumBranches == c.Plan.NumBranches,
-		}
-		if keep(mu) {
-			out = append(out, mu)
-		}
+		})
 	}
 
 	for _, cs := range findCharts(&m.Root, nil) {

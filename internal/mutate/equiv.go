@@ -47,37 +47,45 @@ func (e *penv) clone() *penv {
 	return &penv{regs: append([]pv(nil), e.regs...), state: append([]pv(nil), e.state...)}
 }
 
-func joinPv(a, b pv) pv {
-	return pv{l: a.l.join(b.l), r: a.r.join(b.r), eq: a.eq && b.eq}
+// joinInto joins src into e in place, widening every joined cell against
+// its old value when widen is set, and reports whether e changed. Like the
+// dead-objective pass' env.joinInto, it skips every cell equal to its
+// source: a ⊔ a = a, and widening a against itself keeps a.
+func (e *penv) joinInto(src *penv, widen bool) bool {
+	regs := joinPairs(e.regs, src.regs, widen)
+	state := joinPairs(e.state, src.state, widen)
+	return regs || state
 }
 
-func joinPenv(a, b *penv) *penv {
-	out := a.clone()
-	for i := range out.regs {
-		out.regs[i] = joinPv(out.regs[i], b.regs[i])
+func joinPairs(dst, src []pv, widen bool) bool {
+	changed := false
+	for i := range src {
+		d, s := &dst[i], &src[i]
+		if d.same(s) {
+			continue
+		}
+		n := pv{l: d.l.join(s.l), r: d.r.join(s.r), eq: d.eq && s.eq}
+		if widen {
+			n.l.Value = n.l.Widen(d.l.Value)
+			n.r.Value = n.r.Widen(d.r.Value)
+		}
+		if !n.same(d) {
+			*d = n
+			changed = true
+		}
 	}
-	for i := range out.state {
-		out.state[i] = joinPv(out.state[i], b.state[i])
-	}
-	return out
+	return changed
 }
 
-func penvEqual(a, b *penv) bool {
-	return slices.Equal(a.regs, b.regs) && slices.Equal(a.state, b.state)
+// same is a == b, spelled out field by field so that it inlines: the
+// generated comparison of a struct this wide is a call per cell, and the
+// joins compare every cell of an environment.
+func (a *pv) same(b *pv) bool {
+	return a.eq == b.eq && a.l.same(&b.l) && a.r.same(&b.r)
 }
 
-func widenPenv(prev, next *penv) {
-	w := func(p, n pv) pv {
-		n.l.Value = n.l.Widen(p.l.Value)
-		n.r.Value = n.r.Widen(p.r.Value)
-		return n
-	}
-	for i := range next.regs {
-		next.regs[i] = w(prev.regs[i], next.regs[i])
-	}
-	for i := range next.state {
-		next.state[i] = w(prev.state[i], next.state[i])
-	}
+func (a *av) same(b *av) bool {
+	return a.raw == b.raw && a.Itv == b.Itv && a.known == b.known && a.NaN == b.NaN
 }
 
 // valEq reports whether left register la and right register ra provably hold
@@ -305,7 +313,7 @@ func (pr *prover) productFunc(lc, rc []ir.Instr, entry *penv) (*penv, bool) {
 		if exit == nil {
 			exit = e.clone()
 		} else {
-			exit = joinPenv(exit, e)
+			exit.joinInto(e, false)
 		}
 	}
 	ok := true
@@ -322,26 +330,23 @@ func (pr *prover) productFunc(lc, rc []ir.Instr, entry *penv) (*penv, bool) {
 		if ins[succ] == nil {
 			ins[succ] = e.clone()
 		} else {
-			joined := joinPenv(ins[succ], e)
 			visits[succ]++
-			if visits[succ] >= analysis.WidenBlockVisits {
-				widenPenv(ins[succ], joined)
-			}
-			if penvEqual(joined, ins[succ]) {
+			if !ins[succ].joinInto(e, visits[succ] >= analysis.WidenBlockVisits) {
 				return
 			}
-			ins[succ] = joined
 		}
 		if !inWork[succ] {
 			inWork[succ] = true
 			work = append(work, succ)
 		}
 	}
+	e := entry.clone() // scratch: the environment of the block being run
 	for len(work) > 0 && ok {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[bi] = false
-		e := ins[bi].clone()
+		copy(e.regs, ins[bi].regs)
+		copy(e.state, ins[bi].state)
 		end := endOf(bi)
 		resolved := false
 		for pc := starts[bi]; pc < end; pc++ {
@@ -442,45 +447,62 @@ func proveEquiv(l, r *ir.Program) bool {
 		if !ok {
 			return false
 		}
-		next := joinPenv(cur, ex)
-		if round >= analysis.WidenStepRounds {
-			widenPenv(cur, next)
-		}
-		if penvEqual(next, cur) {
+		if !cur.joinInto(ex, round >= analysis.WidenStepRounds) {
 			return true
 		}
-		cur = next
 	}
 	return false // no fixpoint within bounds: inconclusive
 }
 
-// proveMutantEquivalent attempts to prove a single-instruction IR mutant
-// observably equivalent to the original. Two cheap structural arguments run
-// first — the patched instruction is unreachable (edges into it are
-// untouched by the mutation, so it executes in neither program), or both
-// versions are pure computations of the same dead register (liveness in both
-// programs shows no later read) — before the full product proof. fn/pc
-// locate the patch ("init" or "step"). false is inconclusive: the mutant
-// stays in the score.
-func proveMutantEquivalent(orig, mut *ir.Program, fn string, pc int) bool {
+// original is the program every survivor of one Run is proved against,
+// with the facts about it that the structural rules read, computed once per
+// Run: the reachable pcs of each function, and its liveness (on first use).
+type original struct {
+	prog                 *ir.Program
+	initReach, stepReach []bool
+	live                 *analysis.Liveness
+}
+
+func newOriginal(p *ir.Program) *original {
+	return &original{prog: p, initReach: analysis.ReachablePCs(p.Init), stepReach: analysis.ReachablePCs(p.Step)}
+}
+
+// equivalent attempts to prove a single-instruction IR mutant observably
+// equivalent to the original. Two cheap structural arguments run first —
+// the patched instruction is unreachable (edges into it are untouched by
+// the mutation, so it executes in neither program), or both versions are
+// pure computations of the same dead register (liveness in both programs
+// shows no later read) — before the full product proof. fn/pc locate the
+// patch ("init" or "step"). false is inconclusive: the mutant stays in the
+// score.
+func (o *original) equivalent(mut *ir.Program, fn string, pc int) bool {
+	orig := o.prog
 	if !sameShape(orig, mut) {
 		return false
 	}
-	oc, mc := orig.Step, mut.Step
+	oc, mc, reach := orig.Step, mut.Step, o.stepReach
 	if fn == "init" {
-		oc, mc = orig.Init, mut.Init
+		oc, mc, reach = orig.Init, mut.Init, o.initReach
 	}
 	if pc >= 0 && pc < len(oc) {
-		reach := analysis.ReachablePCs(oc)
 		if !reach[pc] {
 			return true
 		}
 		oi, mi := &oc[pc], &mc[pc]
-		od, _ := analysis.Operands(oi)
-		md, _ := analysis.Operands(mi)
+		od, oreads := analysis.Operands(oi)
+		md, mreads := analysis.Operands(mi)
 		if od >= 0 && od == md && pureValueOp(oi.Op) && pureValueOp(mi.Op) {
-			lo := analysis.ComputeLiveness(orig).LiveOut(fn, pc)
-			lm := analysis.ComputeLiveness(mut).LiveOut(fn, pc)
+			if o.live == nil {
+				o.live = analysis.ComputeLiveness(orig)
+			}
+			// Neither version is a control op, so a patch that reads what
+			// the original read leaves every def, use and edge, and with
+			// them the whole liveness, unchanged.
+			lo := o.live.LiveOut(fn, pc)
+			lm := lo
+			if !slices.Equal(oreads, mreads) {
+				lm = analysis.ComputeLiveness(mut).LiveOut(fn, pc)
+			}
 			if lo != nil && lm != nil && int(od) < len(lo) && int(od) < len(lm) && !lo[od] && !lm[od] {
 				return true
 			}

@@ -23,7 +23,7 @@ package mutate
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"cftcg/internal/analysis"
@@ -109,23 +109,46 @@ func cloneProgram(p *ir.Program) *ir.Program {
 	return &q
 }
 
-// Generate derives every enabled mutant of a compiled model. m may be nil
-// (e.g. in the campaign daemon, which only holds the compiled form); chart
-// operators are then skipped. Each returned mutant has passed Validate and
-// the strict verifier.
-func Generate(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
-	var muts []*Mutant
-	add := func(mu *Mutant) {
-		if mu.Prog.Validate() != nil || analysis.VerifyStrict(mu.Prog, mu.Plan) != nil {
-			// Defensive: no operator is expected to emit malformed IR (the
-			// property test holds every operator to that), but a broken
-			// mutant must never reach the runner.
-			return
-		}
-		muts = append(muts, mu)
-	}
+// candidate is one mutant before sampling: an IR patch that replaces
+// instruction pc of function fn with ins, or an already recompiled chart
+// mutant.
+type candidate struct {
+	op, fn, desc string
+	pc           int
+	ins          ir.Instr
+	chart        *Mutant // non-nil for a chart mutant
+}
 
-	inf := analysis.ComputeInfluence(c.Prog, c.Plan)
+// build materializes an IR patch on a copy of the original program; a chart
+// candidate is already built.
+func (cd candidate) build(c *codegen.Compiled, inf *analysis.Influence) *Mutant {
+	if cd.chart != nil {
+		return cd.chart
+	}
+	mp := cloneProgram(c.Prog)
+	if cd.fn == "init" {
+		mp.Init[cd.pc] = cd.ins
+	} else {
+		mp.Step[cd.pc] = cd.ins
+	}
+	return &Mutant{
+		Operator: cd.op,
+		Func:     cd.fn,
+		PC:       cd.pc,
+		Site:     fmt.Sprintf("%s@%d: %s", cd.fn, cd.pc, cd.desc),
+		Prog:     mp,
+		Plan:     c.Plan,
+		SamePlan: true,
+		Fields:   inf.FieldsOf(inf.TaintAt(cd.fn, cd.pc)),
+	}
+}
+
+// Generate derives the enabled mutants of a compiled model, sampled down to
+// cfg.Limit. m may be nil (e.g. in the campaign daemon, which only holds the
+// compiled form); chart operators are then skipped. Each returned mutant has
+// passed Validate and the strict verifier.
+func Generate(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
+	var cands []candidate
 	for _, fn := range []struct {
 		name string
 		code []ir.Instr
@@ -140,58 +163,62 @@ func Generate(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
 					if v.ins == orig {
 						continue // statically equivalent: skip, do not score
 					}
-					mp := cloneProgram(c.Prog)
-					if fn.name == "init" {
-						mp.Init[pc] = v.ins
-					} else {
-						mp.Step[pc] = v.ins
-					}
-					add(&Mutant{
-						Operator: op.name,
-						Func:     fn.name,
-						PC:       pc,
-						Site:     fmt.Sprintf("%s@%d: %s", fn.name, pc, v.desc),
-						Prog:     mp,
-						Plan:     c.Plan,
-						SamePlan: true,
-						Fields:   inf.FieldsOf(inf.TaintAt(fn.name, pc)),
-					})
+					cands = append(cands, candidate{op: op.name, fn: fn.name, desc: v.desc, pc: pc, ins: v.ins})
 				}
 			}
 		}
 	}
 	if m != nil {
-		muts = append(muts, chartMutants(c, m, cfg, func(mu *Mutant) bool {
-			return mu.Prog.Validate() == nil && analysis.VerifyStrict(mu.Prog, mu.Plan) == nil
-		})...)
+		for _, mu := range chartMutants(c, m, cfg) {
+			cands = append(cands, candidate{chart: mu})
+		}
 	}
 
-	muts = sample(muts, cfg)
+	inf := analysis.ComputeInfluence(c.Prog, c.Plan)
+	muts := sample(len(cands), cfg, func(i int) *Mutant {
+		mu := cands[i].build(c, inf)
+		if mu.Prog.Validate() != nil || analysis.VerifyStrict(mu.Prog, mu.Plan) != nil {
+			// Defensive: no operator is expected to emit malformed IR (the
+			// property test holds every operator to that), but a broken
+			// mutant must never reach the runner.
+			return nil
+		}
+		return mu
+	})
 	for i, mu := range muts {
 		mu.ID = i
 	}
 	return muts
 }
 
-// sample downsamples to cfg.Limit mutants with a seeded shuffle, then
-// restores generation order so runner output stays stable and readable.
-func sample(muts []*Mutant, cfg Config) []*Mutant {
-	if cfg.Limit <= 0 || len(muts) <= cfg.Limit {
-		return muts
+// sample picks up to cfg.Limit of n candidates (all of them when the limit
+// is 0 or not below n) with a seeded shuffle of their indices, and returns
+// them in generation order so runner output stays stable and readable. It
+// builds candidates in shuffled order until cfg.Limit have been built; a
+// candidate whose build returns nil is skipped and the next one tops up.
+func sample(n int, cfg Config, build func(i int) *Mutant) []*Mutant {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+	limit := n
+	if cfg.Limit > 0 && n > cfg.Limit {
+		seed := cfg.Seed
+		if seed == 0 {
+			seed = 1
+		}
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		limit = cfg.Limit
 	}
-	order := make(map[*Mutant]int, len(muts))
-	for i, mu := range muts {
-		order[mu] = i
+	built := make([]*Mutant, n)
+	for k, picked := 0, 0; k < n && picked < limit; k++ {
+		if mu := build(order[k]); mu != nil {
+			built[order[k]] = mu
+			picked++
+		}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(muts), func(i, j int) { muts[i], muts[j] = muts[j], muts[i] })
-	muts = muts[:cfg.Limit]
-	sort.Slice(muts, func(i, j int) bool { return order[muts[i]] < order[muts[j]] })
-	return muts
+	return slices.DeleteFunc(built, func(mu *Mutant) bool { return mu == nil })
 }
 
 // String renders a mutant for logs and survivor lists.

@@ -2,11 +2,14 @@ package mutate
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
+	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
 	"cftcg/internal/vm"
@@ -114,6 +117,54 @@ func TestGenerateDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].Site != b[i].Site || a[i].Operator != b[i].Operator {
 			t.Fatalf("mutant %d differs across runs: %q vs %q", i, a[i].Site, b[i].Site)
+		}
+	}
+}
+
+// TestGenerateSamplesLikeVerifyAllThenShuffle: Generate shuffles candidate
+// indices and builds and verifies only the ones it keeps. The reference
+// builds and verifies every candidate, then shuffles the mutants with the
+// same seeded rng. No candidate fails verification, so both must pick the
+// same sites. -short checks SolarPV only.
+func TestGenerateSamplesLikeVerifyAllThenShuffle(t *testing.T) {
+	reference := func(all []*Mutant, limit int, seed int64) []*Mutant {
+		if limit <= 0 || len(all) <= limit {
+			return all
+		}
+		order := make(map[*Mutant]int, len(all))
+		for i, mu := range all {
+			order[mu] = i
+		}
+		muts := append([]*Mutant(nil), all...)
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(len(muts), func(i, j int) { muts[i], muts[j] = muts[j], muts[i] })
+		muts = muts[:limit]
+		sort.Slice(muts, func(i, j int) bool { return order[muts[i]] < order[muts[j]] })
+		return muts
+	}
+	sites := func(muts []*Mutant) []string {
+		out := make([]string, len(muts))
+		for i, mu := range muts {
+			out[i] = mu.Operator + " " + mu.Site
+		}
+		return out
+	}
+	for _, e := range benchmodels.All() {
+		if testing.Short() && e.Name != "SolarPV" {
+			continue
+		}
+		m := e.Build()
+		c := compile(t, m)
+		all := Generate(c, m, Config{}) // every candidate built and verified
+		for _, limit := range []int{1, 25, 100, 0} {
+			for _, seed := range []int64{1, 7} {
+				got := sites(Generate(c, m, Config{Limit: limit, Seed: seed}))
+				want := sites(reference(all, limit, seed))
+				if !slices.Equal(got, want) {
+					t.Errorf("%s limit %d seed %d: Generate picked %d sites, the reference %d; first differences:\n%v\n%v",
+						e.Name, limit, seed, len(got), len(want), got[:min(3, len(got))], want[:min(3, len(want))])
+				}
+			}
 		}
 	}
 }
@@ -336,6 +387,63 @@ func TestSameStepHangIsNoKill(t *testing.T) {
 		t.Errorf("under fuel %d every mutant of %d models was killed", fuel, len(benchmodels.All()))
 	}
 	t.Logf("reference hangs on step 0 of %d models; %d mutants survive", hung, survived)
+}
+
+// TestInitHangKillsUnlessReferenceInitHangs: a mutant's init
+// hang is no divergence only when the reference's init ended the same way;
+// then the next case decides. Hand-built: the original's init clears a
+// loop flag, and its step spins while u != 0, so under a small fuel the
+// original hangs on step 0 of case 0 (u = 1) and runs case 1 (u = 0)
+// cleanly.
+func TestInitHangKillsUnlessReferenceInitHangs(t *testing.T) {
+	i32, b := model.Int32, model.Bool
+	prog := func(flag uint64) *ir.Program {
+		return tprog(4, 0, []ir.Instr{
+			ti(ir.OpConst, b, 0, 0, 0, flag), // r0 = flag
+			ti(ir.OpJmpIfNot, b, 0, 0, 0, 3), // flag clear: init returns
+			ti(ir.OpJmp, 0, 0, 0, 0, 1),      // spin on the flag
+		}, []ir.Instr{
+			ti(ir.OpLoadIn, i32, 1, 0, 0, 0), // r1 = u
+			ti(ir.OpConst, i32, 2, 0, 0, 0),  // r2 = 0
+			ti(ir.OpNe, i32, 3, 1, 2, 0),     // r3 = u != 0
+			ti(ir.OpJmpIfNot, b, 0, 3, 0, 5), // u == 0: skip the spin
+			ti(ir.OpJmp, 0, 0, 0, 0, 4),      // spin
+			ti(ir.OpStoreOut, i32, 0, 1, 0, 0),
+		})
+	}
+	suite := [][]byte{encodeCase(prog(0), [][]uint64{{1}}), encodeCase(prog(0), [][]uint64{{0}})}
+	// mutant patches one instruction of orig, as an IR operator would.
+	mutant := func(orig *ir.Program, fn string, pc int, ins ir.Instr) *Mutant {
+		mp := cloneProgram(orig)
+		code := mp.Step
+		if fn == "init" {
+			code = mp.Init
+		}
+		code[pc] = ins
+		return &Mutant{Operator: "const", Func: fn, PC: pc, Site: fn, Prog: mp, Plan: &coverage.Plan{}, SamePlan: true}
+	}
+	cfg := RunConfig{Fuel: 1000, NoProve: true}
+
+	// The reference gets through init on case 0 and hangs on step 0; a
+	// mutant whose init always hangs diverges right there.
+	orig := &codegen.Compiled{Prog: prog(0), Plan: &coverage.Plan{}}
+	flip := mutant(orig.Prog, "init", 0, ti(ir.OpConst, b, 0, 0, 0, 1))
+	rep := Run(orig, []*Mutant{flip}, suite, cfg)
+	if r := rep.Results[0]; !r.Killed || r.KilledBy != 0 || r.Reason != "timeout" {
+		t.Errorf("init-hanging mutant against a step-0 hang: %+v, want killed by case 0 as timeout", r)
+	}
+
+	// The reference's init hangs on every case, and so does the mutant's:
+	// no case diverges there, and every case runs.
+	hung := &codegen.Compiled{Prog: prog(1), Plan: &coverage.Plan{}}
+	stepPatch := mutant(hung.Prog, "step", 1, ti(ir.OpConst, i32, 2, 0, 0, 1))
+	rep = Run(hung, []*Mutant{stepPatch}, suite, cfg)
+	if r := rep.Results[0]; r.Killed {
+		t.Errorf("mutant hanging in init exactly like the reference: %+v, want a survivor", r)
+	}
+	if rep.Execs != int64(len(suite)) {
+		t.Errorf("mutant ran %d cases, want all %d", rep.Execs, len(suite))
+	}
 }
 
 // TestGuardMutationsTokens checks the mlfunc guard tokenizer: every

@@ -109,10 +109,12 @@ type stepTrace struct {
 }
 
 // caseTrace is the original's behavior on one case; term is "" for a clean
-// run, or the terminal event ("timeout", "crash") with the step it hit.
+// run, or the terminal event ("timeout", "crash") that ended it after
+// len(steps) clean steps. inInit marks a terminal hit in init, before step 0.
 type caseTrace struct {
-	steps []stepTrace
-	term  string
+	steps  []stepTrace
+	term   string
+	inInit bool
 }
 
 const (
@@ -194,7 +196,7 @@ func probeHash(rec *coverage.Recorder) uint64 {
 func traceCase(m *vm.Threaded, rec *coverage.Recorder, steps [][]uint64) caseTrace {
 	var tr caseTrace
 	if err, crashed := safeInit(m); crashed || err != nil {
-		tr.term = termOf(err, crashed)
+		tr.term, tr.inInit = termOf(err, crashed), true
 		return tr
 	}
 	for _, in := range steps {
@@ -288,12 +290,13 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 	// however good, can detect it. Reclassify it out of the denominator so
 	// the score measures detection of detectable faults.
 	if !cfg.NoProve {
+		orig := newOriginal(c.Prog)
 		for mi, mu := range muts {
 			res := &rep.Results[mi]
 			if res.Killed || !mu.SamePlan {
 				continue // plan-changing mutants have no common probe space
 			}
-			if proveMutantEquivalent(c.Prog, mu.Prog, mu.Func, mu.PC) {
+			if orig.equivalent(mu.Prog, mu.Func, mu.PC) {
 				res.Equivalent = true
 				rep.Summary.Survived--
 				rep.Summary.Equivalent++
@@ -337,8 +340,8 @@ type mutantOutcome struct {
 // the reference traces. The first divergence kills; the remainder of the
 // divergent case is still executed and hashed so the dedup hash reflects
 // the mutant's observable behavior, not just the detection point. A case
-// that hangs or crashes on the same step as the reference's, with the same
-// terminal, is no divergence.
+// that hangs or crashes at the same point as the reference's (in init, or on
+// the same step), with the same terminal, is no divergence.
 func runMutant(mu *Mutant, decoded [][][]uint64, base []caseTrace, fuel int64, rep *Report) (out mutantOutcome) {
 	out = mutantOutcome{Result: Result{KilledBy: -1}}
 	var rec *coverage.Recorder // nil: the probe oracle has no common plan
@@ -365,9 +368,12 @@ cases:
 			term := termOf(err, crashed)
 			h = hash64(h, uint64(ci))
 			h = hashBytes(h, []uint8("init-"+term))
-			if ref.term == "" || len(ref.steps) > 0 {
-				kill(ci, term)
+			if ref.inInit && term == ref.term {
+				// The reference's init ended the same way: no divergence,
+				// next case.
+				continue
 			}
+			kill(ci, term)
 			return out
 		}
 		diverged := false

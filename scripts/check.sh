@@ -22,10 +22,9 @@ go vet ./...
 # the rest of the tree.)
 echo "== lint: go test -race (concurrency packages) =="
 go test -race ./internal/fuzz ./internal/campaign ./internal/coverage ./internal/vm ./internal/ir
-# The mutation package rides along in -short mode: its fuzz-then-grind
-# tests and equivalence-prover sweeps starve under the race detector's ~15x
-# slowdown.
-go test -short -race ./internal/mutate
+# The mutation package runs at full length too, so the prover oracle covers
+# all 8 models under the race detector.
+go test -race ./internal/mutate
 
 echo "== go build =="
 go build ./...
