@@ -39,38 +39,162 @@ type pv struct {
 	eq   bool
 }
 
-type penv struct {
-	regs, state []pv
+// chunkCells is the number of cells in one chunk of a joint environment,
+// chosen with BenchmarkProveSurvivors (EXPERIMENTS.md, "The `mutate` path").
+const chunkCells = 8
+
+// cellStore holds the cells of every joint environment of one proof, in
+// chunks of chunkCells consecutive cells; an environment is a list of chunk
+// indices, so neither holds a pointer for the garbage collector to scan or
+// to guard with write barriers. refs counts the environment slots that
+// reference each chunk: a write through a slot whose chunk others
+// reference too copies the chunk first, and a chunk no slot references is
+// reused. A store serves one proof at a time; each proof empties it first.
+type cellStore struct {
+	cells []pv
+	refs  []int32
+	free  []int32
 }
 
+func (s *cellStore) reset() {
+	s.cells, s.refs, s.free = s.cells[:0], s.refs[:0], s.free[:0]
+}
+
+func (s *cellStore) chunk(c int32) []pv {
+	return s.cells[int(c)*chunkCells : (int(c)+1)*chunkCells]
+}
+
+// alloc returns a chunk referenced once. It may move cells, so no pointer
+// into a chunk survives it.
+func (s *cellStore) alloc() int32 {
+	if n := len(s.free); n > 0 {
+		c := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.refs[c] = 1
+		return c
+	}
+	s.cells = append(s.cells, make([]pv, chunkCells)...)
+	s.refs = append(s.refs, 1)
+	return int32(len(s.refs) - 1)
+}
+
+// drop is called when a slot stops referencing chunk c.
+func (s *cellStore) drop(c int32) {
+	if s.refs[c]--; s.refs[c] == 0 {
+		s.free = append(s.free, c)
+	}
+}
+
+// penv is a joint environment: the registers' cells, then the state cells.
+// Cells past the last one, in the last chunk, stay zero in every
+// environment.
+type penv struct {
+	st     *cellStore
+	chunks []int32
+	nregs  int
+}
+
+// newPenv returns an environment of zeroed chunks of its own.
+func newPenv(st *cellStore, nregs, nstate int) *penv {
+	e := &penv{st: st, chunks: make([]int32, (nregs+nstate+chunkCells-1)/chunkCells), nregs: nregs}
+	for k := range e.chunks {
+		e.chunks[k] = st.alloc()
+		clear(st.chunk(e.chunks[k]))
+	}
+	return e
+}
+
+// at reads cell i; the pointer is valid until the next write to e's store.
+func (e *penv) at(i int) *pv {
+	return &e.st.cells[int(e.chunks[i/chunkCells])*chunkCells+i%chunkCells]
+}
+
+func (e *penv) reg(x int32) *pv    { return e.at(int(x)) }
+func (e *penv) state(k uint64) *pv { return e.at(e.nregs + int(k)) }
+
+// own makes e's k-th chunk e's alone, copying it when another slot
+// references it too, and returns it.
+func (e *penv) own(k int) int32 {
+	c := e.chunks[k]
+	if e.st.refs[c] > 1 {
+		n := e.st.alloc()
+		copy(e.st.chunk(n), e.st.chunk(c))
+		e.st.refs[c]--
+		e.chunks[k], c = n, n
+	}
+	return c
+}
+
+// set writes cell i.
+func (e *penv) set(i int, v pv) {
+	e.st.chunk(e.own(i / chunkCells))[i%chunkCells] = v
+}
+
+func (e *penv) setReg(x int32, v pv)    { e.set(int(x), v) }
+func (e *penv) setState(k uint64, v pv) { e.set(e.nregs+int(k), v) }
+
 func (e *penv) clone() *penv {
-	return &penv{regs: append([]pv(nil), e.regs...), state: append([]pv(nil), e.state...)}
+	for _, c := range e.chunks {
+		e.st.refs[c]++
+	}
+	return &penv{st: e.st, chunks: slices.Clone(e.chunks), nregs: e.nregs}
+}
+
+// load makes e equal to src, sharing src's chunks.
+func (e *penv) load(src *penv) {
+	for k, c := range src.chunks {
+		e.st.refs[c]++
+		e.st.drop(e.chunks[k])
+		e.chunks[k] = c
+	}
+}
+
+// release drops every chunk of e, which is not used again.
+func (e *penv) release() {
+	for _, c := range e.chunks {
+		e.st.drop(c)
+	}
 }
 
 // joinInto joins src into e in place, widening every joined cell against
 // its old value when widen is set, and reports whether e changed. Like the
 // dead-objective pass' env.joinInto, it skips every cell equal to its
-// source: a ⊔ a = a, and widening a against itself keeps a.
+// source: a ⊔ a = a, and widening a against itself keeps a. A chunk that is
+// src's own is skipped whole, and a chunk whose cells all equal src's is
+// replaced by a reference to src's, so the next join from it skips too.
 func (e *penv) joinInto(src *penv, widen bool) bool {
-	regs := joinPairs(e.regs, src.regs, widen)
-	state := joinPairs(e.state, src.state, widen)
-	return regs || state
-}
-
-func joinPairs(dst, src []pv, widen bool) bool {
 	changed := false
-	for i := range src {
-		d, s := &dst[i], &src[i]
-		if d.same(s) {
+	for k, sc := range src.chunks {
+		dc := e.chunks[k]
+		if dc == sc {
 			continue
 		}
-		n := pv{l: d.l.join(s.l), r: d.r.join(s.r), eq: d.eq && s.eq}
-		if widen {
-			n.l.Value = n.l.Widen(d.l.Value)
-			n.r.Value = n.r.Widen(d.r.Value)
+		d, s := e.st.chunk(dc), e.st.chunk(sc)
+		i := 0
+		for i < chunkCells && d[i].same(&s[i]) {
+			i++
 		}
-		if !n.same(d) {
-			*d = n
+		if i == chunkCells {
+			e.st.refs[sc]++
+			e.st.drop(dc)
+			e.chunks[k] = sc
+			continue
+		}
+		for ; i < chunkCells; i++ {
+			if d[i].same(&s[i]) {
+				continue
+			}
+			n := pv{l: d[i].l.join(s[i].l), r: d[i].r.join(s[i].r), eq: d[i].eq && s[i].eq}
+			if widen {
+				n.l.Value = n.l.Widen(d[i].l.Value)
+				n.r.Value = n.r.Widen(d[i].r.Value)
+			}
+			if n.same(&d[i]) {
+				continue
+			}
+			dc = e.own(k) // may copy the chunk and move cells
+			d, s = e.st.chunk(dc), e.st.chunk(sc)
+			d[i] = n
 			changed = true
 		}
 	}
@@ -79,7 +203,7 @@ func joinPairs(dst, src []pv, widen bool) bool {
 
 // same is a == b, spelled out field by field so that it inlines: the
 // generated comparison of a struct this wide is a call per cell, and the
-// joins compare every cell of an environment.
+// joins compare every cell of each chunk they do not share.
 func (a *pv) same(b *pv) bool {
 	return a.eq == b.eq && a.l.same(&b.l) && a.r.same(&b.r)
 }
@@ -91,10 +215,11 @@ func (a *av) same(b *av) bool {
 // valEq reports whether left register la and right register ra provably hold
 // the same raw word.
 func (e *penv) valEq(la, ra int32) bool {
-	if la == ra && e.regs[la].eq {
+	l, r := e.reg(la), e.reg(ra)
+	if la == ra && l.eq {
 		return true
 	}
-	return e.regs[la].l.known && e.regs[ra].r.known && e.regs[la].l.raw == e.regs[ra].r.raw
+	return l.l.known && r.r.known && l.l.raw == r.r.raw
 }
 
 type prover struct {
@@ -109,8 +234,8 @@ func nopish(ins *ir.Instr) bool {
 // stepPair applies one non-control joint instruction pair, returning false
 // when observable equivalence cannot be established.
 func (pr *prover) stepPair(e *penv, li, ri *ir.Instr) bool {
-	leftGet := func(x int32) av { return e.regs[x].l }
-	rightGet := func(x int32) av { return e.regs[x].r }
+	leftGet := func(x int32) av { return e.reg(x).l }
+	rightGet := func(x int32) av { return e.reg(x).r }
 
 	// Observables and state stores first: they demand pairing.
 	switch {
@@ -123,28 +248,30 @@ func (pr *prover) stepPair(e *penv, li, ri *ir.Instr) bool {
 		if e.valEq(li.B, ri.B) {
 			return true
 		}
-		tl, tr := e.regs[li.B].l.truth(), e.regs[ri.B].r.truth()
+		tl, tr := e.reg(li.B).l.truth(), e.reg(ri.B).r.truth()
 		return tl != interval.TriMixed && tl == tr
 	case li.Op == ir.OpStoreOut || ri.Op == ir.OpStoreOut:
 		return li.Op == ir.OpStoreOut && ri.Op == ir.OpStoreOut && li.Imm == ri.Imm && e.valEq(li.A, ri.A)
 	case li.Op == ir.OpStoreState && ri.Op == ir.OpStoreState && li.Imm == ri.Imm:
-		e.state[li.Imm] = pv{l: e.regs[li.A].l, r: e.regs[ri.A].r, eq: e.valEq(li.A, ri.A)}
+		e.setState(li.Imm, pv{l: e.reg(li.A).l, r: e.reg(ri.A).r, eq: e.valEq(li.A, ri.A)})
 		return true
 	case li.Op == ir.OpStoreState:
 		if !nopish(ri) {
 			return false
 		}
-		cell := &e.state[li.Imm]
-		cell.l = e.regs[li.A].l
+		cell := *e.state(li.Imm)
+		cell.l = e.reg(li.A).l
 		cell.eq = cell.l.known && cell.r.known && cell.l.raw == cell.r.raw
+		e.setState(li.Imm, cell)
 		return true
 	case ri.Op == ir.OpStoreState:
 		if !nopish(li) {
 			return false
 		}
-		cell := &e.state[ri.Imm]
-		cell.r = e.regs[ri.A].r
+		cell := *e.state(ri.Imm)
+		cell.r = e.reg(ri.A).r
 		cell.eq = cell.l.known && cell.r.known && cell.l.raw == cell.r.raw
+		e.setState(ri.Imm, cell)
 		return true
 	}
 
@@ -171,12 +298,12 @@ func (pr *prover) stepPair(e *penv, li, ri *ir.Instr) bool {
 		case ir.OpLoadIn:
 			eqNew = true
 		case ir.OpLoadState:
-			eqNew = e.state[li.Imm].eq
+			eqNew = e.state(li.Imm).eq
 		default:
 			eqNew = true
 			_, reads := analysis.Operands(li)
 			for _, x := range reads {
-				if !e.regs[x].eq {
+				if !e.reg(x).eq {
 					eqNew = false
 					break
 				}
@@ -185,35 +312,41 @@ func (pr *prover) stepPair(e *penv, li, ri *ir.Instr) bool {
 	}
 	var vl, vr av
 	if !nopL {
-		vl = evalSide(li, leftGet, func(k uint64) av { return e.state[k].l })
+		vl = evalSide(li, leftGet, func(k uint64) av { return e.state(k).l })
 	}
 	if !nopR {
-		vr = evalSide(ri, rightGet, func(k uint64) av { return e.state[k].r })
+		vr = evalSide(ri, rightGet, func(k uint64) av { return e.state(k).r })
 	}
 	switch {
 	case !nopL && !nopR && li.Dst == ri.Dst:
-		cell := &e.regs[li.Dst]
-		cell.l, cell.r = vl, vr
-		cell.eq = eqNew || (vl.known && vr.known && vl.raw == vr.raw)
+		e.setReg(li.Dst, pv{l: vl, r: vr, eq: eqNew || (vl.known && vr.known && vl.raw == vr.raw)})
 	default:
 		if !nopL {
-			cell := &e.regs[li.Dst]
+			cell := *e.reg(li.Dst)
 			cell.l = vl
 			cell.eq = cell.l.known && cell.r.known && cell.l.raw == cell.r.raw
+			e.setReg(li.Dst, cell)
 		}
 		if !nopR {
-			cell := &e.regs[ri.Dst]
+			cell := *e.reg(ri.Dst)
 			cell.r = vr
 			cell.eq = cell.l.known && cell.r.known && cell.l.raw == cell.r.raw
+			e.setReg(ri.Dst, cell)
 		}
 	}
 	return true
 }
 
-// jointStarts computes basic-block leaders over the union of both codes'
-// control flow, so any control instruction on either side ends its joint
-// block.
-func jointStarts(lc, rc []ir.Instr) []int {
+// jointLayout is the joint block structure of two same-length functions:
+// basic-block leaders over the union of both codes' control flow, so any
+// control instruction on either side ends its joint block. A proof computes
+// it once per function and reuses it in every step round.
+type jointLayout struct {
+	starts  []int
+	blockAt []int32 // per pc: the index of the block it starts, or -1
+}
+
+func newJointLayout(lc, rc []ir.Instr) jointLayout {
 	n := len(lc)
 	leader := make([]bool, n+1)
 	leader[0] = true
@@ -232,13 +365,15 @@ func jointStarts(lc, rc []ir.Instr) []int {
 	}
 	mark(lc)
 	mark(rc)
-	var starts []int
+	lay := jointLayout{blockAt: make([]int32, n)}
 	for pc := 0; pc < n; pc++ {
+		lay.blockAt[pc] = -1
 		if leader[pc] {
-			starts = append(starts, pc)
+			lay.blockAt[pc] = int32(len(lay.starts))
+			lay.starts = append(lay.starts, pc)
 		}
 	}
-	return starts
+	return lay
 }
 
 // sideNext is one side's control decision at a joint block end.
@@ -283,19 +418,16 @@ func sideResolve(ins *ir.Instr, val func(int32) av, pc, n int) (sideNext, bool) 
 	return sideNext{}, false
 }
 
-// productFunc abstractly executes the two same-length functions in lockstep
-// from a joint entry environment. It returns the joined exit environment and
-// whether every joint path kept the observables provably equal.
-func (pr *prover) productFunc(lc, rc []ir.Instr, entry *penv) (*penv, bool) {
+// productFunc abstractly executes the two same-length functions, laid out
+// by lay, in lockstep from a joint entry environment. It returns the joined
+// exit environment and whether every joint path kept the observables
+// provably equal.
+func (pr *prover) productFunc(lc, rc []ir.Instr, lay jointLayout, entry *penv) (*penv, bool) {
 	n := len(lc)
 	if n == 0 {
 		return entry.clone(), true
 	}
-	starts := jointStarts(lc, rc)
-	blockAt := make(map[int]int, len(starts))
-	for i, s := range starts {
-		blockAt[s] = i
-	}
+	starts := lay.starts
 	endOf := func(bi int) int {
 		if bi+1 < len(starts) {
 			return starts[bi+1]
@@ -322,11 +454,11 @@ func (pr *prover) productFunc(lc, rc []ir.Instr, entry *penv) (*penv, bool) {
 			noteExit(e)
 			return
 		}
-		succ, found := blockAt[pc]
-		if !found {
+		if pc < 0 || lay.blockAt[pc] < 0 {
 			ok = false // jump into the middle of a joint block: malformed
 			return
 		}
+		succ := int(lay.blockAt[pc])
 		if ins[succ] == nil {
 			ins[succ] = e.clone()
 		} else {
@@ -345,8 +477,7 @@ func (pr *prover) productFunc(lc, rc []ir.Instr, entry *penv) (*penv, bool) {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[bi] = false
-		copy(e.regs, ins[bi].regs)
-		copy(e.state, ins[bi].state)
+		e.load(ins[bi])
 		end := endOf(bi)
 		resolved := false
 		for pc := starts[bi]; pc < end; pc++ {
@@ -354,8 +485,8 @@ func (pr *prover) productFunc(lc, rc []ir.Instr, entry *penv) (*penv, bool) {
 			if isControl(li.Op) || isControl(ri.Op) {
 				// Joint leaders make any control instruction the last of its
 				// block.
-				ln, okL := sideResolve(li, func(x int32) av { return e.regs[x].l }, pc, n)
-				rn, okR := sideResolve(ri, func(x int32) av { return e.regs[x].r }, pc, n)
+				ln, okL := sideResolve(li, func(x int32) av { return e.reg(x).l }, pc, n)
+				rn, okR := sideResolve(ri, func(x int32) av { return e.reg(x).r }, pc, n)
 				if !okL || !okR {
 					ok = false
 					break
@@ -402,6 +533,12 @@ func (pr *prover) productFunc(lc, rc []ir.Instr, entry *penv) (*penv, bool) {
 			propagate(end, e) // fell through the whole block
 		}
 	}
+	e.release()
+	for _, in := range ins {
+		if in != nil {
+			in.release()
+		}
+	}
 	if !ok {
 		return nil, false
 	}
@@ -423,31 +560,36 @@ func sameShape(l, r *ir.Program) bool {
 // every input sequence. The proof runs init from a zeroed state (registers
 // unconstrained and unrelated — they persist across cases and the two
 // machines' histories differ) and then iterates step to a joint fixpoint
-// with widening. false means inconclusive, never inequivalent.
-func proveEquiv(l, r *ir.Program) bool {
+// with widening. false means inconclusive, never inequivalent. The joint
+// environments live in st, which the proof empties first.
+func proveEquiv(l, r *ir.Program, st *cellStore) bool {
 	if !sameShape(l, r) {
 		return false
 	}
+	st.reset()
 	pr := &prover{in: analysis.InputValues(l)}
-	entry := &penv{regs: make([]pv, l.NumRegs), state: make([]pv, l.NumState)}
+	entry := newPenv(st, l.NumRegs, l.NumState)
 	top := av{Value: analysis.Top()}
-	for i := range entry.regs {
-		entry.regs[i] = pv{l: top, r: top}
+	for i := 0; i < l.NumRegs; i++ {
+		entry.setReg(int32(i), pv{l: top, r: top})
 	}
 	zero := av{known: true, raw: 0, Value: analysis.Value{Itv: interval.Point(0)}}
-	for i := range entry.state {
-		entry.state[i] = pv{l: zero, r: zero, eq: true}
+	for k := 0; k < l.NumState; k++ {
+		entry.setState(uint64(k), pv{l: zero, r: zero, eq: true})
 	}
-	cur, ok := pr.productFunc(l.Init, r.Init, entry)
+	cur, ok := pr.productFunc(l.Init, r.Init, newJointLayout(l.Init, r.Init), entry)
 	if !ok {
 		return false
 	}
+	step := newJointLayout(l.Step, r.Step)
 	for round := 0; round < analysis.MaxStepRounds; round++ {
-		ex, ok := pr.productFunc(l.Step, r.Step, cur)
+		ex, ok := pr.productFunc(l.Step, r.Step, step, cur)
 		if !ok {
 			return false
 		}
-		if !cur.joinInto(ex, round >= analysis.WidenStepRounds) {
+		changed := cur.joinInto(ex, round >= analysis.WidenStepRounds)
+		ex.release()
+		if !changed {
 			return true
 		}
 	}
@@ -457,10 +599,12 @@ func proveEquiv(l, r *ir.Program) bool {
 // original is the program every survivor of one Run is proved against,
 // with the facts about it that the structural rules read, computed once per
 // Run: the reachable pcs of each function, and its liveness (on first use).
+// cells is the store the Run's proofs reuse, one after another.
 type original struct {
 	prog                 *ir.Program
 	initReach, stepReach []bool
 	live                 *analysis.Liveness
+	cells                cellStore
 }
 
 func newOriginal(p *ir.Program) *original {
@@ -508,5 +652,5 @@ func (o *original) equivalent(mut *ir.Program, fn string, pc int) bool {
 			}
 		}
 	}
-	return proveEquiv(orig, mut)
+	return proveEquiv(orig, mut, &o.cells)
 }

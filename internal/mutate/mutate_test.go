@@ -1,15 +1,19 @@
 package mutate
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
+	"cftcg/internal/fuzz"
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
 	"cftcg/internal/vm"
@@ -557,5 +561,74 @@ func TestEquivalentMutantReclassified(t *testing.T) {
 	}
 	if !foundEq {
 		t.Fatal("no benchmark mutant was proven equivalent — the prover never fired")
+	}
+}
+
+// TestRunConcurrentMatchesSequential scores the CPUTask and TCP pools on two
+// goroutines at once, as cftcgd's runners do, and requires each goroutine's
+// reports to marshal exactly like a sequential run's. Each goroutine
+// generates its own pools, since a Mutant caches its compiled code; the
+// compiled models and suites are shared read-only. Under -race this finds
+// any state two proofs share.
+func TestRunConcurrentMatchesSequential(t *testing.T) {
+	type pool struct {
+		c     *codegen.Compiled
+		m     *model.Model
+		suite [][]byte
+	}
+	var pools []pool
+	for _, name := range []string{"CPUTask", "TCP"} {
+		e, err := benchmodels.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := e.Build()
+		c := compile(t, m)
+		eng, err := fuzz.NewEngine(c, fuzz.Options{Seed: 1, MaxExecs: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var suite [][]byte
+		for _, cs := range eng.Run().Suite.Cases {
+			suite = append(suite, cs.Data)
+		}
+		pools = append(pools, pool{c, m, suite})
+	}
+	score := func() ([][]byte, error) {
+		var out [][]byte
+		for _, p := range pools {
+			muts := Generate(p.c, p.m, Config{Limit: 100, Seed: 1})
+			b, err := json.Marshal(Run(p.c, muts, p.suite, RunConfig{}))
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, b)
+		}
+		return out, nil
+	}
+	want, err := score()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][][]byte, 2)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = score()
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i := range want {
+			if !bytes.Equal(got[g][i], want[i]) {
+				t.Errorf("goroutine %d, pool %d: report differs from the sequential run's", g, i)
+			}
+		}
 	}
 }
