@@ -35,10 +35,11 @@ lint: fmt vet
 	$(GO) test -race ./internal/mutate
 
 # mutate-smoke is the mutation-testing end-to-end gate: generate mutants
-# for a small model, kill them with a freshly fuzzed suite, and require a
-# mutation score in (0, 1] — some mutant killed, none double-counted.
+# for a small model, kill them with a freshly fuzzed suite plus one refuzz
+# round (-feedback 1), and require a mutation score in (0, 1] — some mutant
+# killed, none double-counted.
 mutate-smoke:
-	@out=$$($(GO) run ./cmd/cftcg mutate SolarPV -budget 30 -execs 1500 -fuzz-budget 5s -json); \
+	@out=$$($(GO) run ./cmd/cftcg mutate SolarPV -budget 30 -execs 1500 -fuzz-budget 5s -feedback 1 -json); \
 	score=$$(echo "$$out" | sed -n 's/.*"score": \([0-9.]*\),*/\1/p' | head -n1); \
 	echo "mutation score: $$score"; \
 	awk "BEGIN { exit !($$score > 0 && $$score <= 1) }" </dev/null \

@@ -379,12 +379,10 @@ func seededDeadModel() *model.Model {
 	return b.Model()
 }
 
-// TestDeadAdjustedDirectedFuzzing is the acceptance check for the static
-// analysis passes: on a model with a seeded dead branch, (a) dead marking
-// shrinks every reported denominator, and (b) the influence-directed engine
-// reaches at least the undirected engine's coverage at an identical
-// iteration budget and seed.
-func TestDeadAdjustedDirectedFuzzing(t *testing.T) {
+// TestDeadAdjustedDenominators is the acceptance check for dead-objective
+// marking: on a model with a seeded dead branch, the analysis finds it and
+// every reported denominator shrinks.
+func TestDeadAdjustedDenominators(t *testing.T) {
 	plain, err := codegen.Compile(seededDeadModel())
 	if err != nil {
 		t.Fatal(err)
@@ -409,33 +407,6 @@ func TestDeadAdjustedDirectedFuzzing(t *testing.T) {
 	if after.MCDCTotal >= before.MCDCTotal {
 		t.Errorf("MCDC denominator must exclude the half-dead condition: %d -> %d",
 			before.MCDCTotal, after.MCDCTotal)
-	}
-
-	run := func(directed bool) coverage.Report {
-		c, err := codegen.Compile(seededDeadModel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		analysis.MarkDead(c.Prog, c.Plan)
-		res := fuzz.MustEngine(c, fuzz.Options{
-			Seed:     5,
-			MaxExecs: 8000,
-			NoHints:  true, // isolate the influence effect from the hint dictionary
-			Directed: directed,
-		}).Run()
-		return res.Report
-	}
-	undirected := run(false)
-	directed := run(true)
-	t.Logf("undirected: %s", undirected)
-	t.Logf("directed:   %s", directed)
-	if directed.Decision() < undirected.Decision() {
-		t.Errorf("directed decision coverage %.1f%% below undirected %.1f%%",
-			directed.Decision(), undirected.Decision())
-	}
-	if directed.Condition() < undirected.Condition() {
-		t.Errorf("directed condition coverage %.1f%% below undirected %.1f%%",
-			directed.Condition(), undirected.Condition())
 	}
 }
 

@@ -66,8 +66,7 @@ func main() {
 		ckptEvery := fs.Duration("checkpoint-every", 30*time.Second, "interval between checkpoints")
 		resume := fs.String("resume", "", "checkpoint file to resume the campaign from")
 		analyze := fs.Bool("analyze", false, "statically prove objectives dead; exclude them from the report denominators")
-		directed := fs.Bool("directed", false, "bias mutation toward input fields that influence unsatisfied objectives")
-		check(fs.Parse(args[1:]))
+		check(fs.Parse(afterModel(args)))
 		sys := loadSystem(arg(args, 0))
 
 		m, err := fuzz.ParseMode(*mode)
@@ -81,7 +80,6 @@ func main() {
 			Seed: *seed, Mode: m, Budget: *budget, MaxExecs: *execs, MaxTuples: *maxTuples,
 			Fuel:           *fuel,
 			CheckpointPath: *checkpoint, CheckpointEvery: *ckptEvery, ResumeFrom: *resume,
-			Directed: *directed,
 		}
 		if *seeds != "" {
 			seedInputs, err := core.ReadSeedDir(*seeds)
@@ -159,7 +157,7 @@ func main() {
 		fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 		asJSON := fs.Bool("json", false, "print the full report as JSON")
 		stats := fs.Bool("stats", false, "print per-program instruction counts and dead-store totals")
-		check(fs.Parse(args[1:]))
+		check(fs.Parse(afterModel(args)))
 		sys := loadSystem(arg(args, 0))
 		prog, plan := sys.Compiled.Prog, sys.Compiled.Plan
 		issues := analysis.Verify(prog, plan)
@@ -256,7 +254,7 @@ func main() {
 
 	case "cov":
 		asJSON := false
-		files := args[1:]
+		files := afterModel(args)
 		if len(files) > 0 && files[0] == "-json" {
 			asJSON = true
 			files = files[1:]
@@ -313,10 +311,10 @@ func main() {
 		mode := fs.String("mode", "cftcg", "suite generator: cftcg | fuzz-only | no-iterdiff")
 		ops := fs.String("ops", "", "comma-separated operator filter ("+strings.Join(mutate.OperatorNames(), ",")+")")
 		fuel := fs.Int64("fuel", 0, "per-step mutant instruction budget (0 = default; exhaustion = killed-by-timeout)")
-		feedback := fs.Int("feedback", 0, "survivor-directed refuzzing rounds (mutation energy on surviving mutants' input fields)")
+		feedback := fs.Int("feedback", 0, "refuzz rounds while mutants survive: each fuzzes a new seed from the suite so far, then rescores")
 		noProve := fs.Bool("no-prove", false, "skip the equivalence prover; proven-unkillable mutants then count as survivors")
 		asJSON := fs.Bool("json", false, "print the full report as JSON")
-		check(fs.Parse(args[1:]))
+		check(fs.Parse(afterModel(args)))
 		sys := loadSystem(arg(args, 0))
 
 		opNames, err := mutate.FilterOperators(*ops)
@@ -345,12 +343,10 @@ func main() {
 				sys.Model.Name, len(muts), sc.Total(), len(cases))
 		}
 		for r := 1; r <= *feedback && rep.Summary.Survived > 0; r++ {
-			// Surviving mutants point back at the input fields that reach
-			// them; refuzz with that extra energy, seeded from the suite so
-			// far, and rescore on the widened suite.
+			// Refuzz on a new seed from the suite so far and rescore on the
+			// widened suite.
 			o := fuzzOpts
 			o.Seed = *seed + int64(r)
-			o.MutantBias = rep.FieldBoost(len(sys.Compiled.Prog.In))
 			o.SeedInputs = cases
 			res, err := sys.Fuzz(o)
 			check(err)
@@ -427,6 +423,13 @@ func arg(args []string, i int) string {
 		usage()
 	}
 	return args[i]
+}
+
+// afterModel returns the arguments that follow the model name; a missing
+// model name prints the usage line and exits 2.
+func afterModel(args []string) []string {
+	arg(args, 0)
+	return args[1:]
 }
 
 func usage() {

@@ -11,23 +11,17 @@ import (
 // through state slots across Step iterations, and through control
 // dependences (everything inside a conditional jump's region inherits the
 // taint of the branch condition). Each branch slot then gets the field set
-// that can influence whether it is recorded. Over-approximation is the safe
-// direction here: an extra field merely receives some mutation energy, while
-// a missing field would starve a reachable objective.
+// that can influence whether it is recorded. Over-approximation is the
+// intended direction here: naming a field that cannot in fact move a branch
+// misleads a tester less than omitting one that can.
 
 // Influence maps branch slots to input-field sets. Field i occupies mask bit
 // min(i, 63): models with more than 64 input fields share the last bit, so
-// directed mutation degrades gracefully instead of dropping fields.
+// a field past the 63rd is reported with every other such field instead of
+// being dropped.
 type Influence struct {
 	NumFields int
 	Branch    []uint64 // per branch slot: mask of influencing input fields
-
-	// InitTaint/StepTaint give, per instruction of the respective function,
-	// the mask of input fields whose values can flow into that instruction's
-	// operands (data or control). The mutation-testing subsystem uses them
-	// to find which inputs could ever expose a mutation at a given pc.
-	InitTaint []uint64
-	StepTaint []uint64
 }
 
 func fieldBit(i int) uint64 {
@@ -42,13 +36,11 @@ func ComputeInfluence(p *ir.Program, plan *coverage.Plan) *Influence {
 	inf := &Influence{
 		NumFields: len(p.In),
 		Branch:    make([]uint64, plan.NumBranches),
-		InitTaint: make([]uint64, len(p.Init)),
-		StepTaint: make([]uint64, len(p.Step)),
 	}
 	regTaint := make([]uint64, p.NumRegs)
 	stTaint := make([]uint64, p.NumState)
 
-	scan := func(code []ir.Instr, opnd []uint64) {
+	scan := func(code []ir.Instr) {
 		ctrl := make([]uint64, len(code))
 		for pc := range code {
 			instr := &code[pc]
@@ -106,30 +98,6 @@ func ComputeInfluence(p *ir.Program, plan *coverage.Plan) *Influence {
 					regTaint[dst] |= m
 				}
 			}
-			// Per-instruction operand taint (overwritten each pass; masks
-			// only grow, so the final pass holds the settled value).
-			m := ctrl[pc]
-			switch instr.Op {
-			case ir.OpLoadIn:
-				m |= fieldBit(int(instr.Imm))
-			case ir.OpLoadState:
-				m |= stTaint[instr.Imm]
-			case ir.OpStoreState:
-				m |= regTaint[instr.A] | stTaint[instr.Imm]
-			case ir.OpJmpIf, ir.OpJmpIfNot:
-				m |= regTaint[instr.A]
-			case ir.OpCondProbe:
-				m |= regTaint[instr.B]
-			case ir.OpConst, ir.OpJmp, ir.OpHalt, ir.OpNop, ir.OpProbe:
-			default:
-				_, reads := Operands(instr)
-				for _, r := range reads {
-					if r >= 0 && int(r) < len(regTaint) {
-						m |= regTaint[r]
-					}
-				}
-			}
-			opnd[pc] = m
 		}
 		// Probe resolution needs the settled ctrl array of this pass.
 		for pc := range code {
@@ -158,40 +126,13 @@ func ComputeInfluence(p *ir.Program, plan *coverage.Plan) *Influence {
 	// extra passes. Masks only grow, so convergence is guaranteed.
 	for pass := 0; pass < 8; pass++ {
 		before := checksum(regTaint, stTaint, inf.Branch)
-		scan(p.Init, inf.InitTaint)
-		scan(p.Step, inf.StepTaint)
+		scan(p.Init)
+		scan(p.Step)
 		if checksum(regTaint, stTaint, inf.Branch) == before {
 			break
 		}
 	}
 	return inf
-}
-
-// TaintAt returns the input-field mask for one instruction of the named
-// function ("init" or "step"); out-of-range queries return 0.
-func (inf *Influence) TaintAt(fn string, pc int) uint64 {
-	var t []uint64
-	switch fn {
-	case "init":
-		t = inf.InitTaint
-	case "step":
-		t = inf.StepTaint
-	}
-	if pc < 0 || pc >= len(t) {
-		return 0
-	}
-	return t[pc]
-}
-
-// FieldsOf expands a taint mask into input-field indexes.
-func (inf *Influence) FieldsOf(m uint64) []int {
-	var out []int
-	for i := 0; i < inf.NumFields; i++ {
-		if m&fieldBit(i) != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 func checksum(xs ...[]uint64) uint64 {
@@ -218,25 +159,4 @@ func (inf *Influence) Fields(branch int) []int {
 		}
 	}
 	return out
-}
-
-// Weights returns a per-field mutation weight: 1 baseline plus 1 for every
-// wanted branch slot the field can influence. Fields that influence nothing
-// still get the baseline, so no strategy ever starves completely.
-func (inf *Influence) Weights(want func(branch int) bool) []float64 {
-	w := make([]float64, inf.NumFields)
-	for i := range w {
-		w[i] = 1
-	}
-	for slot, m := range inf.Branch {
-		if m == 0 || !want(slot) {
-			continue
-		}
-		for i := 0; i < inf.NumFields; i++ {
-			if m&fieldBit(i) != 0 {
-				w[i]++
-			}
-		}
-	}
-	return w
 }

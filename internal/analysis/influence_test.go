@@ -75,28 +75,3 @@ func TestInfluenceMap(t *testing.T) {
 		}
 	}
 }
-
-func TestInfluenceWeights(t *testing.T) {
-	c := influenceModel(t)
-	inf := analysis.ComputeInfluence(c.Prog, c.Plan)
-	iu0, iu2 := fieldIndex(c, "u0"), fieldIndex(c, "u2")
-	// Want every branch: u0 influences the switch and comparison slots, u2
-	// influences none, so u0 must outweigh u2.
-	w := inf.Weights(func(int) bool { return true })
-	if len(w) != 3 {
-		t.Fatalf("weights len = %d", len(w))
-	}
-	if w[iu0] <= w[iu2] {
-		t.Errorf("u0 weight (%v) must exceed u2 weight (%v)", w[iu0], w[iu2])
-	}
-	if w[iu2] != 1 {
-		t.Errorf("uninfluential field keeps baseline weight 1, got %v", w[iu2])
-	}
-	// With no wanted branches, everything is baseline.
-	w = inf.Weights(func(int) bool { return false })
-	for i, v := range w {
-		if v != 1 {
-			t.Errorf("field %d: want baseline 1, got %v", i, v)
-		}
-	}
-}

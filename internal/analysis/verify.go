@@ -1,9 +1,9 @@
 // Package analysis is the static-analysis layer over the lowered register
 // IR: a strict verifier/lint (Pass 1), an abstract interpreter that proves
 // coverage objectives infeasible (Pass 2), and an input-field influence map
-// that directs mutation energy (Pass 3). The passes harden the compiler,
-// make coverage denominators honest, and stop the fuzzer from burning its
-// budget on provably wasted mutations.
+// that tells a tester which inputs can move each branch (Pass 3, printed by
+// `cftcg analyze`). The passes harden the compiler, make coverage
+// denominators honest, and hide dead objectives from the fuzzer's feedback.
 package analysis
 
 import (

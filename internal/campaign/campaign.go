@@ -314,12 +314,6 @@ type Snapshot struct {
 	// DeadObjectives counts branch slots the static analyzer proved
 	// unreachable; they are excluded from the coverage denominators above.
 	DeadObjectives int `json:"deadObjectives"`
-	// InputFields names the model's root inports, indexing FieldHits.
-	InputFields []string `json:"inputFields,omitempty"`
-	// FieldHits counts targeted value mutations per input field summed
-	// over shards — the observable footprint of influence-directed
-	// mutation.
-	FieldHits []int64 `json:"fieldHits,omitempty"`
 
 	// Supervision: total engine restarts, quarantined shard count, whether
 	// the ensemble is running degraded, and the oldest successful shard
@@ -353,10 +347,6 @@ func (cm *Campaign) Snapshot() Snapshot {
 		Degraded: cm.degraded.Load(),
 	}
 	s.DeadObjectives = cm.c.Plan.DeadCount()
-	for _, f := range cm.c.Prog.In {
-		s.InputFields = append(s.InputFields, f.Name)
-	}
-	s.FieldHits = make([]int64, len(cm.c.Prog.In))
 	for i, sl := range cm.shards {
 		sl.mu.Lock()
 		eng := sl.eng
@@ -382,11 +372,6 @@ func (cm *Campaign) Snapshot() Snapshot {
 		s.Corpus += ls.Corpus
 		s.Cases += ls.Cases
 		s.Received += ls.InjectedAdmitted
-		for f, n := range ls.FieldHits {
-			if f < len(s.FieldHits) {
-				s.FieldHits[f] += n
-			}
-		}
 		for k, n := range ls.FindingsByKind {
 			if n > 0 && k < len(findingKindNames) {
 				s.Findings[findingKindNames[k]] += n

@@ -69,8 +69,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_degraded gauge")
 	fmt.Fprintln(w, "# HELP cftcg_dead_objectives Branch slots statically proved unreachable, excluded from coverage denominators.")
 	fmt.Fprintln(w, "# TYPE cftcg_dead_objectives gauge")
-	fmt.Fprintln(w, "# HELP cftcg_field_mutations_total Targeted value mutations per input field, summed over shards.")
-	fmt.Fprintln(w, "# TYPE cftcg_field_mutations_total counter")
 	fmt.Fprintln(w, "# HELP cftcg_mutants_total Mutants generated for the post-campaign mutation-score pass.")
 	fmt.Fprintln(w, "# TYPE cftcg_mutants_total gauge")
 	fmt.Fprintln(w, "# HELP cftcg_mutants_killed Distinct mutants the generated suite killed.")
@@ -108,13 +106,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		}
 		fmt.Fprintf(w, "cftcg_campaign_degraded{%s} %d\n", base, deg)
 		fmt.Fprintf(w, "cftcg_dead_objectives{%s} %d\n", base, snap.DeadObjectives)
-		for f, n := range snap.FieldHits {
-			name := fmt.Sprintf("f%d", f)
-			if f < len(snap.InputFields) {
-				name = snap.InputFields[f]
-			}
-			fmt.Fprintf(w, "cftcg_field_mutations_total{%s,field=%q} %d\n", base, name, n)
-		}
 		if ms := st.Mutation; ms != nil {
 			fmt.Fprintf(w, "cftcg_mutants_total{%s} %d\n", base, ms.Total)
 			fmt.Fprintf(w, "cftcg_mutants_killed{%s} %d\n", base, ms.Killed)

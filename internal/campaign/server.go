@@ -46,9 +46,6 @@ type Spec struct {
 	// Analyze runs the static dead-objective analysis before fuzzing so
 	// unreachable branch slots drop out of the coverage denominators.
 	Analyze bool `json:"analyze,omitempty"`
-	// Directed biases mutation toward input fields that influence the
-	// still-unsatisfied objectives (implies nothing in fuzz-only mode).
-	Directed bool `json:"directed,omitempty"`
 	// Mutate scores the generated suite against IR-level mutants once the
 	// campaign finishes; the summary lands on the final snapshot, the jobs
 	// API and the cftcg_mutants_* metrics. (Chart-level operators need the
@@ -72,7 +69,6 @@ func (sp *Spec) options() (fuzz.Options, error) {
 		Fuel:           sp.Fuel,
 		CheckpointPath: sp.Checkpoint,
 		ResumeFrom:     sp.Resume,
-		Directed:       sp.Directed,
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1

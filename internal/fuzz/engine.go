@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cftcg/internal/analysis"
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
 	"cftcg/internal/faultinject"
@@ -72,17 +71,6 @@ type Options struct {
 	// constraint solver — the §6 future-work hybrid of constraint solving
 	// and fuzzing.
 	SeedInputs [][]byte
-	// Directed enables influence-directed mutation: the static analysis'
-	// input-field → branch influence map biases field-wise value mutations
-	// toward fields that can reach still-unsatisfied objectives. Ignored in
-	// fuzz-only mode (a generic fuzzer has no model knowledge).
-	Directed bool
-	// MutantBias adds per-input-field mutation energy from the
-	// mutation-testing feedback loop: field f's weight is raised by
-	// MutantBias[f] (typically surviving-mutant counts from
-	// mutate.Report.FieldBoost — fields that reach undetected fault sites).
-	// Entries must be non-negative; ignored in fuzz-only mode.
-	MutantBias []float64
 
 	// Fuel bounds the instructions one init/step call may execute before it
 	// is aborted and triaged as a Hang finding (0 = vm.DefaultFuel).
@@ -154,11 +142,6 @@ func (o *Options) Validate() error {
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("fuzz: negative CheckpointEvery %s", o.CheckpointEvery)
 	}
-	for i, b := range o.MutantBias {
-		if b < 0 {
-			return fmt.Errorf("fuzz: negative MutantBias[%d] = %v", i, b)
-		}
-	}
 	if o.MaxExecs == 0 && o.Budget == 0 && o.ResumeFrom == "" {
 		return errors.New("fuzz: no execution budget: set MaxExecs or Budget (or ResumeFrom to replay a checkpoint)")
 	}
@@ -220,15 +203,6 @@ type Engine struct {
 	last     []uint64
 	tupleBuf []uint64
 
-	// influence is the static input-field → branch influence map; non-nil
-	// only in directed mode, where every coverage gain triggers a bias
-	// refresh toward the remaining unsatisfied objectives.
-	influence *analysis.Influence
-	// mutantBias is extra per-field energy from surviving mutants
-	// (Options.MutantBias); added on top of the influence weights (or a
-	// flat baseline when not directed) at every bias refresh.
-	mutantBias []float64
-
 	corpus []entry
 
 	// assertBranches holds the branch IDs meaning "assertion violated".
@@ -286,10 +260,6 @@ type LiveStats struct {
 	// InjectedAdmitted counts imported inputs (delivered via Inject) that
 	// carried coverage new to this engine and entered its corpus.
 	InjectedAdmitted int64 `json:"injectedAdmitted"`
-	// FieldHits counts targeted value mutations per input field (indexed
-	// like Prog.In) — under directed mode this shows where the influence
-	// bias is spending mutation energy.
-	FieldHits []int64 `json:"fieldHits,omitempty"`
 	// LastCheckpoint is the wall-clock time of the last successful
 	// checkpoint write (zero when checkpointing is off or none succeeded
 	// yet) — the daemon health plane reports its age.
@@ -364,13 +334,6 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 		e.mut.SetRanges(opts.Ranges)
 	}
 	e.buildMask()
-	if opts.Directed && opts.Mode != ModeFuzzOnly {
-		e.influence = analysis.ComputeInfluence(c.Prog, c.Plan)
-	}
-	if len(opts.MutantBias) > 0 && opts.Mode != ModeFuzzOnly {
-		e.mutantBias = opts.MutantBias
-	}
-	e.refreshBias()
 	if opts.ResumeFrom != "" {
 		cp, err := LoadCheckpoint(opts.ResumeFrom)
 		switch {
@@ -469,7 +432,6 @@ func (e *Engine) updateLive() {
 		Violations:       len(e.violations),
 		Findings:         len(e.findings),
 		InjectedAdmitted: e.injectedAdmitted,
-		FieldHits:        e.mut.FieldHits(),
 		DeadObjectives:   e.c.Plan.DeadCount(),
 		LastCheckpoint:   e.lastCkptOK,
 	}
@@ -639,35 +601,6 @@ func (e *Engine) absorb(curr []uint64) (newMasked, newAny int) {
 	return newMasked, newAny
 }
 
-// refreshBias recomputes the mutator's field weights toward the objectives
-// still unsatisfied (and not statically dead), plus any mutation-testing
-// energy for fields that reach surviving mutants. Called at engine start
-// and after every input that reaches new coverage.
-func (e *Engine) refreshBias() {
-	if e.influence == nil && e.mutantBias == nil {
-		return
-	}
-	var w []float64
-	if e.influence != nil {
-		p := e.c.Plan
-		w = e.influence.Weights(func(b int) bool {
-			return !e.prog.Has(b) && !p.IsDead(b)
-		})
-	} else {
-		// Not directed: flat baseline, the mutant energy alone skews it.
-		w = make([]float64, len(e.c.Prog.In))
-		for i := range w {
-			w[i] = 1
-		}
-	}
-	for i, b := range e.mutantBias {
-		if i < len(w) {
-			w[i] += b
-		}
-	}
-	e.mut.SetFieldBias(w)
-}
-
 // Run executes the fuzzing campaign. It survives hanging, panicking and
 // numerically anomalous inputs (triaged into Result.Findings), honours an
 // external stop request, and — when checkpointing is configured — persists
@@ -799,7 +732,6 @@ func (e *Engine) tryInput(data []byte) bool {
 		e.cases = append(e.cases, tc)
 		e.liveMu.Unlock()
 		e.samplePoint()
-		e.refreshBias()
 		if e.opts.OnNewCoverage != nil {
 			e.opts.OnNewCoverage(e.prog.Seen)
 		}

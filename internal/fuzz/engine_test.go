@@ -144,7 +144,7 @@ func TestBackendInvariantCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Seed: 3, MaxExecs: 1500, Directed: true}
+		opts := Options{Seed: 3, MaxExecs: 1500}
 		ref := MustEngine(c, opts)
 		ref.m = vm.New(c.Prog, ref.rec)
 		sw := ref.Run()

@@ -71,14 +71,6 @@ type Mutator struct {
 	// ranges holds optional per-field value bounds (§5 tester-specified
 	// ranges); generated values are clamped into them.
 	ranges []Range
-	// bias holds per-field mutation weights for influence-directed fuzzing:
-	// value mutations pick their target field proportionally to these
-	// weights. Nil or all-equal means uniform selection.
-	bias []float64
-	// fieldHits counts, per field, how many targeted value mutations the
-	// mutator has applied — the observability counter behind the campaign
-	// daemon's per-field influence metrics.
-	fieldHits []int64
 }
 
 // NewMutator builds a mutator for the given tuple layout. maxTuples bounds
@@ -89,7 +81,6 @@ func NewMutator(fields []model.Field, tupleSize, maxTuples int, rng *rand.Rand) 
 		fields:    fields,
 		tupleSize: tupleSize,
 		maxTuples: maxTuples,
-		fieldHits: make([]int64, len(fields)),
 	}
 	for i, f := range fields {
 		if f.Type.IsFloat() {
@@ -108,42 +99,6 @@ func (m *Mutator) SetHints(hints [][]float64) { m.hints = hints }
 // SetRanges installs per-field value bounds; nil entries in a shorter slice
 // are treated as unbounded.
 func (m *Mutator) SetRanges(ranges []Range) { m.ranges = ranges }
-
-// SetFieldBias installs per-field mutation weights (typically from the
-// static influence analysis: fields that can reach unsatisfied objectives
-// weigh more). Value mutations then pick their target field weighted by
-// bias instead of uniformly. Pass nil to restore uniform selection.
-func (m *Mutator) SetFieldBias(w []float64) { m.bias = w }
-
-// FieldHits returns a copy of the per-field targeted-mutation counters.
-func (m *Mutator) FieldHits() []int64 {
-	return append([]int64(nil), m.fieldHits...)
-}
-
-// pickField chooses a mutation target from idxs, weighted by the installed
-// field bias when one is set and degenerating to uniform otherwise.
-func (m *Mutator) pickField(idxs []int) int {
-	if len(m.bias) > 0 {
-		total := 0.0
-		for _, fi := range idxs {
-			if fi < len(m.bias) {
-				total += m.bias[fi]
-			}
-		}
-		if total > 0 {
-			x := m.rng.Float64() * total
-			for _, fi := range idxs {
-				if fi < len(m.bias) {
-					x -= m.bias[fi]
-				}
-				if x <= 0 {
-					return fi
-				}
-			}
-		}
-	}
-	return idxs[m.rng.Intn(len(idxs))]
-}
 
 // RandomTuple generates one random tuple with field-aware values.
 func (m *Mutator) RandomTuple() []byte {
@@ -246,7 +201,7 @@ func (m *Mutator) apply(s Strategy, data, other []byte) []byte {
 		if nt == 0 || len(m.intFields) == 0 {
 			return m.apply(InsertTuple, data, other)
 		}
-		fi := m.pickField(m.intFields)
+		fi := m.intFields[m.rng.Intn(len(m.intFields))]
 		f := m.fields[fi]
 		off := m.rng.Intn(nt)*m.tupleSize + f.Offset
 		m.mutateInt(data[off:off+f.Type.Size()], fi, f.Type)
@@ -256,7 +211,7 @@ func (m *Mutator) apply(s Strategy, data, other []byte) []byte {
 		if nt == 0 || len(m.floatFields) == 0 {
 			return m.apply(ChangeBinaryInteger, data, other)
 		}
-		fi := m.pickField(m.floatFields)
+		fi := m.floatFields[m.rng.Intn(len(m.floatFields))]
 		f := m.fields[fi]
 		off := m.rng.Intn(nt)*m.tupleSize + f.Offset
 		m.mutateFloat(data[off:off+f.Type.Size()], fi, f.Type)
@@ -359,9 +314,6 @@ func (m *Mutator) apply(s Strategy, data, other []byte) []byte {
 // change, byte swap, bit flip, byte modification, add/subtract, randomize —
 // plus a comparison-constant jump when hints exist for the field.
 func (m *Mutator) mutateInt(b []byte, field int, dt model.DType) {
-	if field < len(m.fieldHits) {
-		m.fieldHits[field]++
-	}
 	if field < len(m.hints) && len(m.hints[field]) > 0 && m.rng.Intn(4) == 0 {
 		h := m.hints[field][m.rng.Intn(len(m.hints[field]))] + float64(m.rng.Intn(3)-1)
 		model.PutRaw(dt, b, m.clamp(field, dt, model.Encode(dt, h)))
@@ -398,9 +350,6 @@ func (m *Mutator) mutateInt(b []byte, field int, dt model.DType) {
 // exponent nudges, mantissa bits, special values, or small arithmetic —
 // plus comparison-constant jumps when hints exist.
 func (m *Mutator) mutateFloat(b []byte, field int, dt model.DType) {
-	if field < len(m.fieldHits) {
-		m.fieldHits[field]++
-	}
 	if field < len(m.hints) && len(m.hints[field]) > 0 && m.rng.Intn(4) == 0 {
 		h := m.hints[field][m.rng.Intn(len(m.hints[field]))]
 		switch m.rng.Intn(3) {

@@ -1,8 +1,13 @@
 package mutate
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 
@@ -125,6 +130,21 @@ func TestProveMutantEquivalentQuickRules(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/golden.json from this tree's reports")
+
+// goldenRow is one default pool's mutation report of record: the readable
+// counts plus a digest of the whole report as json.Marshal renders it.
+type goldenRow struct {
+	Killed       int     `json:"killed"`
+	Survived     int     `json:"survived"`
+	Duplicates   int     `json:"duplicates"`
+	Equivalent   int     `json:"equivalent"`
+	Score        float64 `json:"score"`
+	ReportSHA256 string  `json:"reportSHA256"`
+}
+
+const goldenPath = "testdata/golden.json"
+
 // TestProverNeverProvesKilledMutant checks the prover against an oracle
 // that shares none of its reasoning: concrete execution. A mutant the fuzzed
 // suite killed produced a divergent output, probe stream or termination on
@@ -132,13 +152,25 @@ func TestProveMutantEquivalentQuickRules(t *testing.T) {
 // of equivalence for it is unsound. It scores the default `cftcg mutate`
 // pool (100 mutants, a 5000-exec suite, seed 1) of every benchmark model and
 // pins the equivalent counts: every provable mutant of a pool survives any
-// suite, so the counts do not depend on the suite.
+// suite, so the counts do not depend on the suite. The whole report is an
+// output of record too, compared with testdata/golden.json (rewritten by
+// -update).
 func TestProverNeverProvesKilledMutant(t *testing.T) {
 	wantEquivalent := map[string]int{
 		"CPUTask": 7, "AFC": 5, "TCP": 6, "RAC": 5, "EVCS": 3, "TWC": 4, "UTPC": 1, "SolarPV": 12,
 	}
+	golden := map[string]goldenRow{}
+	if !*update {
+		data, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("%v (generate it with -update)", err)
+		}
+		if err := json.Unmarshal(data, &golden); err != nil {
+			t.Fatalf("%s: %v", goldenPath, err)
+		}
+	}
 	names := benchmodels.Names()
-	if testing.Short() {
+	if testing.Short() && !*update {
 		names = []string{"SolarPV"}
 	}
 	for _, name := range names {
@@ -178,6 +210,33 @@ func TestProverNeverProvesKilledMutant(t *testing.T) {
 			t.Errorf("%s: %d mutants proved equivalent, want %d", name, got, wantEquivalent[name])
 		}
 		t.Logf("%s: checked %d killed same-plan mutants, %d equivalent", name, checked, rep.Summary.Equivalent)
+
+		js, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(js)
+		s := rep.Summary
+		got := goldenRow{
+			Killed: s.Killed, Survived: s.Survived, Duplicates: s.Duplicates, Equivalent: s.Equivalent,
+			Score: s.Score, ReportSHA256: hex.EncodeToString(sum[:]),
+		}
+		if *update {
+			golden[name] = got
+		} else if want, ok := golden[name]; !ok {
+			t.Errorf("%s: no row in %s; got %+v", name, goldenPath, got)
+		} else if got != want {
+			t.Errorf("%s: report moved:\n got  %+v\n want %+v", name, got, want)
+		}
+	}
+	if *update {
+		out, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -54,12 +54,6 @@ type Mutant struct {
 	Plan     *coverage.Plan `json:"-"`
 	SamePlan bool           `json:"-"`
 
-	// Fields lists the input fields whose values can reach the mutated
-	// site (from the analysis influence map) — the fields that deserve
-	// extra mutation energy while this mutant survives. Empty for
-	// chart-level mutants.
-	Fields []int `json:"fields,omitempty"`
-
 	// code caches the threaded compilation of Prog (see threaded).
 	code *vm.Code
 }
@@ -121,7 +115,7 @@ type candidate struct {
 
 // build materializes an IR patch on a copy of the original program; a chart
 // candidate is already built.
-func (cd candidate) build(c *codegen.Compiled, inf *analysis.Influence) *Mutant {
+func (cd candidate) build(c *codegen.Compiled) *Mutant {
 	if cd.chart != nil {
 		return cd.chart
 	}
@@ -139,7 +133,6 @@ func (cd candidate) build(c *codegen.Compiled, inf *analysis.Influence) *Mutant 
 		Prog:     mp,
 		Plan:     c.Plan,
 		SamePlan: true,
-		Fields:   inf.FieldsOf(inf.TaintAt(cd.fn, cd.pc)),
 	}
 }
 
@@ -174,9 +167,8 @@ func Generate(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
 		}
 	}
 
-	inf := analysis.ComputeInfluence(c.Prog, c.Plan)
 	muts := sample(len(cands), cfg, func(i int) *Mutant {
-		mu := cands[i].build(c, inf)
+		mu := cands[i].build(c)
 		if mu.Prog.Validate() != nil || analysis.VerifyStrict(mu.Prog, mu.Plan) != nil {
 			// Defensive: no operator is expected to emit malformed IR (the
 			// property test holds every operator to that), but a broken

@@ -97,8 +97,6 @@ type Report struct {
 	Results []Result `json:"results"`
 	Execs   int64    `json:"execs"` // mutant program runs (mutants × cases reached)
 	Steps   int64    `json:"steps"` // mutant model iterations executed
-
-	mutants []*Mutant
 }
 
 // stepTrace is one model iteration of the original program: raw outputs
@@ -250,7 +248,6 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 
 	rep := &Report{
 		Results: make([]Result, len(muts)),
-		mutants: muts,
 		Summary: Summary{Total: len(muts), Operators: map[string]OpStat{}},
 	}
 	seenKills := map[uint64]bool{}
@@ -321,8 +318,8 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 }
 
 // threaded returns the mutant's threaded code, compiling it on first use:
-// every scoring pass over the same mutant (the survivor feedback loop
-// rescores survivors each round) reuses one compile.
+// every scoring pass over the same mutant (each `cftcg mutate -feedback`
+// round rescores the whole pool) reuses one compile.
 func (mu *Mutant) threaded() *vm.Code {
 	if mu.code == nil {
 		mu.code = vm.CompileThreaded(mu.Prog)
@@ -446,37 +443,6 @@ func equalWords(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// FieldBoost converts the surviving mutants into per-input-field extra
-// mutation energy: boost[f] counts the survivors whose mutated site the
-// influence map links to field f. Feeding it to fuzz.Options.MutantBias
-// turns mutation testing from a scoring pass into a fuzzing objective.
-func (r *Report) FieldBoost(numFields int) []float64 {
-	w := make([]float64, numFields)
-	for i, res := range r.Results {
-		if res.Killed || res.Equivalent || i >= len(r.mutants) {
-			continue
-		}
-		for _, f := range r.mutants[i].Fields {
-			if f >= 0 && f < numFields {
-				w[f]++
-			}
-		}
-	}
-	return w
-}
-
-// Survivors returns the surviving mutants (parallel filtering of the
-// generation list) — the feedback loop refuzzes and rescores just these.
-func (r *Report) Survivors() []*Mutant {
-	var out []*Mutant
-	for i, res := range r.Results {
-		if !res.Killed && !res.Equivalent && i < len(r.mutants) {
-			out = append(out, r.mutants[i])
-		}
-	}
-	return out
 }
 
 // String renders the summary for terminals.

@@ -56,10 +56,10 @@ go test ./internal/vm -run '^$' -fuzz '^FuzzVMBackendsLockstep$' -fuzztime 10s
 go test ./internal/ir -run '^$' -fuzz '^FuzzDisasmRoundTrip$' -fuzztime 5s
 
 # Mutation-testing smoke: generate mutants for a small model, kill them
-# with a freshly fuzzed suite, and require a mutation score in (0, 1].
-# Same gate as `make mutate-smoke`.
+# with a freshly fuzzed suite plus one refuzz round, and require a mutation
+# score in (0, 1]. Same gate as `make mutate-smoke`.
 echo "== mutate smoke =="
-out=$(go run ./cmd/cftcg mutate SolarPV -budget 30 -execs 1500 -fuzz-budget 5s -json)
+out=$(go run ./cmd/cftcg mutate SolarPV -budget 30 -execs 1500 -fuzz-budget 5s -feedback 1 -json)
 score=$(echo "$out" | sed -n 's/.*"score": \([0-9.]*\),*/\1/p' | head -n1)
 echo "mutation score: $score"
 awk "BEGIN { exit !($score > 0 && $score <= 1) }" </dev/null \
