@@ -34,6 +34,7 @@ import (
 	"cftcg/internal/core"
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
+	"cftcg/internal/testcase"
 )
 
 func main() {
@@ -350,9 +351,7 @@ func main() {
 			o.SeedInputs = cases
 			res, err := sys.Fuzz(o)
 			check(err)
-			for _, tc := range res.Suite.Cases {
-				cases = append(cases, tc.Data)
-			}
+			cases = appendNewCases(cases, res.Suite.Cases)
 			prev := rep.Summary
 			rep = mutate.Run(sys.Compiled, muts, cases, rcfg)
 			if !*asJSON {
@@ -399,6 +398,24 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// appendNewCases appends to suite the cases of round whose bytes it does not
+// hold yet. A refuzz round re-emits its seed inputs, the suite so far, as
+// cases; a duplicate runs after its original, so it is never a mutant's
+// first kill and grinding it changes no verdict.
+func appendNewCases(suite [][]byte, round []testcase.Case) [][]byte {
+	have := make(map[string]bool, len(suite)+len(round))
+	for _, data := range suite {
+		have[string(data)] = true
+	}
+	for _, tc := range round {
+		if !have[string(tc.Data)] {
+			have[string(tc.Data)] = true
+			suite = append(suite, tc.Data)
+		}
+	}
+	return suite
 }
 
 // loadSystem resolves the argument as a file path or a built-in benchmark

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
+
+	"cftcg/internal/testcase"
 )
 
 // runMainEnv makes the test binary act as the cftcg command, so the tests
@@ -82,5 +85,21 @@ func TestMutateFeedbackKeepsKills(t *testing.T) {
 	t.Logf("distinct kills: %d without feedback, %d after one refuzz round", once, refuzzed)
 	if refuzzed < once {
 		t.Errorf("-feedback 1 lowered distinct kills from %d to %d", once, refuzzed)
+	}
+}
+
+// TestAppendNewCasesDropsDuplicates: a refuzz round's cases join the suite
+// in order, except those whose bytes the suite (or the round itself) already
+// holds.
+func TestAppendNewCasesDropsDuplicates(t *testing.T) {
+	suite := [][]byte{{1}, {2, 2}}
+	var round []testcase.Case
+	for _, data := range [][]byte{{2, 2}, {3}, {1}, {3}, {}, {2}} {
+		round = append(round, testcase.Case{Data: data})
+	}
+	got := appendNewCases(suite, round)
+	want := [][]byte{{1}, {2, 2}, {3}, {}, {2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("appendNewCases = %v, want %v", got, want)
 	}
 }

@@ -12,8 +12,12 @@ import (
 
 	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
+	"cftcg/internal/campaign"
 	"cftcg/internal/codegen"
+	"cftcg/internal/coverage"
 	"cftcg/internal/fuzz"
+	"cftcg/internal/sldv"
+	"cftcg/internal/testcase"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from this tree's outputs")
@@ -36,7 +40,19 @@ type fuzzRow struct {
 type findingRow struct {
 	Kind  string `json:"kind"`
 	Site  string `json:"site"`
+	Step  int    `json:"step"`
 	Count int    `json:"count"`
+}
+
+// sldvRow is one model's bounded SLDV-style analysis output of record.
+type sldvRow struct {
+	Nodes       int64  `json:"nodes"`
+	Witnesses   int64  `json:"witnesses"`
+	Cases       int    `json:"cases"`
+	Decision    string `json:"decision"`
+	Condition   string `json:"condition"`
+	MCDC        string `json:"mcdc"`
+	CasesSHA256 string `json:"casesSHA256"`
 }
 
 // analyzeRow is one model's static-analysis output of record: the lint
@@ -49,17 +65,24 @@ type analyzeRow struct {
 }
 
 // TestOutputsOfRecord recomputes the fixed-seed outputs every refactor must
-// leave unchanged and compares them with testdata/golden: 3,000-exec fuzz
-// campaigns of the 8 benchmark models at seeds 1 and 2, at the default and
-// a 4-tuple input cap, and `cftcg analyze`'s report. A change that moves a
-// row on purpose regenerates the files with -update and names the row and
-// the reason in CHANGES.md. -short checks SolarPV only.
+// leave unchanged and compares them with testdata/golden, for the 8
+// benchmark models:
+//   - 3,000-exec fuzz campaigns at seeds 1 and 2: at the default and a
+//     4-tuple input cap, in fuzz-only mode, and as two-shard campaigns;
+//   - a 3,000-exec seed-1 campaign at 100 instructions of fuel, whose step
+//     hangs pin the hang pcs and the partial coverage of aborted steps;
+//   - the bounded SLDV analysis at depth 5 and 40,000 nodes;
+//   - `cftcg analyze`'s report.
+//
+// A change that moves a row on purpose regenerates the files with -update
+// and names the row and the reason in CHANGES.md. -short checks SolarPV only.
 func TestOutputsOfRecord(t *testing.T) {
 	names := benchmodels.Names()
 	if testing.Short() && !*update {
 		names = []string{"SolarPV"}
 	}
 	fuzzRows := map[string]fuzzRow{}
+	sldvRows := map[string]sldvRow{}
 	analyzeRows := map[string]analyzeRow{}
 	for _, name := range names {
 		e, err := benchmodels.Get(name)
@@ -73,35 +96,79 @@ func TestOutputsOfRecord(t *testing.T) {
 		for _, seed := range []int64{1, 2} {
 			for _, maxTuples := range []int{0, 4} {
 				key := fmt.Sprintf("%s/seed%d/maxTuples%d", name, seed, maxTuples)
-				fuzzRows[key] = fuzzRecord(c, seed, maxTuples)
+				fuzzRows[key] = fuzzRecord(c, fuzz.Options{Seed: seed, MaxExecs: 3000, MaxTuples: maxTuples})
 			}
+			fuzzRows[fmt.Sprintf("%s/seed%d/fuzzOnly", name, seed)] =
+				fuzzRecord(c, fuzz.Options{Mode: fuzz.ModeFuzzOnly, Seed: seed, MaxExecs: 3000})
+			fuzzRows[fmt.Sprintf("%s/seed%d/shards2", name, seed)] =
+				campaignRecord(t, c, fuzz.Options{Seed: seed, MaxExecs: 3000})
 		}
+		fuzzRows[name+"/seed1/fuel100"] = fuzzRecord(c, fuzz.Options{Seed: 1, MaxExecs: 3000, Fuel: 100})
+		sldvRows[name] = sldvRecord(c)
 		analyzeRows[name] = analyzeRecord(c)
 	}
 	complete := len(names) == len(benchmodels.Names())
 	checkGolden(t, "testdata/golden/fuzz.json", fuzzRows, complete)
+	checkGolden(t, "testdata/golden/sldv.json", sldvRows, complete)
 	checkGolden(t, "testdata/golden/analyze.json", analyzeRows, complete)
 }
 
-func fuzzRecord(c *codegen.Compiled, seed int64, maxTuples int) fuzzRow {
-	res := fuzz.MustEngine(c, fuzz.Options{Seed: seed, MaxExecs: 3000, MaxTuples: maxTuples}).Run()
+func fuzzRecord(c *codegen.Compiled, opts fuzz.Options) fuzzRow {
+	return resultRow(fuzz.MustEngine(c, opts).Run())
+}
+
+// campaignRecord runs a two-shard campaign with the per-shard options opts.
+func campaignRecord(t *testing.T, c *codegen.Compiled, opts fuzz.Options) fuzzRow {
+	t.Helper()
+	cm, err := campaign.New(c, campaign.Config{Shards: 2, Fuzz: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cm.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resultRow(res)
+}
+
+func resultRow(res *fuzz.Result) fuzzRow {
+	row := fuzzRow{
+		Execs: res.Execs, Steps: res.Steps, Corpus: res.Corpus, Cases: len(res.Suite.Cases),
+		CasesSHA256: casesSHA256(res.Suite.Cases),
+	}
+	row.Decision, row.Condition, row.MCDC = coverageCounts(res.Report)
+	for _, f := range res.Findings {
+		row.Findings = append(row.Findings, findingRow{Kind: f.Kind.String(), Site: f.Site, Step: f.Step, Count: f.Count})
+	}
+	return row
+}
+
+func sldvRecord(c *codegen.Compiled) sldvRow {
+	res := sldv.Run(c, sldv.Options{MaxDepth: 5, NodeBudget: 40000})
+	row := sldvRow{
+		Nodes: res.Nodes, Witnesses: res.Witnesses, Cases: len(res.Suite.Cases),
+		CasesSHA256: casesSHA256(res.Suite.Cases),
+	}
+	row.Decision, row.Condition, row.MCDC = coverageCounts(res.Report)
+	return row
+}
+
+// coverageCounts renders the decision, condition and MCDC counts as
+// covered/total.
+func coverageCounts(r coverage.Report) (decision, condition, mcdc string) {
+	return fmt.Sprintf("%d/%d", r.DecisionCovered, r.DecisionTotal),
+		fmt.Sprintf("%d/%d", r.CondCovered, r.CondTotal),
+		fmt.Sprintf("%d/%d", r.MCDCCovered, r.MCDCTotal)
+}
+
+// casesSHA256 digests a suite: each case's length, then its bytes.
+func casesSHA256(cases []testcase.Case) string {
 	h := sha256.New()
-	for _, tc := range res.Suite.Cases {
+	for _, tc := range cases {
 		binary.Write(h, binary.LittleEndian, uint64(len(tc.Data)))
 		h.Write(tc.Data)
 	}
-	r := res.Report
-	row := fuzzRow{
-		Execs: res.Execs, Steps: res.Steps, Corpus: res.Corpus, Cases: len(res.Suite.Cases),
-		Decision:    fmt.Sprintf("%d/%d", r.DecisionCovered, r.DecisionTotal),
-		Condition:   fmt.Sprintf("%d/%d", r.CondCovered, r.CondTotal),
-		MCDC:        fmt.Sprintf("%d/%d", r.MCDCCovered, r.MCDCTotal),
-		CasesSHA256: hex.EncodeToString(h.Sum(nil)),
-	}
-	for _, f := range res.Findings {
-		row.Findings = append(row.Findings, findingRow{Kind: f.Kind.String(), Site: f.Site, Count: f.Count})
-	}
-	return row
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func analyzeRecord(c *codegen.Compiled) analyzeRow {

@@ -8,12 +8,14 @@ import (
 )
 
 // EvalPure evaluates one instruction whose result is a pure function of its
-// register operands, using exactly the semantics of Machine.exec — the
-// equivalent-mutant prover's constant lattice must be bit-identical to the
-// VM, or it could prove a killable mutant equivalent. read supplies the raw
-// word of each operand register. The second result is false for opcodes
-// whose value is not register-pure (loads, stores, control flow, probes,
-// nop), which the caller must not fold.
+// register operands. It is the reference semantics of every such opcode: the
+// reference Machine's step runs it for each one, and the equivalent-mutant
+// prover folds constants with it, so the prover's constant lattice is
+// bit-identical to the VM by construction (a drift would let it prove a
+// killable mutant equivalent). read supplies the raw word of each operand
+// register. The second result is false for opcodes whose value is not
+// register-pure (loads, stores, control flow, probes, nop), which the caller
+// must not fold.
 func EvalPure(ins *ir.Instr, read func(int32) uint64) (uint64, bool) {
 	switch ins.Op {
 	case ir.OpConst:

@@ -255,11 +255,11 @@ func TestFusedSpanChargesPerInstruction(t *testing.T) {
 	}
 }
 
-// TestSharedCodeConcurrentFirstHang: the replay closures are built on the
-// first fuel exhaustion of a shared Code. Two goroutines that both exhaust
-// fuel for the first time on one fresh Code must race-freely build and use
-// the same closures and report identical hangs, matching the reference.
-// Run under -race.
+// TestSharedCodeConcurrentFirstHang: machines sharing one fresh Code replay
+// their fuel-exhausted prefixes from its source instructions at the same
+// time. Two goroutines that both exhaust fuel on one Code must do so
+// race-free and report identical hangs, matching the reference. Run under
+// -race.
 func TestSharedCodeConcurrentFirstHang(t *testing.T) {
 	p := fusedPairProgram()
 	in := []uint64{model.EncodeInt(model.Int32, 7)}

@@ -149,7 +149,7 @@ func diffBytes(what string, ref, got []uint8) string {
 func regsOf(b Backend) []uint64 {
 	switch v := b.(type) {
 	case *Machine:
-		return v.regs
+		return v.s.regs
 	case *Threaded:
 		return v.s.regs
 	}

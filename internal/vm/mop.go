@@ -209,9 +209,12 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 		m.kind = mCall2
 		m.f2 = binFn(ins.Op, dt)
 	}
+	// The unary shapes without a dense kind are math on non-float64 types
+	// and neg/abs on invalid types.
 	setCall1 := func() {
 		m.kind = mCall1
-		m.f1 = unFn(ins.Op, dt)
+		op := ins.Op
+		m.f1 = func(a uint64) uint64 { return unaryMath(op, dt, a) }
 	}
 
 	switch ins.Op {
@@ -462,7 +465,7 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 // transfer control, and Halt terminates a block like a jump), so either the
 // whole block runs — charging len instructions, same as one by one — or the
 // budget dies at the head and the affordable prefix replays through the
-// unfused closures, which also never walks past the block terminator.
+// reference step, which never reaches the block terminator.
 // Blocks longer than 255 instructions are chunked so the charge fits the
 // mop's uint8 cost field; a chunk boundary behaves exactly like a block
 // boundary.
@@ -732,10 +735,9 @@ func rst(base unsafe.Pointer, i int32, v uint64) {
 // runMops is the inner interpreter loop of every Threaded machine. Fuel
 // is charged before execution, exactly mirroring the reference interpreter's
 // check-before-execute order: cost instructions per dispatch. When the
-// budget dies inside a fused span, the still-affordable prefix of the span
-// replays through the unfused closures so every executed instruction's side
-// effects land and the hang pc is the precise sub-instruction the reference
-// would have stopped at.
+// budget dies inside a block, its still-affordable prefix replays through the
+// reference step, so every executed instruction's side effects land and the
+// hang pc is the precise instruction the reference would have stopped at.
 func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, hung bool) {
 	state := s.state
 	var rb unsafe.Pointer
@@ -754,9 +756,10 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 		m := (*mop)(unsafe.Add(mb, uintptr(uint(pc))*unsafe.Sizeof(mop{})))
 		c := int64(m.cost)
 		if fuel < c {
-			slow := f.slowOps()
-			for i := int64(0); i < fuel; i++ {
-				slow[pc+int(i)](s)
+			// The prefix holds no control transfer (see blockCosts), so it
+			// runs straight through.
+			for i := 0; i < int(fuel); i++ {
+				s.step(f.src, pc+i)
 			}
 			return 0, pc + int(fuel), true
 		}

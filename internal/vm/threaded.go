@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
@@ -11,41 +10,21 @@ import (
 )
 
 // The threaded backend compiles a program once, pre-decoding every
-// instruction into two parallel forms:
-//
-//   - a flat micro-op stream (mop.go) the dispatch loop runs: operands
-//     widened, opcode × data type monomorphized into one dense kind,
-//     width constants (mask/shift/order-bias) precomputed, and the hot
-//     instruction pairs the lowering emits fused into superinstructions
-//     (const+arith, cmp+jmpIf, loadState+arith+storeState);
-//   - a slice of Go closures, one per instruction, each a pre-bound unfused
-//     executor for the fuel-exhaustion path: when the budget dies inside a
-//     fused span, the affordable prefix replays through the closures so
-//     partial side effects and the HangError pc match the reference switch
-//     interpreter exactly. Only that path reads them, so they are built on
-//     the first exhaustion rather than at compile time.
+// instruction into a flat micro-op stream (mop.go) the dispatch loop runs:
+// operands widened, opcode × data type monomorphized into one dense kind,
+// width constants (mask/shift/order-bias) precomputed, and the hot
+// instruction pairs the lowering emits fused into superinstructions
+// (const+arith, cmp+jmpIf, loadState+arith+storeState).
 //
 // Fuel is accounted centrally in the dispatch loop: each micro-op carries the
 // number of source instructions it covers (1, or the span for fused), charged
 // before execution in the same check-before-execute order as the reference.
+// When the budget dies inside a block, the affordable prefix replays through
+// the reference step over the source instructions, so partial side effects
+// and the HangError pc match the reference Machine exactly.
 //
-// The compiled Code is shared: one compile serves any number of Threaded
-// machines, on any number of goroutines. Its only mutable part, the lazily
-// built replay closures, is guarded by a sync.Once.
-
-// execState is the mutable register/state/output file a compiled program
-// executes against; each Threaded machine owns one.
-type execState struct {
-	regs  []uint64
-	state []uint64
-	out   []uint64
-	in    []uint64
-	rec   *coverage.Recorder
-}
-
-// opFn executes one (possibly fused) instruction and returns the next pc.
-// Returning len(code) ends the function cleanly.
-type opFn func(s *execState) int
+// The compiled Code is immutable: one compile serves any number of Threaded
+// machines, on any number of goroutines.
 
 // Code is a program compiled for threaded dispatch.
 type Code struct {
@@ -57,30 +36,10 @@ type Code struct {
 // funcCode is one compiled function body.
 type funcCode struct {
 	name string     // "init" or "step", as HangError reports it
-	src  []ir.Instr // the body ms was compiled from
+	src  []ir.Instr // the body ms was compiled from; fuel replay steps it
 	// ms is the pre-decoded micro-op stream with superinstructions installed
 	// at fusion heads, ending in the mHalt sentinel.
 	ms []mop
-
-	// slow holds the unfused closure for every pc (fuel-exhaustion replay,
-	// see the package comment), built once by slowOps.
-	slowOnce sync.Once
-	slow     []opFn
-}
-
-// slowOps returns the per-pc replay closures, compiling them on first use.
-// Safe for concurrent use: every machine sharing the Code gets the same
-// slice.
-func (f *funcCode) slowOps() []opFn {
-	f.slowOnce.Do(func() {
-		n := len(f.src)
-		slow := make([]opFn, n)
-		for pc := range f.src {
-			slow[pc] = compileOp(&f.src[pc], pc, n)
-		}
-		f.slow = slow
-	})
-	return f.slow
 }
 
 // Program returns the program this code was compiled from.
@@ -97,8 +56,8 @@ func (c *Code) Fused() int { return c.fused }
 // file without per-access bounds checks, relying on Validate's range checks
 // as the one-time proof. An invalid program is a caller bug, reported by
 // panic rather than by memory corruption at execution time. The program must
-// not change after compiling: the fuel-exhaustion replay compiles from it
-// lazily.
+// not change after compiling: the fuel-exhaustion replay steps through its
+// instructions.
 func CompileThreaded(p *ir.Program) *Code {
 	if err := p.Validate(); err != nil {
 		panic("vm: CompileThreaded on invalid program: " + err.Error())
@@ -108,7 +67,7 @@ func CompileThreaded(p *ir.Program) *Code {
 	return c
 }
 
-// Threaded executes one program instance through compiled closures. It is a
+// Threaded executes one program instance through compiled micro-ops. It is a
 // drop-in Backend: same fuel accounting, HangError attribution, probe
 // recording and output/state surfaces as the reference Machine.
 type Threaded struct {
@@ -129,17 +88,7 @@ func NewThreaded(p *ir.Program, rec *coverage.Recorder) *Threaded {
 // NewThreadedFromCode returns a threaded machine over already-compiled code
 // (sharing one compile across machines).
 func NewThreadedFromCode(c *Code, rec *coverage.Recorder) *Threaded {
-	p := c.prog
-	return &Threaded{
-		code: c,
-		s: execState{
-			regs:  make([]uint64, p.NumRegs),
-			state: make([]uint64, p.NumState),
-			out:   make([]uint64, len(p.Out)),
-			rec:   rec,
-		},
-		fuel: DefaultFuel,
-	}
+	return &Threaded{code: c, s: newExecState(c.prog, rec), fuel: DefaultFuel}
 }
 
 // SetFuel sets the per-call instruction budget; n <= 0 restores DefaultFuel.
@@ -254,201 +203,23 @@ func jumpTo(imm uint64, n int) int {
 	return t
 }
 
-// compileOp translates one instruction into a closure with pre-decoded
-// operands and a monomorphized body. end is the function length (the
-// clean-exit pc for OpHalt).
-func compileOp(ins *ir.Instr, pc, end int) opFn {
-	next := pc + 1
-	switch ins.Op {
-	case ir.OpNop:
-		return func(s *execState) int { return next }
-
-	case ir.OpConst:
-		dst, imm := int(ins.Dst), ins.Imm
-		return func(s *execState) int {
-			s.regs[dst] = imm
-			return next
-		}
-	case ir.OpMov:
-		dst, a := int(ins.Dst), int(ins.A)
-		return func(s *execState) int {
-			s.regs[dst] = s.regs[a]
-			return next
-		}
-
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMin, ir.OpMax,
-		ir.OpBitAnd, ir.OpBitOr, ir.OpBitXor, ir.OpShl, ir.OpShr,
-		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-		f := binFn(ins.Op, ins.DT)
-		dst, a, b := int(ins.Dst), int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			s.regs[dst] = f(s.regs[a], s.regs[b])
-			return next
-		}
-
-	case ir.OpNeg, ir.OpAbs,
-		ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
-		ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
-		f := unFn(ins.Op, ins.DT)
-		dst, a := int(ins.Dst), int(ins.A)
-		return func(s *execState) int {
-			s.regs[dst] = f(s.regs[a])
-			return next
-		}
-
-	case ir.OpAnd:
-		dst, a, b := int(ins.Dst), int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			s.regs[dst] = s.regs[a] & s.regs[b] & 1
-			return next
-		}
-	case ir.OpOr:
-		dst, a, b := int(ins.Dst), int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			s.regs[dst] = (s.regs[a] | s.regs[b]) & 1
-			return next
-		}
-	case ir.OpXor:
-		dst, a, b := int(ins.Dst), int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			s.regs[dst] = (s.regs[a] ^ s.regs[b]) & 1
-			return next
-		}
-	case ir.OpNot:
-		dst, a := int(ins.Dst), int(ins.A)
-		return func(s *execState) int {
-			s.regs[dst] = (s.regs[a] & 1) ^ 1
-			return next
-		}
-
-	case ir.OpTruth:
-		dst, a := int(ins.Dst), int(ins.A)
-		switch ins.DT2 {
-		case model.Float64:
-			return func(s *execState) int {
-				s.regs[dst] = b2u(math.Float64frombits(s.regs[a]) != 0)
-				return next
-			}
-		case model.Float32:
-			return func(s *execState) int {
-				s.regs[dst] = b2u(math.Float32frombits(uint32(s.regs[a])) != 0)
-				return next
-			}
-		}
-		// Non-float truth is "any payload bit set": sign extension cannot
-		// zero a nonzero value, so the masked raw decides. Invalid types
-		// decode to 0 (mask 0), like model.DecodeInt.
-		mask := maskOf(ins.DT2)
-		return func(s *execState) int {
-			s.regs[dst] = b2u(s.regs[a]&mask != 0)
-			return next
-		}
-	case ir.OpSelect:
-		dst, a, b, c := int(ins.Dst), int(ins.A), int(ins.B), int(ins.C)
-		return func(s *execState) int {
-			if s.regs[a] != 0 {
-				s.regs[dst] = s.regs[b]
-			} else {
-				s.regs[dst] = s.regs[c]
-			}
-			return next
-		}
-	case ir.OpCast:
-		dst, a := int(ins.Dst), int(ins.A)
-		to, from := ins.DT, ins.DT2
-		return func(s *execState) int {
-			s.regs[dst] = model.Cast(to, from, s.regs[a])
-			return next
-		}
-
-	case ir.OpLoadIn:
-		dst, idx := int(ins.Dst), int(ins.Imm)
-		return func(s *execState) int {
-			s.regs[dst] = s.in[idx]
-			return next
-		}
-	case ir.OpStoreOut:
-		a, idx := int(ins.A), int(ins.Imm)
-		return func(s *execState) int {
-			s.out[idx] = s.regs[a]
-			return next
-		}
-	case ir.OpLoadState:
-		dst, idx := int(ins.Dst), int(ins.Imm)
-		return func(s *execState) int {
-			s.regs[dst] = s.state[idx]
-			return next
-		}
-	case ir.OpStoreState:
-		a, idx := int(ins.A), int(ins.Imm)
-		return func(s *execState) int {
-			s.state[idx] = s.regs[a]
-			return next
-		}
-
-	case ir.OpJmp:
-		tgt := jumpTo(ins.Imm, end)
-		return func(s *execState) int { return tgt }
-	case ir.OpJmpIf:
-		a, tgt := int(ins.A), jumpTo(ins.Imm, end)
-		return func(s *execState) int {
-			if s.regs[a] != 0 {
-				return tgt
-			}
-			return next
-		}
-	case ir.OpJmpIfNot:
-		a, tgt := int(ins.A), jumpTo(ins.Imm, end)
-		return func(s *execState) int {
-			if s.regs[a] == 0 {
-				return tgt
-			}
-			return next
-		}
-
-	case ir.OpProbe:
-		dec, out := int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			if s.rec != nil {
-				s.rec.Outcome(dec, out)
-			}
-			return next
-		}
-	case ir.OpCondProbe:
-		id, b := int(ins.A), int(ins.B)
-		return func(s *execState) int {
-			if s.rec != nil {
-				s.rec.Cond(id, s.regs[b] != 0)
-			}
-			return next
-		}
-
-	case ir.OpHalt:
-		return func(s *execState) int { return end }
-	}
-	// Unknown opcodes execute as no-ops, exactly like the reference
-	// interpreter's switch falling through every case.
-	return func(s *execState) int { return next }
-}
-
 // --- monomorphized value functions ------------------------------------------
 //
-// Each builder runs the opcode × data-type dispatch once at compile time and
-// returns a closure whose body is the bare decode/op/encode sequence over
-// captured width constants. The specialized paths are transcriptions of
-// arith/compare/unaryMath from the reference interpreter — the differential
-// rig and the semantics matrix test hold them to bit equality. Bool
-// arithmetic and ill-typed combinations (which the verifier rejects but
+// The fused arith/compare superinstructions and the mCall2 fallback call a
+// value function. Each builder runs the opcode × data-type dispatch once at
+// compile time and returns a closure whose body is the bare
+// decode/op/encode sequence over captured width constants. The specialized
+// paths are transcriptions of arith/compare from the reference — the
+// differential rig and the semantics matrix test hold them to bit equality.
+// Bool arithmetic and ill-typed combinations (which the verifier rejects but
 // random or mutated programs may contain) fall back to the reference helpers
 // themselves.
 //
 // Width tricks the integer paths rely on (w = bit width, mask = 2^w-1):
-//   - add/sub/mul/neg and the bitwise ops are determined by the low w bits,
-//     so one masked uint64 computation serves signed and unsigned alike;
+//   - add/sub/mul are determined by the low w bits, so one masked uint64
+//     computation serves signed and unsigned alike;
 //   - eq/ne compare masked raws (sign extension is injective);
-//   - shift amounts take only the low 5 bits of the raw (w >= 8 > 5), so
-//     `raw & 31` equals `uint(decoded) & 31`;
-//   - div/min/max/shr and the ordered compares decode for real: sign-extend
+//   - div/min/max and the ordered compares decode for real: sign-extend
 //     (signed) or mask (unsigned).
 
 // maskOf returns the payload mask of an integer-like type: 1 for Bool (one
@@ -712,29 +483,10 @@ func compareFn(op ir.Op, dt model.DType) func(a, b uint64) uint64 {
 	return func(a, b uint64) uint64 { return compare(op, dt, a, b) }
 }
 
+// bitFn builds the value function of a bitwise op on a type without an
+// integer payload (integer types have dense kinds): the reference
+// decode/encode path verbatim.
 func bitFn(op ir.Op, dt model.DType) func(a, b uint64) uint64 {
-	if dt.IsInteger() {
-		mask := maskOf(dt)
-		switch op {
-		case ir.OpBitAnd:
-			return func(a, b uint64) uint64 { return a & b & mask }
-		case ir.OpBitOr:
-			return func(a, b uint64) uint64 { return (a | b) & mask }
-		case ir.OpBitXor:
-			return func(a, b uint64) uint64 { return (a ^ b) & mask }
-		case ir.OpShl:
-			return func(a, b uint64) uint64 { return (a & mask << (b & 31)) & mask }
-		case ir.OpShr:
-			if dt.IsSigned() {
-				sh := 64 - uint(dt.Size()*8)
-				return func(a, b uint64) uint64 {
-					return uint64((int64(a<<sh)>>sh)>>(b&31)) & mask
-				}
-			}
-			return func(a, b uint64) uint64 { return a & mask >> (b & 31) }
-		}
-	}
-	// Bool and non-integer types: reference encode/decode path verbatim.
 	switch op {
 	case ir.OpBitAnd:
 		return func(a, b uint64) uint64 {
@@ -765,91 +517,4 @@ func b2u(v bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// unFn builds the value function of a unary op (neg, abs and the float math
-// functions).
-func unFn(op ir.Op, dt model.DType) func(uint64) uint64 {
-	switch op {
-	case ir.OpNeg:
-		switch dt {
-		case model.Float64:
-			return func(a uint64) uint64 { return math.Float64bits(-math.Float64frombits(a)) }
-		case model.Float32:
-			return func(a uint64) uint64 {
-				return uint64(math.Float32bits(float32(-float64(math.Float32frombits(uint32(a))))))
-			}
-		}
-		if dt == model.Bool || dt.IsInteger() {
-			// Two's-complement negation is determined by the low payload
-			// bits; for Bool, -(a&1) renormalizes to a&1, matching
-			// EncodeInt's truthiness canonicalization.
-			mask := maskOf(dt)
-			return func(a uint64) uint64 { return (0 - a&mask) & mask }
-		}
-	case ir.OpAbs:
-		switch dt {
-		case model.Float64:
-			return func(a uint64) uint64 { return math.Float64bits(math.Abs(math.Float64frombits(a))) }
-		case model.Float32:
-			return func(a uint64) uint64 {
-				return uint64(math.Float32bits(float32(math.Abs(float64(math.Float32frombits(uint32(a)))))))
-			}
-		}
-		if dt.IsSigned() {
-			sh := 64 - uint(dt.Size()*8)
-			mask := maskOf(dt)
-			return func(a uint64) uint64 {
-				v := int64(a<<sh) >> sh
-				if v < 0 {
-					v = -v
-				}
-				return uint64(v) & mask
-			}
-		}
-		if dt == model.Bool || dt.IsInteger() {
-			mask := maskOf(dt)
-			return func(a uint64) uint64 { return a & mask }
-		}
-	}
-	if dt == model.Float64 {
-		switch op {
-		case ir.OpSqrt:
-			return func(a uint64) uint64 {
-				x := math.Float64frombits(a)
-				if x < 0 {
-					return 0
-				}
-				return math.Float64bits(math.Sqrt(x))
-			}
-		case ir.OpExp:
-			return func(a uint64) uint64 { return math.Float64bits(math.Exp(math.Float64frombits(a))) }
-		case ir.OpLog:
-			return func(a uint64) uint64 {
-				x := math.Float64frombits(a)
-				if x <= 0 {
-					return 0
-				}
-				return math.Float64bits(math.Log(x))
-			}
-		case ir.OpSin:
-			return func(a uint64) uint64 { return math.Float64bits(math.Sin(math.Float64frombits(a))) }
-		case ir.OpCos:
-			return func(a uint64) uint64 { return math.Float64bits(math.Cos(math.Float64frombits(a))) }
-		case ir.OpTan:
-			return func(a uint64) uint64 { return math.Float64bits(math.Tan(math.Float64frombits(a))) }
-		case ir.OpFloor:
-			return func(a uint64) uint64 { return math.Float64bits(math.Floor(math.Float64frombits(a))) }
-		case ir.OpCeil:
-			return func(a uint64) uint64 { return math.Float64bits(math.Ceil(math.Float64frombits(a))) }
-		case ir.OpRound:
-			return func(a uint64) uint64 { return math.Float64bits(math.Round(math.Float64frombits(a))) }
-		case ir.OpTrunc:
-			return func(a uint64) uint64 { return math.Float64bits(math.Trunc(math.Float64frombits(a))) }
-		}
-	}
-	// Float32 math, Neg/Abs on invalid types, and math on non-float types
-	// take the reference helper: decode through float64, compute, re-encode
-	// with the clamping Encode.
-	return func(a uint64) uint64 { return unaryMath(op, dt, a) }
 }

@@ -1,8 +1,16 @@
 // Package vm executes lowered IR programs. It is the in-process stand-in for
 // the natively compiled fuzz code of the paper: a flat register machine with
-// no interpretation of the model graph, no boxing and no dispatch beyond one
-// opcode switch — the execution substrate that gives CFTCG its four-orders-
-// of-magnitude speed advantage over engine-based simulation.
+// no interpretation of the model graph and no boxing. Campaigns run the
+// direct-threaded backend (Threaded), whose pre-decoded micro-op stream is
+// the execution substrate that gives CFTCG its four-orders-of-magnitude
+// speed advantage over engine-based simulation.
+//
+// The reference semantics of every instruction is written once, in step:
+// the switch Machine runs nothing else, and step takes every register-pure
+// opcode's value from EvalPure, the function the equivalent-mutant prover
+// folds constants with. The lockstep tests hold the threaded backend to the
+// Machine, and the threaded backend replays a fuel-exhausted block prefix
+// through step itself.
 package vm
 
 import (
@@ -40,30 +48,89 @@ func (e *HangError) Error() string {
 	return msg
 }
 
-// Machine executes one program instance. It owns the register file, the
-// persistent state vector, and the output buffer; the coverage recorder is
-// shared with the fuzzing loop.
-type Machine struct {
-	prog  *ir.Program
+// execState is the mutable register/state/output file a program executes
+// against; each Machine and each Threaded machine owns one.
+type execState struct {
 	regs  []uint64
 	state []uint64
 	out   []uint64
+	in    []uint64
 	rec   *coverage.Recorder
-	fuel  int64 // per-call instruction budget
-	used  int64 // instructions consumed by the last call
+}
+
+func newExecState(p *ir.Program, rec *coverage.Recorder) execState {
+	return execState{
+		regs:  make([]uint64, p.NumRegs),
+		state: make([]uint64, p.NumState),
+		out:   make([]uint64, len(p.Out)),
+		rec:   rec,
+	}
+}
+
+func (s *execState) reg(r int32) uint64 { return s.regs[r] }
+
+// step executes code[pc] and returns the next pc; a pc at or past len(code)
+// ends the function. Loads, stores, jumps, probes and halt act on s here;
+// every other opcode is register-pure and takes its value from EvalPure.
+// Unknown opcodes and nop execute as no-ops.
+func (s *execState) step(code []ir.Instr, pc int) int {
+	ins := &code[pc]
+	switch ins.Op {
+	case ir.OpLoadIn:
+		s.regs[ins.Dst] = s.in[ins.Imm]
+	case ir.OpStoreOut:
+		s.out[ins.Imm] = s.regs[ins.A]
+	case ir.OpLoadState:
+		s.regs[ins.Dst] = s.state[ins.Imm]
+	case ir.OpStoreState:
+		s.state[ins.Imm] = s.regs[ins.A]
+
+	case ir.OpJmp:
+		return int(ins.Imm)
+	case ir.OpJmpIf:
+		if s.regs[ins.A] != 0 {
+			return int(ins.Imm)
+		}
+	case ir.OpJmpIfNot:
+		if s.regs[ins.A] == 0 {
+			return int(ins.Imm)
+		}
+	case ir.OpHalt:
+		return len(code)
+
+	case ir.OpProbe:
+		if s.rec != nil {
+			s.rec.Outcome(int(ins.A), int(ins.B))
+		}
+	case ir.OpCondProbe:
+		if s.rec != nil {
+			s.rec.Cond(int(ins.A), s.regs[ins.B] != 0)
+		}
+
+	default:
+		if v, ok := EvalPure(ins, s.reg); ok {
+			s.regs[ins.Dst] = v
+		}
+	}
+	return pc + 1
+}
+
+// Machine is the reference interpreter: it executes one program instance an
+// instruction at a time through step, charging one unit of fuel per
+// instruction before executing it. It owns the register file, the
+// persistent state vector, and the output buffer; the coverage recorder is
+// shared with the fuzzing loop.
+type Machine struct {
+	prog *ir.Program
+	s    execState
+	fuel int64 // per-call instruction budget
+	used int64 // instructions consumed by the last call
 }
 
 // New creates a machine for the program. rec may be nil to run without
 // coverage collection (pure execution benchmarks).
 func New(p *ir.Program, rec *coverage.Recorder) *Machine {
-	return &Machine{
-		prog:  p,
-		regs:  make([]uint64, p.NumRegs),
-		state: make([]uint64, p.NumState),
-		out:   make([]uint64, len(p.Out)),
-		rec:   rec,
-		fuel:  DefaultFuel,
-	}
+	return &Machine{prog: p, s: newExecState(p, rec), fuel: DefaultFuel}
 }
 
 // SetFuel sets the per-call instruction budget; n <= 0 restores DefaultFuel.
@@ -87,149 +154,35 @@ func (m *Machine) Program() *ir.Program { return m.prog }
 
 // Out returns the output values of the last step, one raw value per outport
 // field. The slice is reused across steps.
-func (m *Machine) Out() []uint64 { return m.out }
+func (m *Machine) Out() []uint64 { return m.s.out }
 
 // State exposes the persistent state vector (tests inspect it).
-func (m *Machine) State() []uint64 { return m.state }
+func (m *Machine) State() []uint64 { return m.s.state }
 
 // Init resets the machine and runs the program's init function — the
 // "model initialization code" the fuzz driver calls for every test input.
 // It returns a *HangError when the init function exhausts its fuel.
 func (m *Machine) Init() error {
-	for i := range m.state {
-		m.state[i] = 0
-	}
-	for i := range m.out {
-		m.out[i] = 0
-	}
-	return m.exec("init", m.prog.Init, nil)
+	clear(m.s.state)
+	clear(m.s.out)
+	return m.exec("init", m.prog.Init)
 }
 
 // Step runs one model iteration with the given input tuple (one raw value
 // per inport field). It returns a *HangError when the step exhausts its
 // instruction fuel (a runaway loop on this input).
 func (m *Machine) Step(in []uint64) error {
-	return m.exec("step", m.prog.Step, in)
+	m.s.in = in
+	return m.exec("step", m.prog.Step)
 }
 
-func (m *Machine) exec(fn string, code []ir.Instr, in []uint64) error {
-	regs := m.regs
-	rec := m.rec
+func (m *Machine) exec(fn string, code []ir.Instr) error {
 	fuel := m.fuel
-	for pc := 0; pc < len(code); {
+	for pc := 0; pc < len(code); pc = m.s.step(code, pc) {
 		if fuel--; fuel < 0 {
 			m.used = m.fuel
 			return &HangError{Func: fn, PC: pc, Fuel: m.fuel, Site: m.prog.LoopSiteFor(fn, pc)}
 		}
-		ins := &code[pc]
-		switch ins.Op {
-		case ir.OpNop:
-
-		case ir.OpConst:
-			regs[ins.Dst] = ins.Imm
-		case ir.OpMov:
-			regs[ins.Dst] = regs[ins.A]
-
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMin, ir.OpMax:
-			regs[ins.Dst] = arith(ins.Op, ins.DT, regs[ins.A], regs[ins.B])
-		case ir.OpNeg:
-			if ins.DT.IsFloat() {
-				regs[ins.Dst] = model.EncodeFloat(ins.DT, -model.DecodeFloat(ins.DT, regs[ins.A]))
-			} else {
-				regs[ins.Dst] = model.EncodeInt(ins.DT, -model.DecodeInt(ins.DT, regs[ins.A]))
-			}
-		case ir.OpAbs:
-			if ins.DT.IsFloat() {
-				regs[ins.Dst] = model.EncodeFloat(ins.DT, math.Abs(model.DecodeFloat(ins.DT, regs[ins.A])))
-			} else {
-				v := model.DecodeInt(ins.DT, regs[ins.A])
-				if v < 0 {
-					v = -v
-				}
-				regs[ins.Dst] = model.EncodeInt(ins.DT, v)
-			}
-
-		case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-			regs[ins.Dst] = compare(ins.Op, ins.DT, regs[ins.A], regs[ins.B])
-
-		case ir.OpAnd:
-			regs[ins.Dst] = regs[ins.A] & regs[ins.B] & 1
-		case ir.OpOr:
-			regs[ins.Dst] = (regs[ins.A] | regs[ins.B]) & 1
-		case ir.OpXor:
-			regs[ins.Dst] = (regs[ins.A] ^ regs[ins.B]) & 1
-		case ir.OpNot:
-			regs[ins.Dst] = (regs[ins.A] & 1) ^ 1
-
-		case ir.OpBitAnd:
-			regs[ins.Dst] = model.EncodeInt(ins.DT, model.DecodeInt(ins.DT, regs[ins.A])&model.DecodeInt(ins.DT, regs[ins.B]))
-		case ir.OpBitOr:
-			regs[ins.Dst] = model.EncodeInt(ins.DT, model.DecodeInt(ins.DT, regs[ins.A])|model.DecodeInt(ins.DT, regs[ins.B]))
-		case ir.OpBitXor:
-			regs[ins.Dst] = model.EncodeInt(ins.DT, model.DecodeInt(ins.DT, regs[ins.A])^model.DecodeInt(ins.DT, regs[ins.B]))
-		case ir.OpShl:
-			sh := uint(model.DecodeInt(ins.DT, regs[ins.B])) & 31
-			regs[ins.Dst] = model.EncodeInt(ins.DT, model.DecodeInt(ins.DT, regs[ins.A])<<sh)
-		case ir.OpShr:
-			sh := uint(model.DecodeInt(ins.DT, regs[ins.B])) & 31
-			regs[ins.Dst] = model.EncodeInt(ins.DT, model.DecodeInt(ins.DT, regs[ins.A])>>sh)
-
-		case ir.OpTruth:
-			if model.Truth(ins.DT2, regs[ins.A]) {
-				regs[ins.Dst] = 1
-			} else {
-				regs[ins.Dst] = 0
-			}
-		case ir.OpSelect:
-			if regs[ins.A] != 0 {
-				regs[ins.Dst] = regs[ins.B]
-			} else {
-				regs[ins.Dst] = regs[ins.C]
-			}
-		case ir.OpCast:
-			regs[ins.Dst] = model.Cast(ins.DT, ins.DT2, regs[ins.A])
-
-		case ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
-			ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
-			regs[ins.Dst] = unaryMath(ins.Op, ins.DT, regs[ins.A])
-
-		case ir.OpLoadIn:
-			regs[ins.Dst] = in[ins.Imm]
-		case ir.OpStoreOut:
-			m.out[ins.Imm] = regs[ins.A]
-		case ir.OpLoadState:
-			regs[ins.Dst] = m.state[ins.Imm]
-		case ir.OpStoreState:
-			m.state[ins.Imm] = regs[ins.A]
-
-		case ir.OpJmp:
-			pc = int(ins.Imm)
-			continue
-		case ir.OpJmpIf:
-			if regs[ins.A] != 0 {
-				pc = int(ins.Imm)
-				continue
-			}
-		case ir.OpJmpIfNot:
-			if regs[ins.A] == 0 {
-				pc = int(ins.Imm)
-				continue
-			}
-
-		case ir.OpProbe:
-			if rec != nil {
-				rec.Outcome(int(ins.A), int(ins.B))
-			}
-		case ir.OpCondProbe:
-			if rec != nil {
-				rec.Cond(int(ins.A), regs[ins.B] != 0)
-			}
-
-		case ir.OpHalt:
-			m.used = m.fuel - fuel
-			return nil
-		}
-		pc++
 	}
 	m.used = m.fuel - fuel
 	return nil

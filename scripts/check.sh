@@ -16,6 +16,18 @@ fi
 echo "== go vet =="
 go vet ./...
 
+# The switch VM (vm.New) is the test oracle of the threaded backend, not an
+# executor: it steps one instruction at a time through EvalPure and runs
+# several times slower. Outside internal/vm only tests may build it
+# (examples/ and the bench/ ledger are outside cmd/ and internal/).
+echo "== reference VM stays test-only =="
+refvm=$(grep -rl --include='*.go' 'vm\.New(' cmd internal | grep -v '_test\.go$' | grep -v '^internal/vm/' || true)
+if [ -n "$refvm" ]; then
+	echo "non-test code builds the reference VM (vm.New):"
+	echo "$refvm"
+	exit 1
+fi
+
 # Focused full-speed race pass over the concurrency-bearing packages: the
 # engine's cross-goroutine status plane, the campaign daemon's shard fan-out
 # and the shared coverage structures. (The later -short -race sweep covers
