@@ -359,6 +359,11 @@ func main() {
 					r, prev.Killed, rep.Summary.Killed, prev.Score, rep.Summary.Score)
 			}
 		}
+		if rep.ReferenceTerminals > 0 {
+			fmt.Fprintf(os.Stderr, "cftcg: warning: %d of %d case(s) end in a timeout or crash on the original model; "+
+				"a mutant ending a case the same way is not killed by it (is -fuel below the model's own cost?)\n",
+				rep.ReferenceTerminals, len(cases))
+		}
 		if *asJSON {
 			out, err := json.MarshalIndent(rep, "", "  ")
 			check(err)

@@ -103,3 +103,37 @@ func TestAppendNewCasesDropsDuplicates(t *testing.T) {
 		t.Errorf("appendNewCases = %v, want %v", got, want)
 	}
 }
+
+// TestMutateWarnsWhenFuelEndsReferenceRuns: at -fuel 60 the original model
+// itself times out on its suite, which the report counts and the command
+// warns about on stderr; at the default fuel it does neither.
+func TestMutateWarnsWhenFuelEndsReferenceRuns(t *testing.T) {
+	run := func(extra ...string) (terminals int, stderr string) {
+		args := append([]string{"mutate", "SolarPV", "-budget", "30", "-execs", "1500",
+			"-fuzz-budget", "60s", "-json"}, extra...)
+		stdout, stderr, code := cftcg(t, args...)
+		if code != 0 {
+			t.Fatalf("cftcg %v: exit %d: %s", args, code, stderr)
+		}
+		var rep struct {
+			ReferenceTerminals *int `json:"referenceTerminals"`
+		}
+		if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+			t.Fatalf("cftcg %v: %v", args, err)
+		}
+		if rep.ReferenceTerminals == nil {
+			return 0, stderr
+		}
+		if *rep.ReferenceTerminals == 0 {
+			t.Errorf("cftcg %v: referenceTerminals is 0 but present in the JSON", args)
+		}
+		return *rep.ReferenceTerminals, stderr
+	}
+	n, stderr := run("-fuel", "60")
+	if n == 0 || !strings.Contains(stderr, "warning:") || !strings.Contains(stderr, "-fuel") {
+		t.Errorf("-fuel 60: %d reference terminals, stderr %q; want a count and a warning", n, stderr)
+	}
+	if n, stderr := run(); n != 0 || stderr != "" {
+		t.Errorf("default fuel: %d reference terminals, stderr %q; want neither", n, stderr)
+	}
+}

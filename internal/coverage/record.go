@@ -6,8 +6,8 @@ package coverage
 //
 // Per step, Curr mirrors the paper's g_CurrCov array: Hit(branch) reports
 // whether that branch element triggered during the current model iteration.
-// The cumulative Total array and the per-decision condition-vector sets (for
-// MCDC) persist across the whole campaign.
+// The cumulative Total array and the set of (outcome, condition vector) keys
+// every decision resolved with (for MCDC) persist across the whole campaign.
 type Recorder struct {
 	plan *Plan
 
@@ -16,21 +16,21 @@ type Recorder struct {
 	// Packing lets the engine's per-step feedback scan and BeginStep work 64
 	// slots per word.
 	Curr []uint64
-	// Total is the cumulative branch hit array (g_TotalCov).
+	// Total is the cumulative branch hit array (g_TotalCov), written on
+	// every probe: callers read it after a step with no BeginStep after it.
 	Total []uint8
 
 	// condVec holds, per decision, the condition values observed since the
 	// decision last resolved (bit per condition slot).
 	condVec []uint32
-	// vecs records, per decision, the set of (condition vector, outcome)
-	// pairs seen — the raw material for MCDC pairing. Bounded per decision.
-	vecs []map[uint64]struct{}
-	// lastVec caches, per decision, the most recent (vector, outcome) key
-	// plus one (0 = none). Decisions resolve the same way step after step on
-	// most inputs, so this single entry skips the map insert — the hottest
-	// operation in VM profiles — in the common case. Purely an accelerator:
-	// it only elides inserts of keys already present in vecs.
-	lastVec []uint64
+	// keys is the packed set of (outcome, condition vector) keys seen, the
+	// raw material for MCDC pairing. A decision with n conditions whose key
+	// space NumOutcomes<<n fits in maxVectorsPerDecision owns that many bits
+	// from its decMeta.base on, and key (o, v) is bit base + (o<<n | v).
+	keys []uint64
+	// wide holds the keys of the decisions too wide to pack, one set of at
+	// most maxVectorsPerDecision keys each, as uint64(o)<<32 | v.
+	wide []map[uint64]struct{}
 
 	// condMeta/decMeta flatten the plan fields Cond and Outcome touch into
 	// compact contiguous records. Plan entries carry labels and slices the
@@ -47,11 +47,25 @@ type condMeta struct {
 
 type decMeta struct {
 	outcomeBase uint32
-	hasConds    bool
+	// base is the decision's first bit in keys (keysPacked) or its index in
+	// wide (keysWide).
+	base  uint32
+	conds uint8 // condition count n: key (o, v) packs as o<<n | v
+	store keyStore
 }
 
-// maxVectorsPerDecision bounds MCDC bookkeeping per decision. 1<<16 packed
-// vectors cover every decision with up to 16 conditions exhaustively.
+// keyStore says where a decision's MCDC keys live.
+type keyStore uint8
+
+const (
+	keysNone   keyStore = iota // no conditions, no MCDC keys
+	keysPacked                 // bits in Recorder.keys
+	keysWide                   // a bounded set in Recorder.wide
+)
+
+// maxVectorsPerDecision bounds MCDC bookkeeping per decision: a decision
+// whose NumOutcomes<<n keys fit is packed, so the bound never binds on it,
+// and a wider one records at most this many keys.
 const maxVectorsPerDecision = 1 << 16
 
 // NewRecorder creates a recorder for the given plan.
@@ -61,14 +75,9 @@ func NewRecorder(p *Plan) *Recorder {
 		Curr:    make([]uint64, words(p.NumBranches)),
 		Total:   make([]uint8, p.NumBranches),
 		condVec: make([]uint32, len(p.Decisions)),
-		vecs:    make([]map[uint64]struct{}, len(p.Decisions)),
-		lastVec: make([]uint64, len(p.Decisions)),
 
 		condMeta: make([]condMeta, len(p.Conds)),
 		decMeta:  make([]decMeta, len(p.Decisions)),
-	}
-	for i := range r.vecs {
-		r.vecs[i] = make(map[uint64]struct{})
 	}
 	for i := range p.Conds {
 		c := &p.Conds[i]
@@ -78,13 +87,23 @@ func NewRecorder(p *Plan) *Recorder {
 			bit:        uint32(1) << uint(c.Slot),
 		}
 	}
+	nkeys := 0
 	for i := range p.Decisions {
 		d := &p.Decisions[i]
-		r.decMeta[i] = decMeta{
-			outcomeBase: uint32(d.OutcomeBase),
-			hasConds:    len(d.CondIDs) > 0,
+		n := len(d.CondIDs)
+		m := decMeta{outcomeBase: uint32(d.OutcomeBase), conds: uint8(n)}
+		switch {
+		case n == 0:
+		case n <= 16 && d.NumOutcomes<<n <= maxVectorsPerDecision:
+			m.store, m.base = keysPacked, uint32(nkeys)
+			nkeys += d.NumOutcomes << n
+		default:
+			m.store, m.base = keysWide, uint32(len(r.wide))
+			r.wide = append(r.wide, make(map[uint64]struct{}))
 		}
+		r.decMeta[i] = m
 	}
+	r.keys = make([]uint64, words(nkeys))
 	return r
 }
 
@@ -120,37 +139,37 @@ func (r *Recorder) Cond(condID int, v bool) {
 	}
 }
 
-// Outcome records a decision resolving to the given outcome index, snapshots
-// the condition vector for MCDC, and resets the vector for the next
+// Outcome records a decision resolving to the given outcome index, records
+// the condition vector's key for MCDC, and resets the vector for the next
 // evaluation. This is the paper's CoverageStatistics() entry point.
 func (r *Recorder) Outcome(decID, outcome int) {
-	d := r.decMeta[decID]
+	d := &r.decMeta[decID]
 	branch := int(d.outcomeBase) + outcome
 	r.Curr[branch>>6] |= 1 << (branch & 63)
 	r.Total[branch] = 1
-	if d.hasConds {
-		key := uint64(r.condVec[decID]) | uint64(outcome)<<32
-		if r.lastVec[decID] != key+1 {
-			set := r.vecs[decID]
-			if len(set) < maxVectorsPerDecision {
-				set[key] = struct{}{}
-				r.lastVec[decID] = key + 1
-			}
-		}
-		r.condVec[decID] = 0
+	if d.store == keysNone {
+		return
+	}
+	v := r.condVec[decID]
+	r.condVec[decID] = 0
+	if d.store == keysPacked {
+		k := d.base + (uint32(outcome)<<d.conds | v)
+		r.keys[k>>6] |= 1 << (k & 63)
+		return
+	}
+	if set := r.wide[d.base]; len(set) < maxVectorsPerDecision {
+		set[uint64(outcome)<<32|uint64(v)] = struct{}{}
 	}
 }
 
 // ResetAll clears all accumulated coverage (between campaigns).
 func (r *Recorder) ResetAll() {
 	r.BeginStep()
-	for i := range r.Total {
-		r.Total[i] = 0
+	clear(r.Total)
+	clear(r.keys)
+	for _, set := range r.wide {
+		clear(set)
 	}
-	for i := range r.vecs {
-		r.vecs[i] = make(map[uint64]struct{})
-	}
-	clear(r.lastVec)
 }
 
 // CoveredBranches counts branch IDs hit so far.
@@ -165,15 +184,19 @@ func (r *Recorder) CoveredBranches() int {
 }
 
 // Merge folds another recorder's cumulative coverage into r (used to average
-// repeated campaigns or to union per-worker results).
+// repeated campaigns or to union per-worker results). Both must be built
+// for the same plan.
 func (r *Recorder) Merge(other *Recorder) {
 	for i, v := range other.Total {
 		if v != 0 {
 			r.Total[i] = 1
 		}
 	}
-	for d, set := range other.vecs {
-		dst := r.vecs[d]
+	for w, k := range other.keys {
+		r.keys[w] |= k
+	}
+	for i, set := range other.wide {
+		dst := r.wide[i]
 		for k := range set {
 			if len(dst) >= maxVectorsPerDecision {
 				break

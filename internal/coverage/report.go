@@ -154,25 +154,41 @@ func (r *Recorder) Report() Report {
 				rep.MCDCTotal++
 			}
 		}
-		rep.MCDCCovered += mcdcSatisfied(d, r.vecs[d.ID])
+		rep.MCDCCovered += mcdcSatisfied(d, r.keysOf(d.ID))
 	}
 	return rep
 }
 
+// keyRec is one recorded MCDC key: a condition vector and the outcome the
+// decision resolved to with it.
+type keyRec struct{ vec, outcome uint32 }
+
+// keysOf lists the keys decision d has recorded, read from its bits in the
+// packed set or from its wide set.
+func (r *Recorder) keysOf(d int) []keyRec {
+	m := r.decMeta[d]
+	var recs []keyRec
+	switch m.store {
+	case keysPacked:
+		n := uint32(r.plan.Decisions[d].NumOutcomes) << m.conds
+		for k := uint32(0); k < n; k++ {
+			if b := m.base + k; r.keys[b>>6]&(1<<(b&63)) != 0 {
+				recs = append(recs, keyRec{vec: k & (1<<m.conds - 1), outcome: k >> m.conds})
+			}
+		}
+	case keysWide:
+		for k := range r.wide[m.base] {
+			recs = append(recs, keyRec{vec: uint32(k), outcome: uint32(k >> 32)})
+		}
+	}
+	return recs
+}
+
 // mcdcSatisfied counts how many of the decision's conditions have a
-// unique-cause independence pair among the recorded vectors.
-func mcdcSatisfied(d *Decision, set map[uint64]struct{}) int {
-	if len(set) < 2 {
+// unique-cause independence pair among the recorded keys.
+func mcdcSatisfied(d *Decision, recs []keyRec) int {
+	if len(recs) < 2 {
 		return 0
-	}
-	// Split the packed keys into (vector, outcome) pairs once.
-	type rec struct {
-		vec     uint32
-		outcome uint32
-	}
-	recs := make([]rec, 0, len(set))
-	for k := range set {
-		recs = append(recs, rec{vec: uint32(k), outcome: uint32(k >> 32)})
 	}
 	covered := 0
 	for slot := range d.CondIDs {

@@ -203,9 +203,9 @@ func (e *Engine) replayCheckpoint(cp *Checkpoint) {
 	// set is authoritative for first-seen inputs and counts).
 	e.findings = e.findings[:0]
 	e.findingIdx = map[string]int{}
+	e.findingKinds = [numFindingKinds]int{}
 	for _, f := range cp.Findings {
-		e.findingIdx[findingKey(f.Kind, f.Site)] = len(e.findings)
-		e.findings = append(e.findings, f)
+		e.addFinding(f)
 	}
 	e.updateLive()
 }

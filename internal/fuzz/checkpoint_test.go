@@ -72,6 +72,9 @@ func TestCheckpointPreservesFindings(t *testing.T) {
 	if len(res.Findings) != 1 || res.Findings[0].Kind != FindingHang {
 		t.Fatalf("findings not restored: %v", res.Findings)
 	}
+	if byKind := r.LiveStats().FindingsByKind; byKind[FindingHang] != 1 {
+		t.Errorf("live findings by kind %v, want the one restored hang", byKind)
+	}
 	// The resumed run's own seed inputs may re-hit the same loop and bump the
 	// count, but the saved reproducer and site stay authoritative.
 	if res.Findings[0].Count < 1 {

@@ -193,6 +193,9 @@ type Engine struct {
 	mut   *Mutator
 	bmut  *ByteMutator
 	tuple int
+	// picked holds the random tuples pick returns for the parent and the
+	// crossover partner while the corpus is empty.
+	picked [2][]byte
 
 	// feedback state, packed like coverage.Recorder.Curr. prog.Seen holds
 	// every slot ever hit (test-case emission) and prog's counters feed the
@@ -220,6 +223,7 @@ type Engine struct {
 	// fault-tolerance state
 	findings        []Finding
 	findingIdx      map[string]int
+	findingKinds    [numFindingKinds]int // distinct findings per kind
 	droppedFindings int
 	floatOuts       []floatOut
 	lastInputFuel   int64 // instructions burned by the last RunInput
@@ -237,6 +241,10 @@ type Engine struct {
 	inbox            [][]byte
 	inboxFlag        atomic.Bool
 	injectedAdmitted int64
+
+	// deadSlots is the plan's dead-slot count, fixed before the engine is
+	// built, like the feedback mask.
+	deadSlots int
 
 	// live status mirror, safe to read from other goroutines while Run is
 	// hot (the campaign status plane).
@@ -317,6 +325,7 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 		tupleBuf:   make([]uint64, len(c.Prog.In)),
 		findingIdx: map[string]int{},
 		fpLoop:     "fuzz.loop",
+		deadSlots:  c.Plan.DeadCount(),
 	}
 	if opts.Label != "" {
 		e.fpLoop = "fuzz.loop:" + opts.Label
@@ -431,14 +440,10 @@ func (e *Engine) updateLive() {
 		Cases:            len(e.cases),
 		Violations:       len(e.violations),
 		Findings:         len(e.findings),
+		FindingsByKind:   e.findingKinds,
 		InjectedAdmitted: e.injectedAdmitted,
-		DeadObjectives:   e.c.Plan.DeadCount(),
+		DeadObjectives:   e.deadSlots,
 		LastCheckpoint:   e.lastCkptOK,
-	}
-	for _, f := range e.findings {
-		if int(f.Kind) < numFindingKinds {
-			e.live.FindingsByKind[f.Kind]++
-		}
 	}
 	e.liveMu.Unlock()
 }
@@ -638,7 +643,7 @@ func (e *Engine) Run() *Result {
 	for i := 0; i < 4; i++ {
 		var s []byte
 		for k := 0; k < 4+e.rng.Intn(8); k++ {
-			s = append(s, e.mut.RandomTuple()...)
+			s = e.mut.appendRandomTuple(s)
 		}
 		seeds = append(seeds, s)
 	}
@@ -676,13 +681,15 @@ func (e *Engine) Run() *Result {
 		if e.execs%checkEvery == 0 {
 			e.maybeCheckpoint()
 		}
-		parent := e.pick()
-		other := e.pick()
+		// The candidate lives in the mutator's buffer until the next
+		// mutation; tryInput copies it wherever it keeps it.
+		parent := e.pick(&e.picked[0])
+		other := e.pick(&e.picked[1])
 		var cand []byte
 		if e.opts.Mode == ModeFuzzOnly {
-			cand = e.bmut.Mutate(parent, other)
+			cand = e.bmut.mutate(parent, other)
 		} else {
-			cand = e.mut.Mutate(parent, other)
+			cand = e.mut.mutate(parent, other)
 		}
 		e.tryInput(cand)
 		if e.lastInputFuel >= fuelWarn && e.opts.Budget > 0 && time.Since(e.start) >= e.opts.Budget {
@@ -800,10 +807,12 @@ func (e *Engine) evict() {
 // pick selects a corpus entry. Selection is uniform with a mild recency
 // bias; in model-oriented mode one pick in four is drawn weighted by the
 // iteration-difference density, steering some mutation energy toward
-// behaviourally diverse inputs without starving the coverage frontier.
-func (e *Engine) pick() []byte {
+// behaviourally diverse inputs without starving the coverage frontier. An
+// empty corpus yields a random tuple, built in *scratch.
+func (e *Engine) pick(scratch *[]byte) []byte {
 	if len(e.corpus) == 0 {
-		return e.mut.RandomTuple()
+		*scratch = e.mut.appendRandomTuple((*scratch)[:0])
+		return *scratch
 	}
 	if e.opts.Mode == ModeModelOriented && e.rng.Intn(4) == 0 {
 		total := 0.0

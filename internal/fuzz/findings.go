@@ -113,8 +113,7 @@ func (e *Engine) recordFinding(kind FindingKind, input []byte, step int, site, d
 	if !e.start.IsZero() {
 		found = time.Since(e.start)
 	}
-	e.findingIdx[key] = len(e.findings)
-	e.findings = append(e.findings, Finding{
+	e.addFinding(Finding{
 		Kind:   kind,
 		Input:  append([]byte(nil), input...),
 		Step:   step,
@@ -123,6 +122,15 @@ func (e *Engine) recordFinding(kind FindingKind, input []byte, step int, site, d
 		Count:  1,
 		Found:  found,
 	})
+}
+
+// addFinding stores a finding whose (kind, site) is not stored yet.
+func (e *Engine) addFinding(f Finding) {
+	e.findingIdx[findingKey(f.Kind, f.Site)] = len(e.findings)
+	e.findings = append(e.findings, f)
+	if int(f.Kind) < numFindingKinds {
+		e.findingKinds[f.Kind]++
+	}
 }
 
 // noteHang classifies a *vm.HangError as a Hang finding keyed by the loop

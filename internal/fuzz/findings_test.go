@@ -101,6 +101,13 @@ func TestCampaignSurvivesHangsWithinBudget(t *testing.T) {
 	if hangs == 0 {
 		t.Errorf("expected hang findings on a 2000-fuel isqrt, got %v", res.Findings)
 	}
+	var byKind [numFindingKinds]int
+	for _, f := range res.Findings {
+		byKind[f.Kind]++
+	}
+	if ls := e.LiveStats(); ls.Findings != len(res.Findings) || ls.FindingsByKind != byKind {
+		t.Errorf("live stats: %d findings %v, want %d %v", ls.Findings, ls.FindingsByKind, len(res.Findings), byKind)
+	}
 }
 
 func TestPanicRecoveredAsCrashFinding(t *testing.T) {

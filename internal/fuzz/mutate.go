@@ -71,6 +71,14 @@ type Mutator struct {
 	// ranges holds optional per-field value bounds (§5 tester-specified
 	// ranges); generated values are clamped into them.
 	ranges []Range
+
+	// The buffers below are reused across calls, so a mutation allocates
+	// nothing once they have grown. cur holds the input being mutated: a
+	// strategy that edits it in place writes there, and one that reshapes it
+	// builds the result in spare and swaps the two. tup holds the tuple
+	// InsertRepeatedTuples repeats and perm ShuffleTuples' permutation.
+	cur, spare, tup []byte
+	perm            []int
 }
 
 // NewMutator builds a mutator for the given tuple layout. maxTuples bounds
@@ -100,13 +108,15 @@ func (m *Mutator) SetHints(hints [][]float64) { m.hints = hints }
 // are treated as unbounded.
 func (m *Mutator) SetRanges(ranges []Range) { m.ranges = ranges }
 
-// RandomTuple generates one random tuple with field-aware values.
-func (m *Mutator) RandomTuple() []byte {
-	t := make([]byte, m.tupleSize)
+// appendRandomTuple appends one random tuple with field-aware values to dst
+// and returns the extended slice.
+func (m *Mutator) appendRandomTuple(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, m.tupleSize)...)
 	for i, f := range m.fields {
-		model.PutRaw(f.Type, t[f.Offset:], m.randomFieldValue(i, f.Type))
+		model.PutRaw(f.Type, dst[n+f.Offset:], m.randomFieldValue(i, f.Type))
 	}
-	return t
+	return dst
 }
 
 // randomFieldValue draws a value for a specific field: comparison-constant
@@ -172,129 +182,148 @@ func (m *Mutator) randomValue(dt model.DType) uint64 {
 }
 
 // Mutate applies between 1 and 4 stacked strategies to data, borrowing
-// tuples from other when crossing over. The input slice is not modified.
+// tuples from other when crossing over. The input slice is not modified,
+// and the result is a fresh slice the caller owns.
 func (m *Mutator) Mutate(data, other []byte) []byte {
-	out := append([]byte(nil), data...)
+	return append([]byte(nil), m.mutate(data, other)...)
+}
+
+// mutate is Mutate into the mutator's own buffer: its result is valid until
+// the next call on m.
+func (m *Mutator) mutate(data, other []byte) []byte {
+	m.cur = append(m.cur[:0], data...)
 	n := 1 + m.rng.Intn(4)
 	for i := 0; i < n; i++ {
-		out = m.apply(Strategy(m.rng.Intn(int(numStrategies))), out, other)
+		m.apply(Strategy(m.rng.Intn(int(numStrategies))), other)
 	}
-	if len(out) == 0 {
-		out = m.RandomTuple()
+	if len(m.cur) == 0 {
+		m.cur = m.appendRandomTuple(m.cur)
 	}
-	if max := m.maxTuples * m.tupleSize; len(out) > max {
-		out = out[:max]
+	if max := m.maxTuples * m.tupleSize; len(m.cur) > max {
+		m.cur = m.cur[:max]
 	}
-	return out
+	return m.cur
 }
 
 // Apply runs a single named strategy (exported for tests and the Table 1
-// micro-benchmarks).
+// micro-benchmarks). It returns a fresh slice and leaves data unmodified.
 func (m *Mutator) Apply(s Strategy, data, other []byte) []byte {
-	return m.apply(s, append([]byte(nil), data...), other)
+	m.cur = append(m.cur[:0], data...)
+	m.apply(s, other)
+	return append([]byte(nil), m.cur...)
 }
 
-func (m *Mutator) apply(s Strategy, data, other []byte) []byte {
+// swap makes out, built in the spare buffer, the current input.
+func (m *Mutator) swap(out []byte) { m.cur, m.spare = out, m.cur }
+
+// permute is rand.Perm(n) into a reused slice: the same Intn(i+1) draws, in
+// the same order, give the same permutation.
+func (m *Mutator) permute(n int) []int {
+	if cap(m.perm) < n {
+		m.perm = make([]int, n)
+	}
+	p := m.perm[:n]
+	for i := 0; i < n; i++ {
+		j := m.rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
+// apply runs strategy s on the current input m.cur.
+func (m *Mutator) apply(s Strategy, other []byte) {
+	data := m.cur
 	nt := len(data) / m.tupleSize
 	switch s {
 	case ChangeBinaryInteger:
 		if nt == 0 || len(m.intFields) == 0 {
-			return m.apply(InsertTuple, data, other)
+			m.apply(InsertTuple, other)
+			return
 		}
 		fi := m.intFields[m.rng.Intn(len(m.intFields))]
 		f := m.fields[fi]
 		off := m.rng.Intn(nt)*m.tupleSize + f.Offset
 		m.mutateInt(data[off:off+f.Type.Size()], fi, f.Type)
-		return data
 
 	case ChangeBinaryFloat:
 		if nt == 0 || len(m.floatFields) == 0 {
-			return m.apply(ChangeBinaryInteger, data, other)
+			m.apply(ChangeBinaryInteger, other)
+			return
 		}
 		fi := m.floatFields[m.rng.Intn(len(m.floatFields))]
 		f := m.fields[fi]
 		off := m.rng.Intn(nt)*m.tupleSize + f.Offset
 		m.mutateFloat(data[off:off+f.Type.Size()], fi, f.Type)
-		return data
 
 	case EraseTuples:
 		if nt <= 1 {
-			return data
+			return
 		}
 		a := m.rng.Intn(nt)
 		span := 1 + m.rng.Intn(nt-a)
 		if span == nt {
 			span = nt - 1
 		}
-		return append(data[:a*m.tupleSize], data[(a+span)*m.tupleSize:]...)
+		m.cur = append(data[:a*m.tupleSize], data[(a+span)*m.tupleSize:]...)
 
 	case InsertTuple:
 		pos := 0
 		if nt > 0 {
 			pos = m.rng.Intn(nt + 1)
 		}
-		t := m.RandomTuple()
-		out := make([]byte, 0, len(data)+m.tupleSize)
-		out = append(out, data[:pos*m.tupleSize]...)
-		out = append(out, t...)
-		out = append(out, data[pos*m.tupleSize:]...)
-		return out
+		out := append(m.spare[:0], data[:pos*m.tupleSize]...)
+		out = m.appendRandomTuple(out)
+		m.swap(append(out, data[pos*m.tupleSize:]...))
 
 	case InsertRepeatedTuples:
-		var t []byte
 		if nt > 0 && m.rng.Intn(2) == 0 {
 			src := m.rng.Intn(nt)
-			t = append([]byte(nil), data[src*m.tupleSize:(src+1)*m.tupleSize]...)
+			m.tup = append(m.tup[:0], data[src*m.tupleSize:(src+1)*m.tupleSize]...)
 		} else {
-			t = m.RandomTuple()
+			m.tup = m.appendRandomTuple(m.tup[:0])
 		}
 		k := 1 + m.rng.Intn(16)
 		pos := 0
 		if nt > 0 {
 			pos = m.rng.Intn(nt + 1)
 		}
-		out := make([]byte, 0, len(data)+k*m.tupleSize)
-		out = append(out, data[:pos*m.tupleSize]...)
+		out := append(m.spare[:0], data[:pos*m.tupleSize]...)
 		for i := 0; i < k; i++ {
-			out = append(out, t...)
+			out = append(out, m.tup...)
 		}
-		out = append(out, data[pos*m.tupleSize:]...)
-		return out
+		m.swap(append(out, data[pos*m.tupleSize:]...))
 
 	case ShuffleTuples:
 		if nt <= 1 {
-			return data
+			return
 		}
 		a := m.rng.Intn(nt)
 		span := 2 + m.rng.Intn(nt-a)
 		if a+span > nt {
 			span = nt - a
 		}
-		idx := m.rng.Perm(span)
-		out := append([]byte(nil), data...)
-		for i, j := range idx {
+		out := append(m.spare[:0], data...)
+		for i, j := range m.permute(span) {
 			copy(out[(a+i)*m.tupleSize:(a+i+1)*m.tupleSize],
 				data[(a+j)*m.tupleSize:(a+j+1)*m.tupleSize])
 		}
-		return out
+		m.swap(out)
 
 	case CopyTuples:
 		if nt < 2 {
-			return data
+			return
 		}
 		src := m.rng.Intn(nt)
 		span := 1 + m.rng.Intn(nt-src)
 		dst := m.rng.Intn(nt + 1)
-		chunk := append([]byte(nil), data[src*m.tupleSize:(src+span)*m.tupleSize]...)
-		out := make([]byte, 0, len(data)+len(chunk))
-		out = append(out, data[:dst*m.tupleSize]...)
-		out = append(out, chunk...)
-		out = append(out, data[dst*m.tupleSize:]...)
-		return out
+		out := append(m.spare[:0], data[:dst*m.tupleSize]...)
+		out = append(out, data[src*m.tupleSize:(src+span)*m.tupleSize]...)
+		m.swap(append(out, data[dst*m.tupleSize:]...))
 
 	case TuplesCrossOver:
-		if other == nil || len(other) < m.tupleSize {
-			return data
+		if len(other) < m.tupleSize {
+			return
 		}
 		no := len(other) / m.tupleSize
 		cutA := 0
@@ -302,12 +331,8 @@ func (m *Mutator) apply(s Strategy, data, other []byte) []byte {
 			cutA = m.rng.Intn(nt + 1)
 		}
 		cutB := m.rng.Intn(no + 1)
-		out := make([]byte, 0, cutA*m.tupleSize+(no-cutB)*m.tupleSize)
-		out = append(out, data[:cutA*m.tupleSize]...)
-		out = append(out, other[cutB*m.tupleSize:no*m.tupleSize]...)
-		return out
+		m.cur = append(data[:cutA*m.tupleSize], other[cutB*m.tupleSize:no*m.tupleSize]...)
 	}
-	return data
 }
 
 // mutateInt applies one of the paper's integer sub-strategies: sign-bit
@@ -395,6 +420,8 @@ func (m *Mutator) mutateFloat(b []byte, field int, dt model.DType) {
 type ByteMutator struct {
 	rng    *rand.Rand
 	maxLen int
+	// cur and spare are reused across calls, as in Mutator.
+	cur, spare []byte
 }
 
 // NewByteMutator builds the ablation mutator.
@@ -402,71 +429,68 @@ func NewByteMutator(maxLen int, rng *rand.Rand) *ByteMutator {
 	return &ByteMutator{rng: rng, maxLen: maxLen}
 }
 
-// Mutate applies 1-4 stacked generic byte mutations.
+// Mutate applies 1-4 stacked generic byte mutations. The result is a fresh
+// slice the caller owns.
 func (m *ByteMutator) Mutate(data, other []byte) []byte {
-	out := append([]byte(nil), data...)
-	n := 1 + m.rng.Intn(4)
-	for i := 0; i < n; i++ {
-		out = m.apply(out, other)
-	}
-	if len(out) == 0 {
-		out = []byte{byte(m.rng.Intn(256))}
-	}
-	if len(out) > m.maxLen {
-		out = out[:m.maxLen]
-	}
-	return out
+	return append([]byte(nil), m.mutate(data, other)...)
 }
 
-func (m *ByteMutator) apply(data, other []byte) []byte {
-	r := m.rng
+// mutate is Mutate into the mutator's own buffer: its result is valid until
+// the next call on m.
+func (m *ByteMutator) mutate(data, other []byte) []byte {
+	m.cur = append(m.cur[:0], data...)
+	n := 1 + m.rng.Intn(4)
+	for i := 0; i < n; i++ {
+		m.apply(other)
+	}
+	if len(m.cur) == 0 {
+		m.cur = append(m.cur, byte(m.rng.Intn(256)))
+	}
+	if len(m.cur) > m.maxLen {
+		m.cur = m.cur[:m.maxLen]
+	}
+	return m.cur
+}
+
+func (m *ByteMutator) apply(other []byte) {
+	r, data := m.rng, m.cur
 	switch r.Intn(6) {
 	case 0: // bit flip
 		if len(data) == 0 {
-			return data
+			return
 		}
 		data[r.Intn(len(data))] ^= 1 << uint(r.Intn(8))
-		return data
 	case 1: // byte set
 		if len(data) == 0 {
-			return data
+			return
 		}
 		data[r.Intn(len(data))] = byte(r.Intn(256))
-		return data
 	case 2: // delete a random span (any length — misaligns tuples)
 		if len(data) < 2 {
-			return data
+			return
 		}
 		a := r.Intn(len(data))
 		span := 1 + r.Intn(len(data)-a)
-		return append(data[:a], data[a+span:]...)
+		m.cur = append(data[:a], data[a+span:]...)
 	case 3: // insert random bytes (any length)
 		k := 1 + r.Intn(8)
 		pos := r.Intn(len(data) + 1)
-		ins := make([]byte, k)
-		for i := range ins {
-			ins[i] = byte(r.Intn(256))
+		out := append(m.spare[:0], data[:pos]...)
+		for i := 0; i < k; i++ {
+			out = append(out, byte(r.Intn(256)))
 		}
-		out := make([]byte, 0, len(data)+k)
-		out = append(out, data[:pos]...)
-		out = append(out, ins...)
-		out = append(out, data[pos:]...)
-		return out
+		m.cur, m.spare = append(out, data[pos:]...), data
 	case 4: // arithmetic on a byte
 		if len(data) == 0 {
-			return data
+			return
 		}
 		data[r.Intn(len(data))] += byte(r.Intn(33) - 16)
-		return data
 	default: // byte-level crossover
 		if len(other) == 0 {
-			return data
+			return
 		}
 		cutA := r.Intn(len(data) + 1)
 		cutB := r.Intn(len(other))
-		out := make([]byte, 0, cutA+len(other)-cutB)
-		out = append(out, data[:cutA]...)
-		out = append(out, other[cutB:]...)
-		return out
+		m.cur = append(data[:cutA], other[cutB:]...)
 	}
 }

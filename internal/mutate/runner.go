@@ -97,6 +97,11 @@ type Report struct {
 	Results []Result `json:"results"`
 	Execs   int64    `json:"execs"` // mutant program runs (mutants × cases reached)
 	Steps   int64    `json:"steps"` // mutant model iterations executed
+	// ReferenceTerminals counts the cases whose run on the original program
+	// ends in a timeout or crash. A mutant that ends such a case the same
+	// way is not killed by it, so a count near the suite size (typically a
+	// fuel below the model's own per-call cost) leaves the score meaningless.
+	ReferenceTerminals int `json:"referenceTerminals,omitempty"`
 }
 
 // stepTrace is one model iteration of the original program: raw outputs
@@ -241,15 +246,18 @@ func Run(c *codegen.Compiled, muts []*Mutant, cases [][]byte, cfg RunConfig) *Re
 	baseRec := coverage.NewRecorder(c.Plan)
 	baseM := vm.NewThreadedFromCode(c.Threaded(), baseRec)
 	baseM.SetFuel(cfg.Fuel)
-	base := make([]caseTrace, len(decoded))
-	for i, steps := range decoded {
-		base[i] = traceCase(baseM, baseRec, steps)
-	}
-
 	rep := &Report{
 		Results: make([]Result, len(muts)),
 		Summary: Summary{Total: len(muts), Operators: map[string]OpStat{}},
 	}
+	base := make([]caseTrace, len(decoded))
+	for i, steps := range decoded {
+		base[i] = traceCase(baseM, baseRec, steps)
+		if base[i].term != "" {
+			rep.ReferenceTerminals++
+		}
+	}
+
 	seenKills := map[uint64]bool{}
 	for mi, mu := range muts {
 		res := runMutant(mu, decoded, base, cfg.Fuel, rep)

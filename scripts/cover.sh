@@ -27,7 +27,7 @@ check() {
 
 check internal/vm 85
 check internal/ir 80
-check internal/coverage 70
+check internal/coverage 85
 check internal/fuzz 85
 check internal/mutate 80
 check internal/analysis 85
