@@ -74,7 +74,12 @@ bench-test:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-check: fmt vet build test race bench-test cover fuzz-smoke mutate-smoke chaos
+# check is the CI gate. It runs scripts/check.sh, which runs the stages
+# above and those without a target of their own (the reference-VM guard,
+# the workers checkpoint/resume smoke, the faultinject no-op check and the
+# cftcgd smoke), stopping at the first failure.
+check:
+	scripts/check.sh
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

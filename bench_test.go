@@ -379,34 +379,36 @@ func seededDeadModel() *model.Model {
 	return b.Model()
 }
 
-// TestDeadAdjustedDenominators is the acceptance check for dead-objective
-// marking: on a model with a seeded dead branch, the analysis finds it and
-// every reported denominator shrinks.
-func TestDeadAdjustedDenominators(t *testing.T) {
-	plain, err := codegen.Compile(seededDeadModel())
-	if err != nil {
-		t.Fatal(err)
+// TestFuzzNeverReachesDeadObjectives holds the dead-objective analysis to
+// what the fuzzer concretely reaches: a 3,000-exec seed-1 campaign, in the
+// default mode and at MaxTuples 4, may set no slot of Recorder().Total that
+// analysis.DeadObjectives proves unreachable. It runs on the 8 benchmark
+// models (TWC and UTPC have one dead slot each) and on seededDeadModel,
+// whose dead set must not be empty.
+func TestFuzzNeverReachesDeadObjectives(t *testing.T) {
+	models := map[string]*model.Model{"SeededDead": seededDeadModel()}
+	for _, e := range benchmodels.All() {
+		models[e.Name] = e.Build()
 	}
-	marked, err := codegen.Compile(seededDeadModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := analysis.MarkDead(marked.Prog, marked.Plan); n == 0 {
-		t.Fatal("analysis found no dead objectives in the seeded model")
-	}
-	before := coverage.NewRecorder(plain.Plan).Report()
-	after := coverage.NewRecorder(marked.Plan).Report()
-	if after.DecisionTotal >= before.DecisionTotal {
-		t.Errorf("decision denominator must exclude the dead outcome: %d -> %d",
-			before.DecisionTotal, after.DecisionTotal)
-	}
-	if after.CondTotal >= before.CondTotal {
-		t.Errorf("condition denominator must exclude the dead polarity: %d -> %d",
-			before.CondTotal, after.CondTotal)
-	}
-	if after.MCDCTotal >= before.MCDCTotal {
-		t.Errorf("MCDC denominator must exclude the half-dead condition: %d -> %d",
-			before.MCDCTotal, after.MCDCTotal)
+	for name, m := range models {
+		c, err := codegen.Compile(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dead := analysis.DeadObjectives(c.Prog, c.Plan)
+		if name == "SeededDead" && len(dead) == 0 {
+			t.Fatal("analysis found no dead objectives in the seeded model")
+		}
+		for _, maxTuples := range []int{0, 4} {
+			eng := fuzz.MustEngine(c, fuzz.Options{Seed: 1, MaxExecs: 3000, MaxTuples: maxTuples})
+			eng.Run()
+			for _, slot := range dead {
+				if eng.Recorder().Total[slot] != 0 {
+					t.Errorf("%s (MaxTuples %d): fuzzing reached slot %d (%s), which the analysis proves dead",
+						name, maxTuples, slot, c.Plan.BranchLabel(slot))
+				}
+			}
+		}
 	}
 }
 

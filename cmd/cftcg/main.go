@@ -66,17 +66,11 @@ func main() {
 		checkpoint := fs.String("checkpoint", "", "path for periodic crash-safe corpus checkpoints")
 		ckptEvery := fs.Duration("checkpoint-every", 30*time.Second, "interval between checkpoints")
 		resume := fs.String("resume", "", "checkpoint file to resume the campaign from")
-		analyze := fs.Bool("analyze", false, "statically prove objectives dead; exclude them from the report denominators")
 		check(fs.Parse(afterModel(args)))
 		sys := loadSystem(arg(args, 0))
 
 		m, err := fuzz.ParseMode(*mode)
 		check(err)
-		if *analyze {
-			if n := analysis.MarkDead(sys.Compiled.Prog, sys.Compiled.Plan); n > 0 {
-				fmt.Printf("static analysis: %d dead objective(s) excluded from coverage denominators\n", n)
-			}
-		}
 		opts := fuzz.Options{
 			Seed: *seed, Mode: m, Budget: *budget, MaxExecs: *execs, MaxTuples: *maxTuples,
 			Fuel:           *fuel,
@@ -234,7 +228,7 @@ func main() {
 		if len(dead) == 0 {
 			fmt.Println("dead objectives: none")
 		} else {
-			fmt.Printf("dead objectives: %d (excluded from adjusted denominators)\n", len(dead))
+			fmt.Printf("dead objectives: %d (provably unreachable; still counted in every coverage denominator)\n", len(dead))
 			for _, slot := range dead {
 				fmt.Printf("  %3d  %s\n", slot, plan.BranchLabel(slot))
 			}

@@ -53,10 +53,14 @@ func TestMissingModelPrintsUsage(t *testing.T) {
 	}
 }
 
+// TestDirectedFlagRetired: the retired -directed and -analyze flags of
+// cftcg fuzz are unknown flags.
 func TestDirectedFlagRetired(t *testing.T) {
-	_, stderr, code := cftcg(t, "fuzz", "SolarPV", "-directed")
-	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -directed") {
-		t.Errorf("exit %d, stderr %q; want exit 2 for an unknown flag", code, stderr)
+	for _, flag := range []string{"-directed", "-analyze"} {
+		_, stderr, code := cftcg(t, "fuzz", "SolarPV", flag)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 for an unknown flag", flag, code, stderr)
+		}
 	}
 }
 

@@ -353,13 +353,3 @@ func DeadObjectives(p *ir.Program, plan *coverage.Plan) []int {
 	}
 	return dead
 }
-
-// MarkDead runs the dead-objective analysis and records the result in the
-// plan, returning the number of slots marked.
-func MarkDead(p *ir.Program, plan *coverage.Plan) int {
-	dead := DeadObjectives(p, plan)
-	for _, slot := range dead {
-		plan.MarkDead(slot)
-	}
-	return len(dead)
-}

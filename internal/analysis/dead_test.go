@@ -32,8 +32,11 @@ func deadBranchModel(t *testing.T) *codegen.Compiled {
 
 func TestDeadObjectivesOnSeededDeadBranch(t *testing.T) {
 	c := deadBranchModel(t)
-	n := analysis.MarkDead(c.Prog, c.Plan)
-	if n == 0 {
+	dead := make(map[int]bool)
+	for _, slot := range analysis.DeadObjectives(c.Prog, c.Plan) {
+		dead[slot] = true
+	}
+	if len(dead) == 0 {
 		t.Fatal("analysis found no dead objectives in a model with a provably dead branch")
 	}
 	// The Switch decision's "true" outcome (outcome 1 of a boolean decision)
@@ -47,10 +50,10 @@ func TestDeadObjectivesOnSeededDeadBranch(t *testing.T) {
 	if sw == nil {
 		t.Fatal("no switch decision in plan")
 	}
-	if !c.Plan.IsDead(sw.OutcomeBase + 1) {
+	if !dead[sw.OutcomeBase+1] {
 		t.Errorf("switch true outcome (branch %d) should be dead", sw.OutcomeBase+1)
 	}
-	if c.Plan.IsDead(sw.OutcomeBase) {
+	if dead[sw.OutcomeBase] {
 		t.Errorf("switch false outcome (branch %d) must stay live", sw.OutcomeBase)
 	}
 	// Saturation outcomes are all reachable and must stay live.
@@ -60,57 +63,10 @@ func TestDeadObjectivesOnSeededDeadBranch(t *testing.T) {
 			continue
 		}
 		for k := 0; k < d.NumOutcomes; k++ {
-			if c.Plan.IsDead(d.OutcomeBase + k) {
+			if dead[d.OutcomeBase+k] {
 				t.Errorf("saturation outcome %d wrongly dead", k)
 			}
 		}
-	}
-}
-
-// TestReportExcludesDeadDenominators checks that after dead marking, a
-// fully-exercised model reports 100% on every metric even though the dead
-// slots were never (and can never be) hit.
-func TestReportExcludesDeadDenominators(t *testing.T) {
-	c := deadBranchModel(t)
-	rec := coverage.NewRecorder(c.Plan)
-	m := vm.New(c.Prog, rec)
-	if err := m.Init(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	step := func(v int64) {
-		rec.BeginStep()
-		if err := m.Step([]uint64{model.EncodeInt(model.Int32, v)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		step(int64(rng.Intn(60) - 30))
-	}
-	before := rec.Report()
-	if before.Decision() == 100 {
-		t.Fatal("without dead marking the dead branch must hold coverage below 100%")
-	}
-	analysis.MarkDead(c.Prog, c.Plan)
-	after := rec.Report()
-	if after.Decision() != 100 || after.Condition() != 100 {
-		t.Errorf("dead-adjusted coverage should be 100%%: %s", after)
-	}
-	if after.DecisionTotal >= before.DecisionTotal {
-		t.Errorf("decision denominator must shrink: %d -> %d", before.DecisionTotal, after.DecisionTotal)
-	}
-	// Progress tracking uses the same adjusted denominators.
-	pr := coverage.NewProgress(c.Plan)
-	total := make([]uint64, len(rec.Curr))
-	for b, v := range rec.Total {
-		if v != 0 {
-			total[b>>6] |= 1 << (b & 63)
-		}
-	}
-	pr.Absorb(total)
-	if pr.Decision() != 100 || pr.Condition() != 100 {
-		t.Errorf("progress should report 100%% after dead adjustment: %.1f / %.1f",
-			pr.Decision(), pr.Condition())
 	}
 }
 

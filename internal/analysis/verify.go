@@ -2,8 +2,9 @@
 // IR: a strict verifier/lint (Pass 1), an abstract interpreter that proves
 // coverage objectives infeasible (Pass 2), and an input-field influence map
 // that tells a tester which inputs can move each branch (Pass 3, printed by
-// `cftcg analyze`). The passes harden the compiler, make coverage
-// denominators honest, and hide dead objectives from the fuzzer's feedback.
+// `cftcg analyze`). The verifier hardens the compiler; the other two passes
+// are diagnostics: a provably unreachable objective stays in every coverage
+// denominator.
 package analysis
 
 import (

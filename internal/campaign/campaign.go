@@ -311,10 +311,6 @@ type Snapshot struct {
 	Pollinated int64 `json:"pollinated"`
 	Received   int64 `json:"received"`
 
-	// DeadObjectives counts branch slots the static analyzer proved
-	// unreachable; they are excluded from the coverage denominators above.
-	DeadObjectives int `json:"deadObjectives"`
-
 	// Supervision: total engine restarts, quarantined shard count, whether
 	// the ensemble is running degraded, and the oldest successful shard
 	// checkpoint (zero when none has been written) — the staleness bound on
@@ -346,7 +342,6 @@ func (cm *Campaign) Snapshot() Snapshot {
 		Running:  cm.running.Load(),
 		Degraded: cm.degraded.Load(),
 	}
-	s.DeadObjectives = cm.c.Plan.DeadCount()
 	for i, sl := range cm.shards {
 		sl.mu.Lock()
 		eng := sl.eng

@@ -67,8 +67,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_quarantined_shards gauge")
 	fmt.Fprintln(w, "# HELP cftcg_campaign_degraded 1 when the campaign runs with quarantined shards.")
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_degraded gauge")
-	fmt.Fprintln(w, "# HELP cftcg_dead_objectives Branch slots statically proved unreachable, excluded from coverage denominators.")
-	fmt.Fprintln(w, "# TYPE cftcg_dead_objectives gauge")
 	fmt.Fprintln(w, "# HELP cftcg_mutants_total Mutants generated for the post-campaign mutation-score pass.")
 	fmt.Fprintln(w, "# TYPE cftcg_mutants_total gauge")
 	fmt.Fprintln(w, "# HELP cftcg_mutants_killed Distinct mutants the generated suite killed.")
@@ -105,7 +103,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 			deg = 1
 		}
 		fmt.Fprintf(w, "cftcg_campaign_degraded{%s} %d\n", base, deg)
-		fmt.Fprintf(w, "cftcg_dead_objectives{%s} %d\n", base, snap.DeadObjectives)
 		if ms := st.Mutation; ms != nil {
 			fmt.Fprintf(w, "cftcg_mutants_total{%s} %d\n", base, ms.Total)
 			fmt.Fprintf(w, "cftcg_mutants_killed{%s} %d\n", base, ms.Killed)

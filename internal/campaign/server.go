@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"cftcg/internal/analysis"
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
 	"cftcg/internal/fuzz"
@@ -43,9 +42,6 @@ type Spec struct {
 	// CheckpointEvery overrides the periodic checkpoint interval (Go
 	// duration; engine default 30s).
 	CheckpointEvery string `json:"checkpointEvery,omitempty"`
-	// Analyze runs the static dead-objective analysis before fuzzing so
-	// unreachable branch slots drop out of the coverage denominators.
-	Analyze bool `json:"analyze,omitempty"`
 	// Mutate scores the generated suite against IR-level mutants once the
 	// campaign finishes; the summary lands on the final snapshot, the jobs
 	// API and the cftcg_mutants_* metrics. (Chart-level operators need the
@@ -370,11 +366,6 @@ func (s *Server) runJob(job *Job) {
 		fail(fmt.Errorf("resolve model: %w", err))
 		return
 	}
-	if job.Spec.Analyze {
-		// The resolver compiles per call, so marking this job's plan does
-		// not leak dead flags into other submissions of the same model.
-		analysis.MarkDead(compiled.Prog, compiled.Plan)
-	}
 	opts, err := job.Spec.options()
 	if err != nil {
 		fail(err)
@@ -418,7 +409,7 @@ func (s *Server) runJob(job *Job) {
 	if job.Spec.Mutate {
 		// The scoring pass is part of the job's lifetime (still "running" in
 		// the API): the suite is final, the mutants are cheap to execute.
-		msum = mutationScore(compiled, job.Spec, res)
+		msum = mutationScore(compiled, job.Spec.MutantBudget, opts.Seed, res)
 	}
 	job.mu.Lock()
 	job.finished = time.Now()
@@ -446,15 +437,11 @@ func (s *Server) runJob(job *Job) {
 
 // mutationScore runs the post-campaign mutation pass: an IR-level mutant
 // pool (the daemon holds only the compiled form, so chart operators are
-// skipped) scored against the campaign's generated suite.
-func mutationScore(c *codegen.Compiled, spec Spec, res *fuzz.Result) *mutate.Summary {
-	budget := spec.MutantBudget
+// skipped) scored against the campaign's generated suite. seed is the
+// campaign's, after Spec.options applied its default.
+func mutationScore(c *codegen.Compiled, budget int, seed int64, res *fuzz.Result) *mutate.Summary {
 	if budget <= 0 {
 		budget = 100
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
 	}
 	muts := mutate.Generate(c, nil, mutate.Config{Limit: budget, Seed: seed})
 	var cases [][]byte

@@ -80,7 +80,7 @@ func TestServerLiveStatusAndMetrics(t *testing.T) {
 	// Submit a long-budget campaign (stopped explicitly below).
 	var job JobStatus
 	code := postJSON(t, ts, "/api/campaigns",
-		Spec{Model: "Magic", Shards: 2, Budget: "1m", Seed: 3, Analyze: true}, &job)
+		Spec{Model: "Magic", Shards: 2, Budget: "1m", Seed: 3}, &job)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
@@ -125,7 +125,6 @@ func TestServerLiveStatusAndMetrics(t *testing.T) {
 		fmt.Sprintf(`cftcg_campaign_execs_total{campaign="%d",model="Magic"}`, job.ID),
 		"cftcg_campaign_decision_coverage_percent",
 		fmt.Sprintf(`cftcg_campaign_shard_execs_total{campaign="%d",model="Magic",shard="1"}`, job.ID),
-		fmt.Sprintf(`cftcg_dead_objectives{campaign="%d",model="Magic"} 0`, job.ID),
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, metrics)
@@ -296,14 +295,16 @@ func readAll(t *testing.T, resp *http.Response) string {
 }
 
 // TestRetiredSpecKeysAccepted: specs once carried a "backend" key that
-// picked the VM, an "optimize" key that ran the IR optimizer and a
-// "directed" key that weighted value mutations by the influence map. Every
-// campaign now runs the lowered program on the threaded VM with uniform
-// field choice, and old clients and old journals must keep working: a
-// submission carrying the keys, and a journal whose submitted event carries
-// them, both decode and run to completion.
+// picked the VM, an "optimize" key that ran the IR optimizer, a "directed"
+// key that weighted value mutations by the influence map and an "analyze"
+// key that dropped statically dead slots from the coverage denominators.
+// Every campaign now runs the lowered program on the threaded VM with
+// uniform field choice and counts every branch slot, and old clients and
+// old journals must keep working: a submission carrying the keys, and a
+// journal whose submitted event carries them, both decode and run to
+// completion.
 func TestRetiredSpecKeysAccepted(t *testing.T) {
-	const legacy = `{"model":"Magic","execs":200,"backend":"switch","optimize":true,"directed":true}`
+	const legacy = `{"model":"Magic","execs":200,"backend":"switch","optimize":true,"directed":true,"analyze":true}`
 
 	dir := t.TempDir()
 	jnl, err := openJournal(dir)

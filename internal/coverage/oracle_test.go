@@ -104,21 +104,17 @@ func refFold(p *Plan, logs ...[]probeEvent) (total []bool, evals []map[evaluatio
 	return total, evals
 }
 
-// refReport computes Report's figures from the logs: live outcome and
-// condition slots hit over live slots, and, per decision, the conditions
-// for which some two logged evaluations differ in that condition alone and
-// resolve to different outcomes (unique cause, found by trying every pair).
-// As in Report, the MCDC denominator leaves out a condition with a dead
-// polarity, while its numerator counts every condition with a pair.
+// refReport computes Report's figures from the logs: outcome and condition
+// slots hit over all slots, and, per decision, the conditions for which
+// some two logged evaluations differ in that condition alone and resolve to
+// different outcomes (unique cause, found by trying every pair) over all
+// its conditions.
 func refReport(p *Plan, logs ...[]probeEvent) Report {
 	total, evals := refFold(p, logs...)
 	rep := Report{ModelName: p.ModelName}
 	for _, d := range p.Decisions {
 		missing := false
 		for b := d.OutcomeBase; b < d.OutcomeBase+d.NumOutcomes; b++ {
-			if p.IsDead(b) {
-				continue
-			}
 			rep.DecisionTotal++
 			if total[b] {
 				rep.DecisionCovered++
@@ -132,21 +128,14 @@ func refReport(p *Plan, logs ...[]probeEvent) Report {
 	}
 	for _, c := range p.Conds {
 		for _, b := range []int{c.BranchBase, c.BranchBase + 1} {
-			if !p.IsDead(b) {
-				rep.CondTotal++
-				if total[b] {
-					rep.CondCovered++
-				}
+			rep.CondTotal++
+			if total[b] {
+				rep.CondCovered++
 			}
 		}
 	}
 	for _, d := range p.Decisions {
-		for _, cid := range d.CondIDs {
-			c := p.Conds[cid]
-			if !p.IsDead(c.BranchBase) && !p.IsDead(c.BranchBase+1) {
-				rep.MCDCTotal++
-			}
-		}
+		rep.MCDCTotal += len(d.CondIDs)
 		rep.MCDCCovered += refPairs(p, &d, evals[d.ID])
 	}
 	return rep
@@ -283,20 +272,11 @@ func widePlan() *Plan {
 	return p
 }
 
-// oraclePlans returns the plans the oracle runs on: the 8 benchmark plans,
-// each again with about one slot in eight marked dead, and widePlan.
+// oraclePlans returns the plans the oracle runs on: the 8 benchmark plans
+// and widePlan.
 func oraclePlans(t *testing.T) map[string]*Plan {
 	t.Helper()
 	plans := benchPlans(t)
-	for name, p := range benchPlans(t) {
-		rng := rand.New(rand.NewSource(int64(p.NumBranches)))
-		for b := 0; b < p.NumBranches; b++ {
-			if rng.Intn(8) == 0 {
-				p.MarkDead(b)
-			}
-		}
-		plans[name+"/dead"] = p
-	}
 	plans["Wide"] = widePlan()
 	return plans
 }

@@ -134,47 +134,11 @@ func TestRecorderPackedCurr(t *testing.T) {
 	}
 }
 
-// TestProgressDeadSlots: a dead slot that shows up is marked seen but
-// counted nowhere, and dead slots leave both denominators.
-func TestProgressDeadSlots(t *testing.T) {
-	p, _ := planFor(t, logicModel(t))
-	d := &p.Decisions[0]
-	p.MarkDead(d.OutcomeBase)         // outcome 0
-	p.MarkDead(p.Conds[1].BranchBase) // cond 1 true
-	p.MarkDead(-1)
-	p.MarkDead(p.NumBranches)
-	if p.DeadCount() != 2 {
-		t.Fatalf("DeadCount = %d, want 2", p.DeadCount())
-	}
-	pr := NewProgress(p)
-	set := make([]uint64, words(p.NumBranches))
-	for b := 0; b < p.NumBranches; b++ {
-		set[b>>6] |= 1 << (b & 63)
-	}
-	if n := pr.Absorb(set); n != p.NumBranches-2 {
-		t.Errorf("absorb: %d new live slots, want %d", n, p.NumBranches-2)
-	}
-	for b := 0; b < p.NumBranches; b++ {
-		if !pr.Has(b) {
-			t.Errorf("slot %d absorbed but not seen", b)
-		}
-	}
-	if pr.Decision() != 100 || pr.Condition() != 100 || pr.Covered() != p.NumBranches-2 {
-		t.Errorf("dead-adjusted progress: decision %v, condition %v, covered %d",
-			pr.Decision(), pr.Condition(), pr.Covered())
-	}
-}
-
 // TestProgressAbsorbMatchesBytewise folds random packed sets into a Progress
 // and checks every count against a slot-by-slot reference.
 func TestProgressAbsorbMatchesBytewise(t *testing.T) {
 	for name, p := range benchPlans(t) {
 		rng := rand.New(rand.NewSource(int64(len(p.Decisions))))
-		for b := 0; b < p.NumBranches; b++ {
-			if rng.Intn(8) == 0 {
-				p.MarkDead(b)
-			}
-		}
 		outcome := make([]bool, p.NumBranches)
 		for _, d := range p.Decisions {
 			for k := 0; k < d.NumOutcomes; k++ {
@@ -196,9 +160,6 @@ func TestProgressAbsorbMatchesBytewise(t *testing.T) {
 					continue
 				}
 				seen[b] = true
-				if p.IsDead(b) {
-					continue
-				}
 				want++
 				if outcome[b] {
 					covOut++

@@ -104,39 +104,13 @@ type Plan struct {
 	Decisions   []Decision
 	Conds       []Cond
 	NumBranches int
-
-	// Dead marks branch slots the static analyzer proved infeasible. Dead
-	// slots are excluded from report denominators and never scheduled as
-	// fuzzing targets. Nil when no analysis ran (nothing is dead).
-	Dead []bool
 }
 
-// MarkDead records that a branch slot is statically infeasible.
-func (p *Plan) MarkDead(branch int) {
-	if branch < 0 || branch >= p.NumBranches {
-		return
-	}
-	if p.Dead == nil {
-		p.Dead = make([]bool, p.NumBranches)
-	}
-	p.Dead[branch] = true
-}
-
-// IsDead reports whether a branch slot was proved infeasible.
-func (p *Plan) IsDead(branch int) bool {
-	return p.Dead != nil && branch < len(p.Dead) && p.Dead[branch]
-}
-
-// DeadCount returns the number of branch slots proved infeasible.
-func (p *Plan) DeadCount() int {
-	n := 0
-	for _, d := range p.Dead {
-		if d {
-			n++
-		}
-	}
-	return n
-}
+// DeadCount returns 0.
+//
+// Deprecated: every branch slot counts in every coverage denominator;
+// analysis.DeadObjectives lists the provably unreachable ones.
+func (p *Plan) DeadCount() int { return 0 }
 
 // BranchCount returns the number of instrumented branch slots — the
 // "#Branch" statistic of the paper's Table 2 and the branchCount input of

@@ -12,53 +12,34 @@ type Progress struct {
 	// slot b is bit b&63 of word b>>6.
 	Seen []uint64
 
-	// outcome and dead are packed masks of the decision-outcome slots and
-	// of the slots the plan proved dead.
-	outcome, dead   []uint64
+	// outcome is the packed mask of the decision-outcome slots.
+	outcome         []uint64
 	covOut, covCond int
 	totOut, totCond int
 }
 
-// NewProgress creates a progress tracker for a plan. Branch slots the plan
-// marks dead are excluded from both denominators and numerators.
+// NewProgress creates a progress tracker for a plan.
 func NewProgress(p *Plan) *Progress {
 	n := words(p.NumBranches)
 	pr := &Progress{
 		Seen:    make([]uint64, n),
 		outcome: make([]uint64, n),
-		dead:    make([]uint64, n),
-	}
-	for b := 0; b < p.NumBranches; b++ {
-		if p.IsDead(b) {
-			pr.dead[b>>6] |= 1 << (b & 63)
-		}
+		totCond: 2 * len(p.Conds),
 	}
 	for i := range p.Decisions {
 		d := &p.Decisions[i]
 		for k := 0; k < d.NumOutcomes; k++ {
 			b := d.OutcomeBase + k
 			pr.outcome[b>>6] |= 1 << (b & 63)
-			if !p.IsDead(b) {
-				pr.totOut++
-			}
 		}
-	}
-	for i := range p.Conds {
-		c := &p.Conds[i]
-		for _, branch := range []int{c.BranchBase, c.BranchBase + 1} {
-			if !p.IsDead(branch) {
-				pr.totCond++
-			}
-		}
+		pr.totOut += d.NumOutcomes
 	}
 	return pr
 }
 
 // Absorb folds a packed slot set — one iteration's Recorder.Curr, or
 // another tracker's Seen — into the campaign view, 64 slots per word, and
-// returns how many live branch slots were newly covered. A statically dead
-// slot that shows up is marked seen but counted nowhere: it means the
-// analysis was unsound, and percentages must not exceed 100.
+// returns how many branch slots were newly covered.
 func (pr *Progress) Absorb(set []uint64) int {
 	n := 0
 	for w, c := range set {
@@ -67,9 +48,8 @@ func (pr *Progress) Absorb(set []uint64) int {
 			continue
 		}
 		pr.Seen[w] |= nb
-		live := nb &^ pr.dead[w]
-		out := bits.OnesCount64(live & pr.outcome[w])
-		all := bits.OnesCount64(live)
+		out := bits.OnesCount64(nb & pr.outcome[w])
+		all := bits.OnesCount64(nb)
 		pr.covOut += out
 		pr.covCond += all - out
 		n += all

@@ -106,16 +106,11 @@ func (r *Recorder) Report() Report {
 	p := r.plan
 	rep := Report{ModelName: p.ModelName}
 
-	// Branch slots the static analyzer proved infeasible are excluded from
-	// every denominator: they are not achievable objectives.
 	for i := range p.Decisions {
 		d := &p.Decisions[i]
+		rep.DecisionTotal += d.NumOutcomes
 		missing := false
 		for k := 0; k < d.NumOutcomes; k++ {
-			if p.IsDead(d.OutcomeBase + k) {
-				continue
-			}
-			rep.DecisionTotal++
 			if r.Total[d.OutcomeBase+k] != 0 {
 				rep.DecisionCovered++
 			} else {
@@ -127,13 +122,10 @@ func (r *Recorder) Report() Report {
 		}
 	}
 
+	rep.CondTotal = 2 * len(p.Conds)
 	for i := range p.Conds {
 		c := &p.Conds[i]
 		for _, branch := range []int{c.BranchBase, c.BranchBase + 1} {
-			if p.IsDead(branch) {
-				continue
-			}
-			rep.CondTotal++
 			if r.Total[branch] != 0 {
 				rep.CondCovered++
 			}
@@ -145,15 +137,7 @@ func (r *Recorder) Report() Report {
 		if len(d.CondIDs) == 0 {
 			continue
 		}
-		// A condition with a dead polarity can never demonstrate independent
-		// effect (one side of every candidate pair is unreachable), so it is
-		// no MCDC objective.
-		for _, cid := range d.CondIDs {
-			c := p.Cond(cid)
-			if !p.IsDead(c.BranchBase) && !p.IsDead(c.BranchBase+1) {
-				rep.MCDCTotal++
-			}
-		}
+		rep.MCDCTotal += len(d.CondIDs)
 		rep.MCDCCovered += mcdcSatisfied(d, r.keysOf(d.ID))
 	}
 	return rep

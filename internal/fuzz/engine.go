@@ -242,10 +242,6 @@ type Engine struct {
 	inboxFlag        atomic.Bool
 	injectedAdmitted int64
 
-	// deadSlots is the plan's dead-slot count, fixed before the engine is
-	// built, like the feedback mask.
-	deadSlots int
-
 	// live status mirror, safe to read from other goroutines while Run is
 	// hot (the campaign status plane).
 	liveMu sync.Mutex
@@ -272,9 +268,6 @@ type LiveStats struct {
 	// checkpoint write (zero when checkpointing is off or none succeeded
 	// yet) — the daemon health plane reports its age.
 	LastCheckpoint time.Time `json:"lastCheckpoint,omitempty"`
-	// DeadObjectives is the number of branch slots statically proved
-	// unreachable and excluded from this engine's coverage denominators.
-	DeadObjectives int `json:"deadObjectives"`
 }
 
 // floatOut is a float-typed outport slot checked for NaN/Inf after each step.
@@ -325,7 +318,6 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 		tupleBuf:   make([]uint64, len(c.Prog.In)),
 		findingIdx: map[string]int{},
 		fpLoop:     "fuzz.loop",
-		deadSlots:  c.Plan.DeadCount(),
 	}
 	if opts.Label != "" {
 		e.fpLoop = "fuzz.loop:" + opts.Label
@@ -442,7 +434,6 @@ func (e *Engine) updateLive() {
 		Findings:         len(e.findings),
 		FindingsByKind:   e.findingKinds,
 		InjectedAdmitted: e.injectedAdmitted,
-		DeadObjectives:   e.deadSlots,
 		LastCheckpoint:   e.lastCkptOK,
 	}
 	e.liveMu.Unlock()
@@ -454,13 +445,12 @@ func (e *Engine) updateLive() {
 // decisions (If, SwitchCase, script ifs, chart transitions, subsystem
 // enables). Boolean operators, data switches, min/max and saturations
 // compile branchlessly, and condition probes do not exist at the code level
-// — the paper's Figure 8 analysis. Slots the static analysis proved dead
-// (Plan.Dead) are invisible to feedback.
+// — the paper's Figure 8 analysis.
 func (e *Engine) buildMask() {
 	p := e.c.Plan
 	e.mask = make([]uint64, len(e.last))
 	show := func(b int, visible bool) {
-		if visible && !p.IsDead(b) {
+		if visible {
 			e.mask[b>>6] |= 1 << (b & 63)
 		}
 	}
@@ -594,16 +584,12 @@ func (e *Engine) feedback(curr []uint64) (diff, newMasked, newAny int) {
 
 // absorb folds a packed hit set into the campaign's coverage and counts the
 // slots it reached for the first time: those visible to the fuzzer's
-// feedback (newMasked) and all of them (newAny). newAny includes statically
-// dead slots, which Progress keeps out of the timeline's counters.
+// feedback (newMasked) and all of them (newAny).
 func (e *Engine) absorb(curr []uint64) (newMasked, newAny int) {
 	for w, c := range curr {
-		nb := c &^ e.prog.Seen[w]
-		newMasked += bits.OnesCount64(nb & e.mask[w])
-		newAny += bits.OnesCount64(nb)
+		newMasked += bits.OnesCount64(c &^ e.prog.Seen[w] & e.mask[w])
 	}
-	e.prog.Absorb(curr)
-	return newMasked, newAny
+	return newMasked, e.prog.Absorb(curr)
 }
 
 // Run executes the fuzzing campaign. It survives hanging, panicking and

@@ -1,6 +1,9 @@
 #!/bin/sh
-# check.sh — the repository's CI gate: formatting, vet, build, race tests.
-# Exits non-zero on the first failure. Equivalent to `make check`.
+# check.sh — the repository's CI gate: formatting, vet, the reference-VM
+# guard, race tests, build, tests, the bench module, coverage floors, fuzz,
+# mutate and checkpoint/resume smokes, the chaos suite, the faultinject
+# no-op check and a cftcgd smoke. Exits non-zero on the first failure.
+# `make check` runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
