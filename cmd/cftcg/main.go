@@ -14,7 +14,8 @@
 //	cftcg mutate  <model.slx> [flags]         mutation-test the generated suite
 //	cftcg export  <benchmark> <out.slx>       write a built-in benchmark
 //
-// `<model.slx>` may also name a built-in benchmark (e.g. SolarPV).
+// `<model.slx>` may also name a built-in benchmark (e.g. SolarPV); a file
+// at that path comes first (core.Resolve, shared with cftcgd and modelinfo).
 package main
 
 import (
@@ -417,21 +418,12 @@ func appendNewCases(suite [][]byte, round []testcase.Case) [][]byte {
 	return suite
 }
 
-// loadSystem resolves the argument as a file path or a built-in benchmark
-// name.
+// loadSystem resolves the argument through core.Resolve: a model file path
+// first, then a built-in benchmark name.
 func loadSystem(name string) *core.System {
-	if _, err := os.Stat(name); err == nil {
-		sys, err := core.Load(name)
-		check(err)
-		return sys
-	}
-	if e, err := benchmodels.Get(name); err == nil {
-		sys, err := core.FromModel(e.Build())
-		check(err)
-		return sys
-	}
-	fail(fmt.Errorf("%q is neither a model file nor a built-in benchmark (%v)", name, benchmodels.Names()))
-	return nil
+	sys, err := core.Resolve(name)
+	check(err)
+	return sys
 }
 
 func arg(args []string, i int) string {

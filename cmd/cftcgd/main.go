@@ -25,17 +25,17 @@
 //	GET  /api/campaigns/{id}/corpus   export coverage-carrying inputs
 //	POST /api/campaigns/{id}/corpus   inject cases into a running campaign
 //
-// A model is a built-in benchmark name (e.g. SolarPV) or the path of an
-// .slx-like container readable by the daemon. On SIGTERM/SIGINT the daemon
-// drains gracefully: the listener stops, queued campaigns are canceled,
-// running shards stop through their Options.Stop channels and flush their
-// per-shard checkpoints, then the process exits. A second signal kills it.
+// A model is the path of an .slx-like container readable by the daemon or,
+// when no such file exists, a built-in benchmark name (e.g. SolarPV). On
+// SIGTERM/SIGINT the daemon drains gracefully: the listener stops, queued
+// campaigns are canceled, running shards stop through their Options.Stop
+// channels and flush their per-shard checkpoints, then the process exits. A
+// second signal kills it.
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"cftcg/internal/benchmodels"
 	"cftcg/internal/campaign"
 	"cftcg/internal/codegen"
 	"cftcg/internal/core"
@@ -113,23 +112,13 @@ func main() {
 	log.Print("cftcgd: drained")
 }
 
-// resolveModel turns a submission's model name into a compiled program: a
-// built-in benchmark name first, then a server-side .slx container path.
+// resolveModel turns a submission's model name into a compiled program
+// through core.Resolve: a server-side model file first, then a built-in
+// benchmark name, as every cftcg command resolves it.
 func resolveModel(name string) (*codegen.Compiled, error) {
-	if e, err := benchmodels.Get(name); err == nil {
-		sys, err := core.FromModel(e.Build())
-		if err != nil {
-			return nil, err
-		}
-		return sys.Compiled, nil
+	sys, err := core.Resolve(name)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := os.Stat(name); err == nil {
-		sys, err := core.Load(name)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Compiled, nil
-	}
-	return nil, fmt.Errorf("%q is neither a built-in benchmark (%v) nor a readable model file",
-		name, benchmodels.Names())
+	return sys.Compiled, nil
 }

@@ -45,26 +45,10 @@ func main() {
 }
 
 func one(name string) {
-	var sys *core.System
-	if _, err := os.Stat(name); err == nil {
-		s, err := core.Load(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "modelinfo:", err)
-			os.Exit(1)
-		}
-		sys = s
-	} else {
-		e, err := benchmodels.Get(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "modelinfo:", err)
-			os.Exit(1)
-		}
-		s, err := core.FromModel(e.Build())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "modelinfo:", err)
-			os.Exit(1)
-		}
-		sys = s
+	sys, err := core.Resolve(name)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "modelinfo:", err)
+		os.Exit(1)
 	}
 	plan := sys.Compiled.Plan
 	prog := sys.Compiled.Prog

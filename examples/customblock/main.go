@@ -112,10 +112,13 @@ swings = n;
 		log.Fatal(err)
 	}
 
-	// Differential validation of the custom block: VM vs engine.
+	// Differential validation of the custom block: the threaded VM that
+	// campaigns run, over the model's shared compiled code, vs the engine.
 	rec1 := coverage.NewRecorder(sys.Compiled.Plan)
-	machine := vm.New(sys.Compiled.Prog, rec1)
-	machine.Init()
+	machine := vm.NewThreadedFromCode(sys.Compiled.Threaded(), rec1)
+	if err := machine.Init(); err != nil {
+		log.Fatal(err)
+	}
 	rec2 := coverage.NewRecorder(sys.Compiled.Plan)
 	eng := interp.New(sys.Compiled.Design, sys.Compiled.Plan, sys.Compiled.Index, rec2)
 	if err := eng.Init(); err != nil {

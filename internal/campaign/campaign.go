@@ -329,9 +329,6 @@ type Snapshot struct {
 	Mutation *mutate.Summary `json:"mutation,omitempty"`
 }
 
-// findingKindNames mirrors fuzz.FindingKind.String for by-kind counters.
-var findingKindNames = [...]string{"crash", "hang", "numeric-anomaly"}
-
 // Snapshot assembles the campaign's live status from every shard's
 // thread-safe counters and the shared coverage view.
 func (cm *Campaign) Snapshot() Snapshot {
@@ -368,8 +365,8 @@ func (cm *Campaign) Snapshot() Snapshot {
 		s.Cases += ls.Cases
 		s.Received += ls.InjectedAdmitted
 		for k, n := range ls.FindingsByKind {
-			if n > 0 && k < len(findingKindNames) {
-				s.Findings[findingKindNames[k]] += n
+			if n > 0 {
+				s.Findings[fuzz.FindingKind(k).String()] += n
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"cftcg/internal/fuzz"
 )
 
 // writeMetrics renders the Prometheus text exposition format (version
@@ -89,7 +91,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "cftcg_campaign_corpus_size{%s} %d\n", base, snap.Corpus)
 		fmt.Fprintf(w, "cftcg_campaign_decision_coverage_percent{%s} %g\n", base, snap.Decision)
 		fmt.Fprintf(w, "cftcg_campaign_condition_coverage_percent{%s} %g\n", base, snap.Condition)
-		for _, kind := range findingKindNames {
+		for k := range (fuzz.LiveStats{}).FindingsByKind {
+			kind := fuzz.FindingKind(k).String()
 			fmt.Fprintf(w, "cftcg_campaign_findings_total{%s,kind=%q} %d\n", base, kind, snap.Findings[kind])
 		}
 		fmt.Fprintf(w, "cftcg_campaign_pollinations_total{%s} %d\n", base, snap.Pollinated)

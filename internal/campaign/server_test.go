@@ -125,6 +125,10 @@ func TestServerLiveStatusAndMetrics(t *testing.T) {
 		fmt.Sprintf(`cftcg_campaign_execs_total{campaign="%d",model="Magic"}`, job.ID),
 		"cftcg_campaign_decision_coverage_percent",
 		fmt.Sprintf(`cftcg_campaign_shard_execs_total{campaign="%d",model="Magic",shard="1"}`, job.ID),
+		// One findings series per fuzz.FindingKind, zero or not.
+		fmt.Sprintf(`cftcg_campaign_findings_total{campaign="%d",model="Magic",kind="crash"} `, job.ID),
+		fmt.Sprintf(`cftcg_campaign_findings_total{campaign="%d",model="Magic",kind="hang"} `, job.ID),
+		fmt.Sprintf(`cftcg_campaign_findings_total{campaign="%d",model="Magic",kind="numeric-anomaly"} `, job.ID),
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, metrics)

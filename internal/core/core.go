@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 
+	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
 	"cftcg/internal/fuzz"
@@ -42,6 +43,20 @@ func Load(path string) (*System, error) {
 		return nil, err
 	}
 	return FromModel(m)
+}
+
+// Resolve loads the model a command names: the model file at that path when
+// one exists, else the built-in benchmark of that name. The file comes
+// first, so a file named like a benchmark (say "SolarPV" in the working
+// directory) is the same model to every command that takes a model name.
+func Resolve(name string) (*System, error) {
+	if _, err := os.Stat(name); err == nil {
+		return Load(name)
+	}
+	if e, err := benchmodels.Get(name); err == nil {
+		return FromModel(e.Build())
+	}
+	return nil, fmt.Errorf("%q is neither a model file nor a built-in benchmark (%v)", name, benchmodels.Names())
 }
 
 // FromModel compiles an in-memory model.

@@ -23,6 +23,39 @@ func solarpv(t *testing.T) *System {
 	return sys
 }
 
+// TestResolvePrefersModelFile: a model file named like a built-in benchmark
+// is the file's model, so every command means the same model by one name;
+// other names fall back to the benchmark, and a name that is neither fails.
+func TestResolvePrefersModelFile(t *testing.T) {
+	e, err := benchmodels.Get("CPUTask")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := FromModel(e.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := cpu.Save(filepath.Join(dir, "SolarPV")); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+	sys, err := Resolve("SolarPV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Model.Name != cpu.Model.Name || sys.BranchCount() != cpu.BranchCount() {
+		t.Errorf(`Resolve("SolarPV") with a file of that name = %s (%d branches), want the file's %s (%d)`,
+			sys.Model.Name, sys.BranchCount(), cpu.Model.Name, cpu.BranchCount())
+	}
+	if sys, err := Resolve("AFC"); err != nil || sys.Model.Name != "AFC" {
+		t.Errorf(`Resolve("AFC") = %v, %v; want the built-in benchmark`, sys, err)
+	}
+	if _, err := Resolve("NoSuchModel"); err == nil || !strings.Contains(err.Error(), "SolarPV") {
+		t.Errorf(`Resolve("NoSuchModel") error = %v; want one listing the benchmarks`, err)
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	sys := solarpv(t)
 	path := filepath.Join(t.TempDir(), "solarpv.slx")

@@ -196,6 +196,7 @@ func (e *Engine) replayCheckpoint(cp *Checkpoint) {
 			pinned: en.Pinned,
 		})
 	}
+	e.sumWeights()
 	e.bestRawMetric = cp.BestRawMetric
 	e.execs = cp.Execs
 	e.steps = cp.Steps

@@ -53,6 +53,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(res2.Suite.Cases) == 0 {
 		t.Error("replay must regenerate the test suite")
 	}
+	// pick's cached weight total stays the in-order sum of the corpus
+	// through admissions, evictions and the checkpoint replay.
+	for i, e := range []*Engine{first, second} {
+		total := 0.0
+		for _, en := range e.corpus {
+			total += en.weight
+		}
+		if e.weightSum != total {
+			t.Errorf("engine %d: weightSum %v, corpus sums to %v", i, e.weightSum, total)
+		}
+	}
 }
 
 func TestCheckpointPreservesFindings(t *testing.T) {

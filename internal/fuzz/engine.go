@@ -207,6 +207,10 @@ type Engine struct {
 	tupleBuf []uint64
 
 	corpus []entry
+	// weightSum is the sum of the corpus weights in corpus order, the total
+	// of pick's weighted draw. sumWeights recomputes it after every corpus
+	// change (admission, eviction, checkpoint replay).
+	weightSum float64
 
 	// assertBranches holds the branch IDs meaning "assertion violated".
 	assertBranches []int
@@ -766,9 +770,21 @@ func (e *Engine) tryInput(data []byte) bool {
 		if len(e.corpus) > corpusCap {
 			e.evict()
 		}
+		e.sumWeights()
 	}
 	e.updateLive()
 	return admit
+}
+
+// sumWeights recomputes weightSum with one in-order loop, never by adding or
+// subtracting a single weight, so the float total and every weighted pick
+// are the same as summing the corpus at each pick.
+func (e *Engine) sumWeights() {
+	total := 0.0
+	for _, en := range e.corpus {
+		total += en.weight
+	}
+	e.weightSum = total
 }
 
 // evict removes the lowest-weight unpinned corpus entry; coverage-finding
@@ -790,8 +806,8 @@ func (e *Engine) evict() {
 	e.corpus = append(e.corpus[:lo], e.corpus[lo+1:]...)
 }
 
-// pick selects a corpus entry. Selection is uniform with a mild recency
-// bias; in model-oriented mode one pick in four is drawn weighted by the
+// pick selects a corpus entry. Selection is uniform, except that in
+// model-oriented mode one pick in four is drawn weighted by the
 // iteration-difference density, steering some mutation energy toward
 // behaviourally diverse inputs without starving the coverage frontier. An
 // empty corpus yields a random tuple, built in *scratch.
@@ -801,11 +817,7 @@ func (e *Engine) pick(scratch *[]byte) []byte {
 		return *scratch
 	}
 	if e.opts.Mode == ModeModelOriented && e.rng.Intn(4) == 0 {
-		total := 0.0
-		for _, en := range e.corpus {
-			total += en.weight
-		}
-		x := e.rng.Float64() * total
+		x := e.rng.Float64() * e.weightSum
 		for _, en := range e.corpus {
 			x -= en.weight
 			if x <= 0 {

@@ -333,7 +333,7 @@ func (g *gen) straight(a *Asm, n int, isStep bool) {
 				g.push(a.Un(OpNeg, g.dtype(), g.pick()))
 			}
 		case 15:
-			// State accumulate (the LAS superinstruction shape): load a
+			// State accumulate (the lowering's state-update shape): load a
 			// slot, combine, store back — emitted adjacently.
 			if g.numState > 0 {
 				dt := g.dtype()
@@ -347,9 +347,9 @@ func (g *gen) straight(a *Asm, n int, isStep bool) {
 				a.Emit(Instr{Op: OpNop})
 			}
 		case 16:
-			// Constant operand feeding a non-commutative op (ConstBin shape):
-			// operand order is observable, so a backend that swaps arguments
-			// diverges here.
+			// Constant operand feeding a non-commutative op: operand order
+			// is observable, so a backend that swaps arguments diverges
+			// here.
 			dt := g.dtype()
 			op := ncOps[g.r.Intn(len(ncOps))]
 			if op == OpShl || op == OpShr {

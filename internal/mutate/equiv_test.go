@@ -154,7 +154,9 @@ const goldenPath = "testdata/golden.json"
 // pins the equivalent counts: every provable mutant of a pool survives any
 // suite, so the counts do not depend on the suite. The whole report is an
 // output of record too, compared with testdata/golden.json (rewritten by
-// -update).
+// -update). Without -short it also scores the full pool (`cftcg mutate
+// -budget 0`: every mutant, 3,407 over the 8 models) against the same
+// suite, as the "<model>/full" rows.
 func TestProverNeverProvesKilledMutant(t *testing.T) {
 	wantEquivalent := map[string]int{
 		"CPUTask": 7, "AFC": 5, "TCP": 6, "RAC": 5, "EVCS": 3, "TWC": 4, "UTPC": 1, "SolarPV": 12,
@@ -188,45 +190,55 @@ func TestProverNeverProvesKilledMutant(t *testing.T) {
 		for _, cs := range eng.Run().Suite.Cases {
 			suite = append(suite, cs.Data)
 		}
-		muts := Generate(c, m, Config{Limit: 100, Seed: 1})
-		rep := Run(c, muts, suite, RunConfig{})
 		orig := newOriginal(c.Prog)
-		checked := 0
-		for i, mu := range muts {
-			res := rep.Results[i]
-			if !res.Killed || !mu.SamePlan {
-				continue
+		pools := []struct {
+			row   string
+			limit int
+		}{{name, 100}, {name + "/full", 0}}
+		if testing.Short() && !*update {
+			pools = pools[:1]
+		}
+		for _, pool := range pools {
+			muts := Generate(c, m, Config{Limit: pool.limit, Seed: 1})
+			rep := Run(c, muts, suite, RunConfig{})
+			checked := 0
+			for i, mu := range muts {
+				res := rep.Results[i]
+				if !res.Killed || !mu.SamePlan {
+					continue
+				}
+				checked++
+				if orig.equivalent(mu.Prog, mu.Func, mu.PC) {
+					t.Errorf("%s: mutant %d (%s) was killed (%s, case %d) but proved equivalent",
+						pool.row, mu.ID, mu.Site, res.Reason, res.KilledBy)
+				}
 			}
-			checked++
-			if orig.equivalent(mu.Prog, mu.Func, mu.PC) {
-				t.Errorf("%s: mutant %d (%s) was killed (%s, case %d) but proved equivalent",
-					name, mu.ID, mu.Site, res.Reason, res.KilledBy)
+			if checked == 0 {
+				t.Fatalf("%s: the suite killed no same-plan mutant; nothing was checked", pool.row)
 			}
-		}
-		if checked == 0 {
-			t.Fatalf("%s: the suite killed no same-plan mutant; nothing was checked", name)
-		}
-		if got := rep.Summary.Equivalent; got != wantEquivalent[name] {
-			t.Errorf("%s: %d mutants proved equivalent, want %d", name, got, wantEquivalent[name])
-		}
-		t.Logf("%s: checked %d killed same-plan mutants, %d equivalent", name, checked, rep.Summary.Equivalent)
+			if pool.row == name && rep.Summary.Equivalent != wantEquivalent[name] {
+				t.Errorf("%s: %d mutants proved equivalent, want %d", name, rep.Summary.Equivalent, wantEquivalent[name])
+			}
+			t.Logf("%s: %d mutants, checked %d killed same-plan mutants, %d equivalent",
+				pool.row, len(muts), checked, rep.Summary.Equivalent)
 
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(js)
-		s := rep.Summary
-		got := goldenRow{
-			Killed: s.Killed, Survived: s.Survived, Duplicates: s.Duplicates, Equivalent: s.Equivalent,
-			Score: s.Score, ReportSHA256: hex.EncodeToString(sum[:]),
-		}
-		if *update {
-			golden[name] = got
-		} else if want, ok := golden[name]; !ok {
-			t.Errorf("%s: no row in %s; got %+v", name, goldenPath, got)
-		} else if got != want {
-			t.Errorf("%s: report moved:\n got  %+v\n want %+v", name, got, want)
+			js, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(js)
+			s := rep.Summary
+			got := goldenRow{
+				Killed: s.Killed, Survived: s.Survived, Duplicates: s.Duplicates, Equivalent: s.Equivalent,
+				Score: s.Score, ReportSHA256: hex.EncodeToString(sum[:]),
+			}
+			if *update {
+				golden[pool.row] = got
+			} else if want, ok := golden[pool.row]; !ok {
+				t.Errorf("%s: no row in %s; got %+v", pool.row, goldenPath, got)
+			} else if got != want {
+				t.Errorf("%s: report moved:\n got  %+v\n want %+v", pool.row, got, want)
+			}
 		}
 	}
 	if *update {

@@ -128,9 +128,10 @@ func TestLoopSiteForPrefersNearestBackEdge(t *testing.T) {
 	}
 }
 
-// fusedPairProgram emits a step whose whole body is superinstruction food:
-// const+cmp+branch guarding a state accumulate, probe+branch diamonds, and a
-// mov+jmp join — every shape the fuser rewrites.
+// fusedPairProgram emits a small step with two fused spans: a state
+// accumulate (load, add, store) whose storeState fuses with the constant
+// after it, and a compare against that constant fused with the branch that
+// selects one of two output arms.
 func fusedPairProgram() *ir.Program {
 	var regs int32
 	a := ir.NewAsm(&regs)
@@ -229,9 +230,8 @@ func TestFusedFuelParity(t *testing.T) {
 	}
 }
 
-// TestFusionDoesNotChangeInstructionCharge compiles with and without fusion
-// opportunities blocked (a jump target between every pair kills fusion) and
-// checks the charge is the instruction count either way.
+// TestFusedSpanChargesPerInstruction checks that the threaded backend, fused
+// spans and all, charges a step exactly the reference's instruction count.
 func TestFusedSpanChargesPerInstruction(t *testing.T) {
 	p := fusedPairProgram()
 	m := New(p, nil)

@@ -9,15 +9,17 @@ import (
 )
 
 // The inner loop of the threaded backend executes micro-ops: each IR
-// instruction is pre-decoded at compile time into one flat 64-byte mop with
+// instruction is pre-decoded at compile time into one flat 48-byte mop with
 // a monomorphized kind (opcode × data-type class resolved once), its
 // register operands widened, and its width constants (mask, sign-extension
 // shift, order-bias xor) precomputed. The stream is contiguous, so dispatch
 // is a sequential fetch plus one dense-switch jump — no per-instruction
 // opcode switch over the full Op space and no per-call type switches inside
-// the model encode/decode helpers. Operations without a dedicated kind
-// (Float32 math, Bool arithmetic, casts, ill-typed combinations) carry a
-// monomorphized closure instead and dispatch through one indirect call.
+// the model encode/decode helpers. An instruction without a dense kind
+// (math on a non-Float64 type, Bool arithmetic, bitwise ops on Bool or
+// floats, ill-typed compares, neg/abs and casts) compiles to mRef, which
+// runs the reference single-instruction step over the source instruction:
+// its value comes from EvalPure, like the reference Machine's.
 //
 // Width tricks the integer kinds rely on (w = bit width, mask = 2^w-1):
 //   - add/sub/mul/neg and the bitwise ops are determined by the low w bits,
@@ -28,15 +30,13 @@ import (
 //   - shift amounts take only the low 5 bits of the raw (w >= 8 > 5);
 //   - div/shr/abs on signed types sign-extend for real via sh = 64-w.
 type mop struct {
-	f2   func(a, b uint64) uint64 // mCall2 and fused arith/cmp bodies
-	f1   func(a uint64) uint64    // mCall1 body
-	imm  uint64                   // const payload, in/out/state index, fused aux register
-	mask uint64                   // payload mask (integer kinds)
-	xorv uint64                   // order bias for signed compares/min/max
+	imm  uint64 // const payload, in/out/state index
+	mask uint64 // payload mask (integer kinds)
+	xorv uint64 // order bias for signed compares/min/max
 	dst  int32
 	a    int32
 	b    int32
-	c    int32 // select else-register, fused load slot / const dst
+	c    int32 // select else-register; in a fused span, a second register or state slot
 	tgt  int32 // jump target, fused store slot
 	kind uint8
 	cost uint8 // fuel units: instructions this mop covers (1, or span for fused)
@@ -137,14 +137,14 @@ const (
 	mGtF32
 	mGeF32
 
-	// Closure fallbacks: one indirect call to a monomorphized value fn.
-	mCall2
-	mCall1
+	// Reference fallback: the reference step executes the source
+	// instruction (see the file comment).
+	mRef
 
 	// Cast kinds: every valid type pair pre-decoded into masked/shifted
 	// register ops (mask = combined or target payload mask, sh = source
 	// sign-extension shift, imm/xorv = float64 bits of the target's integer
-	// clamp bounds for float sources). Ill-typed pairs keep the closure.
+	// clamp bounds for float sources). Ill-typed pairs run mRef.
 	mCastZX     // unsigned/bool -> int: mask only
 	mCastSX     // signed -> int: sign-extend, re-mask
 	mCastIB     // any int-like -> bool: masked non-zero test
@@ -160,14 +160,10 @@ const (
 	// Superinstructions. All are straight-line except for a trailing
 	// control transfer, so they never cross a basic-block boundary and
 	// block-level fuel charging stays exact (see blockCosts).
-	mFusedLAS          // loadState + arith + storeState
-	mFusedCmpJmp       // cmp + jmpIf/jmpIfNot (closure compare)
-	mFusedCmpJmpM      // …integer/bool compare inlined (op selector in sh)
-	mFusedCmpJmpF      // …float64 compare inlined
-	mFusedConstBin     // const + arith/cmp
-	mFusedConstCmpJmp  // const + cmp + jmpIf/jmpIfNot (closure compare)
-	mFusedConstCmpJmpM // …integer/bool compare inlined
-	mFusedConstCmpJmpF // …float64 compare inlined
+	mFusedCmpJmpM      // integer/bool cmp + jmpIf/jmpIfNot (op selector in sh)
+	mFusedCmpJmpF      // float64 cmp + jmpIf/jmpIfNot
+	mFusedConstCmpJmpM // const + integer/bool cmp + jmpIf/jmpIfNot
+	mFusedConstCmpJmpF // const + float64 cmp + jmpIf/jmpIfNot
 	mFusedMovJmp       // mov + jmp
 	mFusedProbeJmp     // probe + jmp
 	mFusedProbeJin     // probe + jmpIf/jmpIfNot
@@ -203,18 +199,6 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			m.sh = uint8(64 - dt.Size()*8)
 			m.xorv = uint64(1) << uint(dt.Size()*8-1)
 		}
-	}
-
-	setCall2 := func() {
-		m.kind = mCall2
-		m.f2 = binFn(ins.Op, dt)
-	}
-	// The unary shapes without a dense kind are math on non-float64 types
-	// and neg/abs on invalid types.
-	setCall1 := func() {
-		m.kind = mCall1
-		op := ins.Op
-		m.f1 = func(a uint64) uint64 { return unaryMath(op, dt, a) }
 	}
 
 	switch ins.Op {
@@ -302,8 +286,8 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			case ir.OpMax:
 				m.kind = mMaxM
 			}
-		default: // Float32, Bool, invalid
-			setCall2()
+		default: // Bool, invalid
+			m.kind = mRef
 		}
 	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
 		switch {
@@ -317,7 +301,7 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			}
 			m.kind = [...]uint8{mEqM, mNeM, mLtM, mLeM, mGtM, mGeM}[ins.Op-ir.OpEq]
 		default:
-			setCall2()
+			m.kind = mRef
 		}
 	case ir.OpBitAnd, ir.OpBitOr, ir.OpBitXor, ir.OpShl, ir.OpShr:
 		if intLike {
@@ -338,7 +322,7 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 				}
 			}
 		} else {
-			setCall2()
+			m.kind = mRef
 		}
 	case ir.OpAnd:
 		m.kind = mAnd
@@ -360,7 +344,7 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			}
 			m.kind = mNegM
 		default:
-			setCall1()
+			m.kind = mRef
 		}
 	case ir.OpAbs:
 		switch {
@@ -376,7 +360,7 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			}
 			m.kind = mAbsU
 		default:
-			setCall1()
+			m.kind = mRef
 		}
 	case ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
 		ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
@@ -384,7 +368,7 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			m.kind = [...]uint8{mSqrtF, mExpF, mLogF, mSinF, mCosF, mTanF,
 				mFloorF, mCeilF, mRoundF, mTruncF}[ins.Op-ir.OpSqrt]
 		} else {
-			setCall1()
+			m.kind = mRef
 		}
 	case ir.OpTruth:
 		switch ins.DT2 {
@@ -445,9 +429,8 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			m.xorv = math.Float64bits(float64(to.MaxInt()))
 			m.mask = maskOf(to)
 		}
-		if m.kind == mNop { // ill-typed pair: defer to the reference helper
-			m.kind = mCall1
-			m.f1 = func(a uint64) uint64 { return model.Cast(to, from, a) }
+		if m.kind == mNop { // ill-typed pair
+			m.kind = mRef
 		}
 	default:
 		// Unknown opcodes execute as no-ops, exactly like the reference
@@ -505,15 +488,6 @@ func blockCosts(code []ir.Instr, ms []mop) {
 	}
 }
 
-// fuseMops installs superinstructions at fusion heads. The covered pcs keep
-// their mops (nothing jumps there — fusion requires it), but the dispatch
-// loop skips them by advancing cost instructions at once. The patterns are
-// the statically hottest pairs/triples the lowering emits: the state-update
-// triple, compare-and-branch, the probe diamonds around every decision, and
-// the const/mov/storeState data glue between blocks. A conditional branch
-// may only end a span, never start one — otherwise the span would straddle
-// a basic-block boundary and block-level fuel charging would misattribute
-// the fallthrough instructions.
 // cmpSel computes one of the six relational ops (selector = op - OpEq) over
 // operands already normalized to unsigned order (masked, sign-bias xored).
 func cmpSel(sel uint8, a, b uint64) uint64 {
@@ -551,34 +525,44 @@ func cmpSelF(sel uint8, a, b float64) uint64 {
 	}
 }
 
-// inlineFusedCmp upgrades a fused compare mop from the indirect f2 closure
-// to an inline variant when the compare type has one (integer/bool masked
-// order, or float64). The op selector rides in the otherwise-unused sh
-// field; mask/xorv are free in both fused compare layouts.
-func inlineFusedCmp(m *mop, op ir.Op, dt model.DType, constForm bool) {
-	sel := uint8(op - ir.OpEq)
+// fusedCmp gives a compare-and-branch mop its inlined kind and reports
+// whether the compare type has one (integer/bool masked order, or float64).
+// A compare in any other type (Float32, invalid) is not fused: its dense or
+// reference mop and its jump run separately. The op selector rides in the
+// otherwise-unused sh field; mask/xorv are free in both fused compare
+// layouts.
+func fusedCmp(m *mop, op ir.Op, dt model.DType, constForm bool) bool {
 	switch {
 	case dt == model.Float64:
+		m.kind = mFusedCmpJmpF
 		if constForm {
 			m.kind = mFusedConstCmpJmpF
-		} else {
-			m.kind = mFusedCmpJmpF
 		}
-		m.sh = sel
 	case dt == model.Bool || dt.IsInteger():
+		m.kind = mFusedCmpJmpM
 		if constForm {
 			m.kind = mFusedConstCmpJmpM
-		} else {
-			m.kind = mFusedCmpJmpM
 		}
-		m.sh = sel
 		m.mask = maskOf(dt)
 		if dt.IsSigned() {
 			m.xorv = uint64(1) << uint(dt.Size()*8-1)
 		}
+	default:
+		return false
 	}
+	m.sh = uint8(op - ir.OpEq)
+	return true
 }
 
+// fuseMops installs superinstructions at fusion heads. The covered pcs keep
+// their mops (nothing jumps there — fusion requires it), but the dispatch
+// loop skips them by advancing cost instructions at once. The patterns are
+// the statically hottest pairs/triples the lowering emits: compare-and-branch
+// (with or without a constant operand), the probe diamonds around every
+// decision, and the const/mov/loadState/storeState data glue between blocks.
+// A conditional branch may only end a span, never start one — otherwise the
+// span would straddle a basic-block boundary and block-level fuel charging
+// would misattribute the fallthrough instructions.
 func fuseMops(code []ir.Instr, ms []mop) (fused int) {
 	targets := jumpTargets(code)
 	end := len(code)
@@ -586,34 +570,12 @@ func fuseMops(code []ir.Instr, ms []mop) (fused int) {
 	for pc := 0; pc < len(code); {
 		if pc+2 < len(code) && !targets[pc+1] && !targets[pc+2] {
 			c0, c1, c2 := &code[pc], &code[pc+1], &code[pc+2]
-			// loadState + arith + storeState: the state-update pattern of
-			// every delay/integrator/counter block.
-			if c0.Op == ir.OpLoadState && isArith(c1.Op) &&
-				(c1.A == c0.Dst || c1.B == c0.Dst) &&
-				c2.Op == ir.OpStoreState && c2.A == c1.Dst {
-				ms[pc] = mop{
-					kind: mFusedLAS,
-					cost: 3,
-					f2:   binFn(c1.Op, c1.DT),
-					imm:  uint64(c0.Dst), // load destination register
-					c:    int32(c0.Imm),  // load state slot
-					a:    int32(c1.A),
-					b:    int32(c1.B),
-					dst:  int32(c1.Dst),
-					tgt:  int32(c2.Imm), // store state slot
-				}
-				fused++
-				pc += 3
-				continue
-			}
 			// const + cmp + jmpIf/jmpIfNot: branch on compare-to-immediate.
 			if c0.Op == ir.OpConst && isCmp(c1.Op) &&
 				(c1.A == c0.Dst || c1.B == c0.Dst) &&
 				isJcc(c2.Op) && c2.A == c1.Dst {
-				ms[pc] = mop{
-					kind: mFusedConstCmpJmp,
+				m := mop{
 					cost: 3,
-					f2:   binFn(c1.Op, c1.DT),
 					imm:  c0.Imm,
 					c:    int32(c0.Dst), // const destination register
 					a:    int32(c1.A),
@@ -622,10 +584,12 @@ func fuseMops(code []ir.Instr, ms []mop) (fused int) {
 					tgt:  int32(jumpTo(c2.Imm, end)),
 					flag: c2.Op == ir.OpJmpIf,
 				}
-				inlineFusedCmp(&ms[pc], c1.Op, c1.DT, true)
-				fused++
-				pc += 3
-				continue
+				if fusedCmp(&m, c1.Op, c1.DT, true) {
+					ms[pc] = m
+					fused++
+					pc += 3
+					continue
+				}
 			}
 		}
 		if pc+1 < len(code) && !targets[pc+1] {
@@ -635,27 +599,13 @@ func fuseMops(code []ir.Instr, ms []mop) (fused int) {
 			// cmp + jmpIf/jmpIfNot: every lowered branch condition.
 			case isCmp(c0.Op) && isJcc(c1.Op) && c1.A == c0.Dst:
 				m = mop{
-					kind: mFusedCmpJmp,
-					f2:   binFn(c0.Op, c0.DT),
 					a:    int32(c0.A),
 					b:    int32(c0.B),
 					dst:  int32(c0.Dst),
 					tgt:  int32(jumpTo(c1.Imm, end)),
 					flag: c1.Op == ir.OpJmpIf,
 				}
-				inlineFusedCmp(&m, c0.Op, c0.DT, false)
-			// const + arith/cmp: immediate-operand arithmetic.
-			case c0.Op == ir.OpConst && (isArith(c1.Op) || isCmp(c1.Op)) &&
-				(c1.A == c0.Dst || c1.B == c0.Dst):
-				m = mop{
-					kind: mFusedConstBin,
-					f2:   binFn(c1.Op, c1.DT),
-					imm:  c0.Imm,
-					c:    int32(c0.Dst), // const destination register
-					a:    int32(c1.A),
-					b:    int32(c1.B),
-					dst:  int32(c1.Dst),
-				}
+				fusedCmp(&m, c0.Op, c0.DT, false) // if not fused, kind stays 0: no span
 			// probe + jmp / probe + conditional jump: the exit of every
 			// decision diamond's arm.
 			case c0.Op == ir.OpProbe && c1.Op == ir.OpJmp:
@@ -1072,12 +1022,8 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 			rst(rb, int32(m.dst), b2u(math.Float32frombits(uint32(rld(rb, int32(m.a)))) >= math.Float32frombits(uint32(rld(rb, int32(m.b))))))
 			pc++
 
-		case mCall2:
-			rst(rb, int32(m.dst), m.f2(rld(rb, int32(m.a)), rld(rb, int32(m.b))))
-			pc++
-		case mCall1:
-			rst(rb, int32(m.dst), m.f1(rld(rb, int32(m.a))))
-			pc++
+		case mRef:
+			pc = s.step(f.src, pc)
 
 		case mCastZX:
 			rst(rb, int32(m.dst), rld(rb, int32(m.a))&m.mask)
@@ -1133,20 +1079,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 			rst(rb, int32(m.dst), math.Float64bits(float64(math.Float32frombits(uint32(rld(rb, int32(m.a)))))))
 			pc++
 
-		case mFusedLAS:
-			rst(rb, int32(m.imm), state[m.c])
-			v := m.f2(rld(rb, int32(m.a)), rld(rb, int32(m.b)))
-			rst(rb, int32(m.dst), v)
-			state[m.tgt] = v
-			pc += 3
-		case mFusedCmpJmp:
-			v := m.f2(rld(rb, int32(m.a)), rld(rb, int32(m.b)))
-			rst(rb, int32(m.dst), v)
-			if (v != 0) == m.flag {
-				pc = int(m.tgt)
-			} else {
-				pc += 2
-			}
 		case mFusedCmpJmpM:
 			v := cmpSel(m.sh, rld(rb, int32(m.a))&m.mask^m.xorv, rld(rb, int32(m.b))&m.mask^m.xorv)
 			rst(rb, int32(m.dst), v)
@@ -1162,19 +1094,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 				pc = int(m.tgt)
 			} else {
 				pc += 2
-			}
-		case mFusedConstBin:
-			rst(rb, int32(m.c), m.imm)
-			rst(rb, int32(m.dst), m.f2(rld(rb, int32(m.a)), rld(rb, int32(m.b))))
-			pc += 2
-		case mFusedConstCmpJmp:
-			rst(rb, int32(m.c), m.imm)
-			v := m.f2(rld(rb, int32(m.a)), rld(rb, int32(m.b)))
-			rst(rb, int32(m.dst), v)
-			if (v != 0) == m.flag {
-				pc = int(m.tgt)
-			} else {
-				pc += 3
 			}
 		case mFusedConstCmpJmpM:
 			rst(rb, int32(m.c), m.imm)

@@ -14,7 +14,10 @@ import (
 // written in plain Go below. The totalization rules the compiler relies on
 // are part of the contract: division by zero yields 0, sqrt/log of
 // non-positive inputs yield 0, shift amounts are masked with & 31, and
-// boolean results are canonical 0/1 words.
+// boolean results are canonical 0/1 words. The matrix also runs the shapes
+// the threaded backend has no dense micro-op for, which it executes through
+// the reference step: math on non-Float64 types, Bool arithmetic, bitwise
+// ops on Bool and floats, and compares, neg/abs and casts on an invalid type.
 
 var allDTypes = []model.DType{
 	model.Bool, model.Int8, model.UInt8, model.Int16, model.UInt16,
@@ -222,6 +225,17 @@ func unProgram(op ir.Op, dt, dt2 model.DType) *ir.Program {
 	}
 }
 
+// overwriteProgram is binProgram with the result written over the first
+// operand's register. A bitwise op on a float type always yields +0, which a
+// fresh register already holds; over a loaded operand, an instruction that
+// does not execute shows.
+func overwriteProgram(op ir.Op, dt model.DType) *ir.Program {
+	p := binProgram(op, dt) // loadIn x, loadIn y, op, storeOut, halt
+	x := p.Step[0].Dst
+	p.Step[2].Dst, p.Step[3].A = x, x
+	return p
+}
+
 func selectProgram(dt model.DType) *ir.Program {
 	var regs int32
 	a := ir.NewAsm(&regs)
@@ -290,27 +304,22 @@ func TestOpcodeSemanticsMatrix(t *testing.T) {
 
 		for _, dt := range allDTypes {
 			vals := valuesFor(dt)
-			if dt != model.Bool {
-				// Bool arithmetic has no modelled source construct; the
-				// backends only owe each other agreement there, which the
-				// differential rig enforces.
-				for _, op := range binOps {
-					mark(op)
-					p := binProgram(op, dt)
-					for _, x := range vals {
-						for _, y := range vals {
-							check(p, []uint64{x, y}, refArith(op, dt, x, y),
-								fmt.Sprintf("%s %s(%#x,%#x)", dt, op, x, y))
-						}
+			for _, op := range binOps {
+				mark(op)
+				p := binProgram(op, dt)
+				for _, x := range vals {
+					for _, y := range vals {
+						check(p, []uint64{x, y}, refArith(op, dt, x, y),
+							fmt.Sprintf("%s %s(%#x,%#x)", dt, op, x, y))
 					}
 				}
-				for _, op := range unOps {
-					mark(op)
-					p := unProgram(op, dt, dt)
-					for _, x := range vals {
-						check(p, []uint64{x}, refUnary(op, dt, x),
-							fmt.Sprintf("%s %s(%#x)", dt, op, x))
-					}
+			}
+			for _, op := range unOps {
+				mark(op)
+				p := unProgram(op, dt, dt)
+				for _, x := range vals {
+					check(p, []uint64{x}, refUnary(op, dt, x),
+						fmt.Sprintf("%s %s(%#x)", dt, op, x))
 				}
 			}
 			for _, op := range cmpOps {
@@ -323,26 +332,25 @@ func TestOpcodeSemanticsMatrix(t *testing.T) {
 					}
 				}
 			}
-			if dt.IsInteger() {
-				for _, op := range bitOps {
-					mark(op)
-					p := binProgram(op, dt)
-					for _, x := range vals {
-						for _, y := range vals {
-							check(p, []uint64{x, y}, refBit(op, dt, x, y),
-								fmt.Sprintf("%s %s(%#x,%#x)", dt, op, x, y))
-						}
+			for _, op := range bitOps {
+				mark(op)
+				p := binProgram(op, dt)
+				if dt.IsFloat() {
+					p = overwriteProgram(op, dt)
+				}
+				for _, x := range vals {
+					for _, y := range vals {
+						check(p, []uint64{x, y}, refBit(op, dt, x, y),
+							fmt.Sprintf("%s %s(%#x,%#x)", dt, op, x, y))
 					}
 				}
 			}
-			if dt.IsFloat() {
-				for _, op := range mathOps {
-					mark(op)
-					p := unProgram(op, dt, dt)
-					for _, x := range vals {
-						check(p, []uint64{x}, refUnary(op, dt, x),
-							fmt.Sprintf("%s %s(%#x)", dt, op, x))
-					}
+			for _, op := range mathOps {
+				mark(op)
+				p := unProgram(op, dt, dt)
+				for _, x := range vals {
+					check(p, []uint64{x}, refUnary(op, dt, x),
+						fmt.Sprintf("%s %s(%#x)", dt, op, x))
 				}
 			}
 			// Select with canonical and sloppy (non-0/1) condition words.
@@ -403,6 +411,38 @@ func TestOpcodeSemanticsMatrix(t *testing.T) {
 				}
 				p := unProgram(ir.OpCast, to, from)
 				for _, x := range valuesFor(from) {
+					check(p, []uint64{x}, model.Cast(to, from, x),
+						fmt.Sprintf("cast %s->%s(%#x)", from, to, x))
+				}
+			}
+		}
+
+		// An invalid type (which the verifier rejects but a random or
+		// mutated program may carry) decodes every word to 0: compares,
+		// neg/abs and casts to and from it must still agree with the golden
+		// models on raw words of every shape.
+		bad := model.DType(255)
+		raws := []uint64{0, 1, 0x80, 0xffff_ffff, 1 << 63, math.MaxUint64}
+		for _, op := range cmpOps {
+			p := binProgram(op, bad)
+			for _, x := range raws {
+				for _, y := range raws {
+					check(p, []uint64{x, y}, refCompare(op, bad, x, y),
+						fmt.Sprintf("%s %s(%#x,%#x)", bad, op, x, y))
+				}
+			}
+		}
+		for _, op := range unOps {
+			p := unProgram(op, bad, bad)
+			for _, x := range raws {
+				check(p, []uint64{x}, refUnary(op, bad, x), fmt.Sprintf("%s %s(%#x)", bad, op, x))
+			}
+		}
+		for _, dt := range append(allDTypes, bad) {
+			for _, pair := range [][2]model.DType{{dt, bad}, {bad, dt}} {
+				to, from := pair[0], pair[1]
+				p := unProgram(ir.OpCast, to, from)
+				for _, x := range raws {
 					check(p, []uint64{x}, model.Cast(to, from, x),
 						fmt.Sprintf("cast %s->%s(%#x)", from, to, x))
 				}

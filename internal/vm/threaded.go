@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
@@ -14,7 +13,9 @@ import (
 // operands widened, opcode × data type monomorphized into one dense kind,
 // width constants (mask/shift/order-bias) precomputed, and the hot
 // instruction pairs the lowering emits fused into superinstructions
-// (const+arith, cmp+jmpIf, loadState+arith+storeState).
+// (cmp+jmpIf, const+cmp+jmpIf, probe+jmp and the const/mov/state glue).
+// Every value it computes comes from a dense micro-op or, for an
+// instruction without one, from the reference step (EvalPure).
 //
 // Fuel is accounted centrally in the dispatch loop: each micro-op carries the
 // number of source instructions it covers (1, or the span for fused), charged
@@ -172,14 +173,6 @@ func jumpTargets(code []ir.Instr) []bool {
 	return t
 }
 
-func isArith(op ir.Op) bool {
-	switch op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMin, ir.OpMax:
-		return true
-	}
-	return false
-}
-
 func isCmp(op ir.Op) bool {
 	switch op {
 	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
@@ -203,25 +196,6 @@ func jumpTo(imm uint64, n int) int {
 	return t
 }
 
-// --- monomorphized value functions ------------------------------------------
-//
-// The fused arith/compare superinstructions and the mCall2 fallback call a
-// value function. Each builder runs the opcode × data-type dispatch once at
-// compile time and returns a closure whose body is the bare
-// decode/op/encode sequence over captured width constants. The specialized
-// paths are transcriptions of arith/compare from the reference — the
-// differential rig and the semantics matrix test hold them to bit equality.
-// Bool arithmetic and ill-typed combinations (which the verifier rejects but
-// random or mutated programs may contain) fall back to the reference helpers
-// themselves.
-//
-// Width tricks the integer paths rely on (w = bit width, mask = 2^w-1):
-//   - add/sub/mul are determined by the low w bits, so one masked uint64
-//     computation serves signed and unsigned alike;
-//   - eq/ne compare masked raws (sign extension is injective);
-//   - div/min/max and the ordered compares decode for real: sign-extend
-//     (signed) or mask (unsigned).
-
 // maskOf returns the payload mask of an integer-like type: 1 for Bool (one
 // payload bit), 2^w-1 for w-bit integers, 0 for types with no integer
 // payload (matching model.DecodeInt's 0 for them).
@@ -233,283 +207,6 @@ func maskOf(dt model.DType) uint64 {
 		return 0
 	}
 	return uint64(1)<<uint(dt.Size()*8) - 1
-}
-
-// binFn builds the value function of a binary arithmetic, bitwise or
-// relational op.
-func binFn(op ir.Op, dt model.DType) func(a, b uint64) uint64 {
-	if isArith(op) {
-		return arithFn(op, dt)
-	}
-	if isCmp(op) {
-		return compareFn(op, dt)
-	}
-	return bitFn(op, dt)
-}
-
-func arithFn(op ir.Op, dt model.DType) func(a, b uint64) uint64 {
-	switch dt {
-	case model.Float64:
-		switch op {
-		case ir.OpAdd:
-			return func(a, b uint64) uint64 {
-				return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-			}
-		case ir.OpSub:
-			return func(a, b uint64) uint64 {
-				return math.Float64bits(math.Float64frombits(a) - math.Float64frombits(b))
-			}
-		case ir.OpMul:
-			return func(a, b uint64) uint64 {
-				return math.Float64bits(math.Float64frombits(a) * math.Float64frombits(b))
-			}
-		case ir.OpDiv:
-			return func(a, b uint64) uint64 {
-				y := math.Float64frombits(b)
-				if y == 0 {
-					return 0
-				}
-				return math.Float64bits(math.Float64frombits(a) / y)
-			}
-		case ir.OpMin:
-			return func(a, b uint64) uint64 {
-				return math.Float64bits(math.Min(math.Float64frombits(a), math.Float64frombits(b)))
-			}
-		case ir.OpMax:
-			return func(a, b uint64) uint64 {
-				return math.Float64bits(math.Max(math.Float64frombits(a), math.Float64frombits(b)))
-			}
-		}
-	case model.Float32:
-		// Decode to float64, operate, round once on encode — the exact
-		// sequence of the reference arith() so results are bit-identical.
-		switch op {
-		case ir.OpAdd:
-			return func(a, b uint64) uint64 {
-				v := float64(math.Float32frombits(uint32(a))) + float64(math.Float32frombits(uint32(b)))
-				return uint64(math.Float32bits(float32(v)))
-			}
-		case ir.OpSub:
-			return func(a, b uint64) uint64 {
-				v := float64(math.Float32frombits(uint32(a))) - float64(math.Float32frombits(uint32(b)))
-				return uint64(math.Float32bits(float32(v)))
-			}
-		case ir.OpMul:
-			return func(a, b uint64) uint64 {
-				v := float64(math.Float32frombits(uint32(a))) * float64(math.Float32frombits(uint32(b)))
-				return uint64(math.Float32bits(float32(v)))
-			}
-		case ir.OpDiv:
-			return func(a, b uint64) uint64 {
-				y := float64(math.Float32frombits(uint32(b)))
-				if y == 0 {
-					return uint64(math.Float32bits(0))
-				}
-				v := float64(math.Float32frombits(uint32(a))) / y
-				return uint64(math.Float32bits(float32(v)))
-			}
-		case ir.OpMin:
-			return func(a, b uint64) uint64 {
-				v := math.Min(float64(math.Float32frombits(uint32(a))), float64(math.Float32frombits(uint32(b))))
-				return uint64(math.Float32bits(float32(v)))
-			}
-		case ir.OpMax:
-			return func(a, b uint64) uint64 {
-				v := math.Max(float64(math.Float32frombits(uint32(a))), float64(math.Float32frombits(uint32(b))))
-				return uint64(math.Float32bits(float32(v)))
-			}
-		}
-	}
-	if dt.IsInteger() {
-		mask := maskOf(dt)
-		switch op {
-		case ir.OpAdd:
-			return func(a, b uint64) uint64 { return (a&mask + b&mask) & mask }
-		case ir.OpSub:
-			return func(a, b uint64) uint64 { return (a&mask - b&mask) & mask }
-		case ir.OpMul:
-			return func(a, b uint64) uint64 { return (a & mask) * (b & mask) & mask }
-		}
-		if dt.IsSigned() {
-			sh := 64 - uint(dt.Size()*8)
-			switch op {
-			case ir.OpDiv:
-				return func(a, b uint64) uint64 {
-					y := int64(b<<sh) >> sh
-					if y == 0 {
-						return 0
-					}
-					return uint64((int64(a<<sh)>>sh)/y) & mask
-				}
-			case ir.OpMin:
-				return func(a, b uint64) uint64 {
-					x, y := int64(a<<sh)>>sh, int64(b<<sh)>>sh
-					if y < x {
-						x = y
-					}
-					return uint64(x) & mask
-				}
-			case ir.OpMax:
-				return func(a, b uint64) uint64 {
-					x, y := int64(a<<sh)>>sh, int64(b<<sh)>>sh
-					if y > x {
-						x = y
-					}
-					return uint64(x) & mask
-				}
-			}
-		}
-		switch op {
-		case ir.OpDiv:
-			return func(a, b uint64) uint64 {
-				y := b & mask
-				if y == 0 {
-					return 0
-				}
-				return (a & mask) / y
-			}
-		case ir.OpMin:
-			return func(a, b uint64) uint64 {
-				x, y := a&mask, b&mask
-				if y < x {
-					return y
-				}
-				return x
-			}
-		case ir.OpMax:
-			return func(a, b uint64) uint64 {
-				x, y := a&mask, b&mask
-				if y > x {
-					return y
-				}
-				return x
-			}
-		}
-	}
-	// Bool arithmetic and invalid types: reference helper verbatim.
-	return func(a, b uint64) uint64 { return arith(op, dt, a, b) }
-}
-
-func compareFn(op ir.Op, dt model.DType) func(a, b uint64) uint64 {
-	switch dt {
-	case model.Float64:
-		switch op {
-		case ir.OpEq:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float64frombits(a) == math.Float64frombits(b))
-			}
-		case ir.OpNe:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float64frombits(a) != math.Float64frombits(b))
-			}
-		case ir.OpLt:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float64frombits(a) < math.Float64frombits(b))
-			}
-		case ir.OpLe:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float64frombits(a) <= math.Float64frombits(b))
-			}
-		case ir.OpGt:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float64frombits(a) > math.Float64frombits(b))
-			}
-		case ir.OpGe:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float64frombits(a) >= math.Float64frombits(b))
-			}
-		}
-	case model.Float32:
-		switch op {
-		case ir.OpEq:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float32frombits(uint32(a)) == math.Float32frombits(uint32(b)))
-			}
-		case ir.OpNe:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float32frombits(uint32(a)) != math.Float32frombits(uint32(b)))
-			}
-		case ir.OpLt:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float32frombits(uint32(a)) < math.Float32frombits(uint32(b)))
-			}
-		case ir.OpLe:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float32frombits(uint32(a)) <= math.Float32frombits(uint32(b)))
-			}
-		case ir.OpGt:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float32frombits(uint32(a)) > math.Float32frombits(uint32(b)))
-			}
-		case ir.OpGe:
-			return func(a, b uint64) uint64 {
-				return b2u(math.Float32frombits(uint32(a)) >= math.Float32frombits(uint32(b)))
-			}
-		}
-	}
-	if dt == model.Bool || dt.IsInteger() {
-		mask := maskOf(dt)
-		switch op {
-		case ir.OpEq:
-			return func(a, b uint64) uint64 { return b2u(a&mask == b&mask) }
-		case ir.OpNe:
-			return func(a, b uint64) uint64 { return b2u(a&mask != b&mask) }
-		}
-		if dt.IsSigned() {
-			sh := 64 - uint(dt.Size()*8)
-			switch op {
-			case ir.OpLt:
-				return func(a, b uint64) uint64 { return b2u(int64(a<<sh)>>sh < int64(b<<sh)>>sh) }
-			case ir.OpLe:
-				return func(a, b uint64) uint64 { return b2u(int64(a<<sh)>>sh <= int64(b<<sh)>>sh) }
-			case ir.OpGt:
-				return func(a, b uint64) uint64 { return b2u(int64(a<<sh)>>sh > int64(b<<sh)>>sh) }
-			case ir.OpGe:
-				return func(a, b uint64) uint64 { return b2u(int64(a<<sh)>>sh >= int64(b<<sh)>>sh) }
-			}
-		}
-		switch op {
-		case ir.OpLt:
-			return func(a, b uint64) uint64 { return b2u(a&mask < b&mask) }
-		case ir.OpLe:
-			return func(a, b uint64) uint64 { return b2u(a&mask <= b&mask) }
-		case ir.OpGt:
-			return func(a, b uint64) uint64 { return b2u(a&mask > b&mask) }
-		case ir.OpGe:
-			return func(a, b uint64) uint64 { return b2u(a&mask >= b&mask) }
-		}
-	}
-	// Invalid types: reference helper verbatim.
-	return func(a, b uint64) uint64 { return compare(op, dt, a, b) }
-}
-
-// bitFn builds the value function of a bitwise op on a type without an
-// integer payload (integer types have dense kinds): the reference
-// decode/encode path verbatim.
-func bitFn(op ir.Op, dt model.DType) func(a, b uint64) uint64 {
-	switch op {
-	case ir.OpBitAnd:
-		return func(a, b uint64) uint64 {
-			return model.EncodeInt(dt, model.DecodeInt(dt, a)&model.DecodeInt(dt, b))
-		}
-	case ir.OpBitOr:
-		return func(a, b uint64) uint64 {
-			return model.EncodeInt(dt, model.DecodeInt(dt, a)|model.DecodeInt(dt, b))
-		}
-	case ir.OpBitXor:
-		return func(a, b uint64) uint64 {
-			return model.EncodeInt(dt, model.DecodeInt(dt, a)^model.DecodeInt(dt, b))
-		}
-	case ir.OpShl:
-		return func(a, b uint64) uint64 {
-			return model.EncodeInt(dt, model.DecodeInt(dt, a)<<(uint(model.DecodeInt(dt, b))&31))
-		}
-	case ir.OpShr:
-		return func(a, b uint64) uint64 {
-			return model.EncodeInt(dt, model.DecodeInt(dt, a)>>(uint(model.DecodeInt(dt, b))&31))
-		}
-	}
-	return func(a, b uint64) uint64 { return 0 }
 }
 
 func b2u(v bool) uint64 {

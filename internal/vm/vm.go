@@ -9,8 +9,9 @@
 // the switch Machine runs nothing else, and step takes every register-pure
 // opcode's value from EvalPure, the function the equivalent-mutant prover
 // folds constants with. The lockstep tests hold the threaded backend to the
-// Machine, and the threaded backend replays a fuel-exhausted block prefix
-// through step itself.
+// Machine; the threaded backend runs every instruction that has no dense
+// micro-op through step, and replays a fuel-exhausted block prefix through
+// it too.
 package vm
 
 import (

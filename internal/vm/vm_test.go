@@ -2,8 +2,10 @@ package vm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cftcg/internal/ir"
 	"cftcg/internal/model"
@@ -227,4 +229,19 @@ func TestBoolOpsNormalize(t *testing.T) {
 			t.Errorf("bool ops: %v", m.Out())
 		}
 	})
+}
+
+// TestMopLayout pins the micro-op layout: six words and no func-typed field.
+// Every value the threaded backend computes comes from a dense kind or the
+// reference step, so a mop never carries a closure.
+func TestMopLayout(t *testing.T) {
+	if got := unsafe.Sizeof(mop{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(mop{}) = %d, want 48", got)
+	}
+	typ := reflect.TypeOf(mop{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Func {
+			t.Errorf("mop.%s is a func", f.Name)
+		}
+	}
 }

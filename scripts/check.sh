@@ -21,10 +21,11 @@ go vet ./...
 
 # The switch VM (vm.New) is the test oracle of the threaded backend, not an
 # executor: it steps one instruction at a time through EvalPure and runs
-# several times slower. Outside internal/vm only tests may build it
-# (examples/ and the bench/ ledger are outside cmd/ and internal/).
+# several times slower. Outside internal/vm only tests may build it, in
+# cmd/, internal/ and examples/ alike (the bench/ ledger, a module of its
+# own, still times it).
 echo "== reference VM stays test-only =="
-refvm=$(grep -rl --include='*.go' 'vm\.New(' cmd internal | grep -v '_test\.go$' | grep -v '^internal/vm/' || true)
+refvm=$(grep -rl --include='*.go' 'vm\.New(' cmd internal examples | grep -v '_test\.go$' | grep -v '^internal/vm/' || true)
 if [ -n "$refvm" ]; then
 	echo "non-test code builds the reference VM (vm.New):"
 	echo "$refvm"
