@@ -61,11 +61,11 @@ cover:
 
 # fuzz-smoke runs the native fuzz targets briefly past their committed
 # corpora: the cross-backend lockstep rig chews randomized programs on the
-# switch and threaded backends, and the disassembler round-tripper hammers
-# the parser.
+# switch and threaded backends, and the model decoder behind cftcg's and
+# cftcgd's .slx loading must return a model or an error for any XML.
 fuzz-smoke:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzVMBackendsLockstep$$' -fuzztime 10s
-	$(GO) test ./internal/ir -run '^$$' -fuzz '^FuzzDisasmRoundTrip$$' -fuzztime 5s
+	$(GO) test ./internal/slxml -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 5s
 
 # bench-test vets and tests the performance ledger under bench/. It is its
 # own module, so the root build and tests do not notice when a change to an
@@ -74,10 +74,10 @@ bench-test:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# check is the CI gate. It runs scripts/check.sh, which runs the stages
-# above and those without a target of their own (the reference-VM guard,
-# the workers checkpoint/resume smoke, the faultinject no-op check and the
-# cftcgd smoke), stopping at the first failure.
+# check is the CI gate. It runs scripts/check.sh, which runs the targets
+# above and the stages without a target of their own (the reference-VM
+# guard, the workers checkpoint/resume smoke, the faultinject no-op check
+# and the cftcgd smoke), stopping at the first failure.
 check:
 	scripts/check.sh
 

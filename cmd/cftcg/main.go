@@ -10,12 +10,12 @@
 //	cftcg cov     <model.slx> <case.bin>...   replay cases, report coverage
 //	cftcg convert <model.slx> <case.bin>      print one case as CSV
 //	cftcg trace   <model.slx> <case.bin>      dump a case as a VCD waveform
-//	cftcg info    <model.slx>                 model statistics
+//	cftcg info    <model.slx>                 model statistics and mutation pool
 //	cftcg mutate  <model.slx> [flags]         mutation-test the generated suite
 //	cftcg export  <benchmark> <out.slx>       write a built-in benchmark
 //
 // `<model.slx>` may also name a built-in benchmark (e.g. SolarPV); a file
-// at that path comes first (core.Resolve, shared with cftcgd and modelinfo).
+// at that path comes first (core.Resolve, shared with cftcgd).
 package main
 
 import (
@@ -289,13 +289,31 @@ func main() {
 
 	case "info":
 		sys := loadSystem(arg(args, 0))
+		prog, plan := sys.Compiled.Prog, sys.Compiled.Plan
+		fmt.Printf("model %s\n", sys.Model.Name)
+		fmt.Printf("  blocks:     %d\n", sys.Model.Root.CountBlocks())
+		fmt.Printf("  branches:   %d (%d decisions, %d conditions)\n",
+			plan.NumBranches, len(plan.Decisions), len(plan.Conds))
+		fmt.Printf("  instructions: init %d, step %d (total %d); dead stores: %d\n",
+			len(prog.Init), len(prog.Step), len(prog.Init)+len(prog.Step),
+			analysis.DeadStoreWarnings(prog, plan))
 		lay := sys.Layout()
-		fmt.Printf("model %s: %d branch slots, %d decisions, %d conditions\n",
-			sys.Model.Name, sys.BranchCount(),
-			len(sys.Compiled.Plan.Decisions), len(sys.Compiled.Plan.Conds))
-		fmt.Printf("tuple: %d bytes\n", lay.TupleSize)
+		fmt.Printf("  tuple:      %d bytes\n", lay.TupleSize)
 		for _, f := range lay.Fields {
-			fmt.Printf("  +%d %-12s %s\n", f.Offset, f.Name, f.Type)
+			fmt.Printf("    +%-3d %-12s %s\n", f.Offset, f.Name, f.Type)
+		}
+		fmt.Printf("  decisions by instrumentation mode:\n")
+		byMode := map[byte]int{}
+		for i := range plan.Decisions {
+			byMode[plan.Decisions[i].Kind.Mode()]++
+		}
+		for _, mode := range []byte{'a', 'b', 'c', 'd'} {
+			fmt.Printf("    (%c) %d\n", mode, byMode[mode])
+		}
+		pool := mutate.Pool(sys.Compiled, sys.Model, mutate.Config{})
+		fmt.Printf("  mutation pool: %d mutants\n", pool.Total())
+		for _, op := range mutate.OperatorNames() {
+			fmt.Printf("    %-16s %d\n", op+":", pool[op])
 		}
 
 	case "mutate":
@@ -318,7 +336,7 @@ func main() {
 		muts := mutate.Generate(sys.Compiled, sys.Model,
 			mutate.Config{Operators: opNames, Limit: *budget, Seed: *seed})
 		if len(muts) == 0 {
-			fail(fmt.Errorf("no mutants generated: mutation surface is empty under operators %q", *ops))
+			fail(fmt.Errorf("no mutants generated: the mutant pool is empty under operators %q", *ops))
 		}
 
 		m, err := fuzz.ParseMode(*mode)
@@ -334,9 +352,9 @@ func main() {
 		rcfg := mutate.RunConfig{Fuel: *fuel, NoProve: *noProve}
 		rep := mutate.Run(sys.Compiled, muts, cases, rcfg)
 		if !*asJSON {
-			sc := mutate.Surface(sys.Compiled.Prog, sys.Model)
-			fmt.Printf("model %s: %d mutants (surface %d sites), suite of %d case(s)\n",
-				sys.Model.Name, len(muts), sc.Total(), len(cases))
+			pool := mutate.Pool(sys.Compiled, sys.Model, mutate.Config{Operators: opNames})
+			fmt.Printf("model %s: %d of %d mutants, suite of %d case(s)\n",
+				sys.Model.Name, len(muts), pool.Total(), len(cases))
 		}
 		for r := 1; r <= *feedback && rep.Summary.Survived > 0; r++ {
 			// Refuzz on a new seed from the suite so far and rescore on the

@@ -49,8 +49,8 @@ func TestDeadSoundnessDifferential(t *testing.T) {
 		}
 		for slot, v := range rec.Snapshot() {
 			if v != 0 && dead[slot] {
-				t.Fatalf("program %d: branch %d reachable (VM hit it) but analysis claims dead\nstep:\n%s",
-					n, slot, ir.Disasm(p.Step))
+				t.Fatalf("program %d: branch %d reachable (VM hit it) but analysis claims dead\nstep: %+v",
+					n, slot, p.Step)
 			}
 		}
 	}

@@ -84,7 +84,7 @@ func verify(p *ir.Program, plan *coverage.Plan, lint bool) []Issue {
 }
 
 // DeadStoreWarnings counts the verifier's dead-store lint findings — the
-// metric `cftcg analyze -stats` and modelinfo report.
+// metric `cftcg analyze -stats`, `cftcg info` and Table 2 report.
 func DeadStoreWarnings(p *ir.Program, plan *coverage.Plan) int {
 	n := 0
 	for _, is := range Verify(p, plan) {

@@ -25,7 +25,7 @@ type ModelResolver func(name string) (*codegen.Compiled, error)
 // Spec is the JSON body of a campaign submission.
 type Spec struct {
 	Model     string `json:"model"`               // resolver name (benchmark or server-side path)
-	Shards    int    `json:"shards,omitempty"`    // default 1
+	Shards    int    `json:"shards,omitempty"`    // default 1, at most 64
 	Budget    string `json:"budget,omitempty"`    // Go duration, e.g. "30s" (default 10s if no execs)
 	MaxExecs  int64  `json:"execs,omitempty"`     // execution budget (0 = budget only)
 	Seed      int64  `json:"seed,omitempty"`      // default 1
@@ -51,8 +51,15 @@ type Spec struct {
 	MutantBudget int `json:"mutantBudget,omitempty"`
 }
 
-// options translates the wire spec into engine options.
+// maxShards caps Spec.Shards: a campaign builds one engine per shard.
+const maxShards = 64
+
+// options translates the wire spec into engine options, rejecting a shard
+// count outside [0, maxShards] (0 means 1).
 func (sp *Spec) options() (fuzz.Options, error) {
+	if sp.Shards < 0 || sp.Shards > maxShards {
+		return fuzz.Options{}, fmt.Errorf("shards %d outside [0, %d]", sp.Shards, maxShards)
+	}
 	mode, err := fuzz.ParseMode(sp.Mode)
 	if err != nil {
 		return fuzz.Options{}, err

@@ -199,6 +199,8 @@ func TestServerSubmissionErrors(t *testing.T) {
 		`{"model":"Magic","mode":"bogus"}`,
 		`{"model":"Magic","budget":"bogus"}`,
 		`{"model":"Magic","execs":-1}`,
+		`{"model":"Magic","execs":10,"shards":-1}`,
+		fmt.Sprintf(`{"model":"Magic","execs":10,"shards":%d}`, maxShards+1),
 	} {
 		if code := postJSON(t, ts, "/api/campaigns", json.RawMessage(body), nil); code != http.StatusBadRequest {
 			t.Errorf("%s: want 400, got %d", body, code)

@@ -123,7 +123,7 @@ func (p *Plan) Decision(id int) *Decision { return &p.Decisions[id] }
 // Cond returns the condition with the given ID.
 func (p *Plan) Cond(id int) *Cond { return &p.Conds[id] }
 
-// BranchLabel describes a branch ID for reports and disassembly.
+// BranchLabel describes a branch ID for reports.
 func (p *Plan) BranchLabel(branch int) string {
 	for i := range p.Decisions {
 		d := &p.Decisions[i]

@@ -1,8 +1,8 @@
 // Package harness orchestrates the paper's evaluation: it runs each tool
 // (CFTCG, SLDV, SimCoTest, and the Fuzz-Only ablation) on each benchmark
-// model under a common budget and renders Table 3, the Figure 7 coverage
-// timelines, the Figure 8 ablation comparison, and the §4 execution-speed
-// measurements.
+// model under a common budget and renders Table 2, Table 3, the Figure 7
+// coverage timelines, the Figure 8 ablation comparison, and the §4
+// execution-speed measurements.
 package harness
 
 import (
@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
@@ -148,12 +149,17 @@ func suiteBytes(s *testcase.Suite) [][]byte {
 	return out
 }
 
-// ModelResult aggregates all tools on one model.
+// ModelResult aggregates all tools on one model, beside the compiled
+// model's Table 2 statistics.
 type ModelResult struct {
-	Entry    benchmodels.Entry
-	Branches int
-	Blocks   int
-	Results  map[Tool]ToolResult
+	Entry      benchmodels.Entry
+	Branches   int
+	Blocks     int
+	TupleBytes int
+	Mutants    int // the full mutant pool (cftcg mutate -budget 0)
+	Instrs     int // init + step instructions
+	DeadStores int
+	Results    map[Tool]ToolResult
 }
 
 // RunTool executes one tool on one compiled model with one seed.
@@ -283,8 +289,9 @@ func runToolIsolated(c *codegen.Compiled, tool Tool, cfg Config, seed int64) Too
 
 // RunModel evaluates the given tools on one benchmark entry, averaging
 // randomized tools over cfg.Repetitions seeds (SLDV is deterministic and
-// runs once). A failing tool yields a degraded cell, not an error: only
-// model compilation itself can fail the whole row.
+// runs once). With no tools it only fills in the model's statistics. A
+// failing tool yields a degraded cell, not an error: only model compilation
+// itself can fail the whole row.
 func RunModel(e benchmodels.Entry, tools []Tool, cfg Config) (ModelResult, error) {
 	m := e.Build()
 	c, err := codegen.Compile(m)
@@ -292,10 +299,14 @@ func RunModel(e benchmodels.Entry, tools []Tool, cfg Config) (ModelResult, error
 		return ModelResult{}, fmt.Errorf("harness: %s: %w", e.Name, err)
 	}
 	mr := ModelResult{
-		Entry:    e,
-		Branches: c.Plan.NumBranches,
-		Blocks:   m.Root.CountBlocks(),
-		Results:  map[Tool]ToolResult{},
+		Entry:      e,
+		Branches:   c.Plan.NumBranches,
+		Blocks:     m.Root.CountBlocks(),
+		TupleBytes: c.Prog.TupleSize(),
+		Mutants:    mutate.Pool(c, m, mutate.Config{}).Total(),
+		Instrs:     len(c.Prog.Init) + len(c.Prog.Step),
+		DeadStores: analysis.DeadStoreWarnings(c.Prog, c.Plan),
+		Results:    map[Tool]ToolResult{},
 	}
 	for _, tool := range tools {
 		reps := cfg.Repetitions
@@ -362,15 +373,18 @@ func scoreMutants(c *codegen.Compiled, m *model.Model, cfg Config, mr *ModelResu
 }
 
 // FormatTable2 renders the benchmark statistics table (paper Table 2),
-// side by side with the paper's numbers.
+// side by side with the paper's numbers, plus the tuple size, the mutant
+// pool, the instruction count and the dead stores of each compiled model.
 func FormatTable2(results []ModelResult) string {
 	var w strings.Builder
-	fmt.Fprintf(&w, "%-9s %-36s %8s %8s %8s %8s\n",
-		"Model", "Functionality", "#Branch", "(paper)", "#Block", "(paper)")
+	fmt.Fprintf(&w, "%-9s %-36s %8s %8s %8s %8s %6s %8s %7s %7s\n",
+		"Model", "Functionality", "#Branch", "(paper)", "#Block", "(paper)", "Tuple", "#Mutant",
+		"#Instr", "DeadSt")
 	for _, mr := range results {
-		fmt.Fprintf(&w, "%-9s %-36s %8d %8d %8d %8d\n",
+		fmt.Fprintf(&w, "%-9s %-36s %8d %8d %8d %8d %5dB %8d %7d %7d\n",
 			mr.Entry.Name, mr.Entry.Functionality,
-			mr.Branches, mr.Entry.PaperBranch, mr.Blocks, mr.Entry.PaperBlock)
+			mr.Branches, mr.Entry.PaperBranch, mr.Blocks, mr.Entry.PaperBlock,
+			mr.TupleBytes, mr.Mutants, mr.Instrs, mr.DeadStores)
 	}
 	return w.String()
 }

@@ -76,6 +76,30 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// TestTable2RunsNoTool: with no tools, RunModel fills in only the compiled
+// model's statistics, which Table 2 prints.
+func TestTable2RunsNoTool(t *testing.T) {
+	e, err := benchmodels.Get("SolarPV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := RunModel(e, nil, quickConfig())
+	if err != nil {
+		t.Fatalf("RunModel: %v", err)
+	}
+	if len(mr.Results) != 0 {
+		t.Errorf("RunModel ran tools: %v", mr.Results)
+	}
+	got := [...]int{mr.Branches, mr.Blocks, mr.TupleBytes, mr.Mutants, mr.Instrs, mr.DeadStores}
+	if want := [...]int{65, 34, 9, 320, 335, 6}; got != want {
+		t.Errorf("SolarPV branches, blocks, tuple bytes, mutants, instructions, dead stores = %v, want %v", got, want)
+	}
+	row := "SolarPV   Solar PV panel output control              65       55       34      131     9B      320     335       6"
+	if t2 := FormatTable2([]ModelResult{mr}); !strings.Contains(t2, row) {
+		t.Errorf("Table 2 lacks the SolarPV row %q:\n%s", row, t2)
+	}
+}
+
 func TestMeasureSpeedRatio(t *testing.T) {
 	e, err := benchmodels.Get("SolarPV")
 	if err != nil {

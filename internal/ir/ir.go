@@ -148,7 +148,7 @@ type Program struct {
 	// Out lists the root outports.
 	Out []model.Field
 
-	// StateNames documents state slots for disassembly and debugging.
+	// StateNames documents state slots for debugging.
 	StateNames []string
 	// StateTypes records each state slot's data type (used by the
 	// constraint solver to decode the concrete initial state).

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,12 +121,18 @@ func TestCastIdentityElided(t *testing.T) {
 	}
 }
 
-func TestDisasmMentionsEverything(t *testing.T) {
-	p := minimalProgram()
-	text := Disasm(p.Step)
-	for _, want := range []string{"loadin", "const", "add", "storeout", "halt"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, text)
+// TestGenProgramValidAndDeterministic: every generated program passes
+// Validate, and a seed always regenerates the same program and decisions,
+// which the lockstep rig's corpus entries rely on.
+func TestGenProgramValidAndDeterministic(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		p, decs := GenProgram(seed)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("seed %d: generated program invalid: %v", seed, err)
+		}
+		p2, decs2 := GenProgram(seed)
+		if !reflect.DeepEqual(p, p2) || !reflect.DeepEqual(decs, decs2) {
+			t.Fatalf("seed %d: regenerated program differs", seed)
 		}
 	}
 }

@@ -141,6 +141,50 @@ func (cd candidate) build(c *codegen.Compiled) *Mutant {
 // compiled form); chart operators are then skipped. Each returned mutant has
 // passed Validate and the strict verifier.
 func Generate(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
+	cands := candidates(c, m, cfg)
+	muts := sample(len(cands), cfg, func(i int) *Mutant {
+		mu := cands[i].build(c)
+		if mu.Prog.Validate() != nil || analysis.VerifyStrict(mu.Prog, mu.Plan) != nil {
+			// Defensive: no operator is expected to emit malformed IR (the
+			// property test holds every operator to that), but a broken
+			// mutant must never reach the runner.
+			return nil
+		}
+		return mu
+	})
+	for i, mu := range muts {
+		mu.ID = i
+	}
+	return muts
+}
+
+// PoolSize counts a mutant pool per operator.
+type PoolSize map[string]int
+
+// Total is the number of mutants in the pool.
+func (p PoolSize) Total() int {
+	n := 0
+	for _, k := range p {
+		n += k
+	}
+	return n
+}
+
+// Pool counts, per operator, the candidates Generate samples from under
+// cfg's operator filter (Limit and Seed are ignored): the pool a mutant
+// budget draws on, and exactly what Limit 0 builds.
+func Pool(c *codegen.Compiled, m *model.Model, cfg Config) PoolSize {
+	p := PoolSize{}
+	for _, cd := range candidates(c, m, cfg) {
+		p[cd.op]++
+	}
+	return p
+}
+
+// candidates enumerates every enabled mutant in generation order: each IR
+// operator's variants of each instruction of init then step, then the chart
+// mutants when m is given.
+func candidates(c *codegen.Compiled, m *model.Model, cfg Config) []candidate {
 	var cands []candidate
 	for _, fn := range []struct {
 		name string
@@ -163,24 +207,10 @@ func Generate(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
 	}
 	if m != nil {
 		for _, mu := range chartMutants(c, m, cfg) {
-			cands = append(cands, candidate{chart: mu})
+			cands = append(cands, candidate{op: mu.Operator, chart: mu})
 		}
 	}
-
-	muts := sample(len(cands), cfg, func(i int) *Mutant {
-		mu := cands[i].build(c)
-		if mu.Prog.Validate() != nil || analysis.VerifyStrict(mu.Prog, mu.Plan) != nil {
-			// Defensive: no operator is expected to emit malformed IR (the
-			// property test holds every operator to that), but a broken
-			// mutant must never reach the runner.
-			return nil
-		}
-		return mu
-	})
-	for i, mu := range muts {
-		mu.ID = i
-	}
-	return muts
+	return cands
 }
 
 // sample picks up to cfg.Limit of n candidates (all of them when the limit

@@ -3,6 +3,7 @@ package mutate
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -486,9 +487,8 @@ func TestChartMutants(t *testing.T) {
 	if ops["chart-guard"] == 0 {
 		t.Errorf("no chart-guard mutants: %v", ops)
 	}
-	sc := Surface(c.Prog, m)
-	if sc.Guards < ops["chart-guard"] {
-		t.Errorf("surface guards %d < emitted guard mutants %d", sc.Guards, ops["chart-guard"])
+	if pool := Pool(c, m, Config{Operators: []string{"chart-guard", "chart-priority"}}); !maps.Equal(pool, PoolSize(ops)) {
+		t.Errorf("pool %v, but Generate emitted %v", pool, ops)
 	}
 }
 

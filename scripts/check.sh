@@ -1,23 +1,13 @@
 #!/bin/sh
-# check.sh — the repository's CI gate: formatting, vet, the reference-VM
-# guard, race tests, build, tests, the bench module, coverage floors, fuzz,
-# mutate and checkpoint/resume smokes, the chaos suite, the faultinject
-# no-op check and a cftcgd smoke. Exits non-zero on the first failure.
+# check.sh — the repository's CI gate: the reference-VM guard, then the
+# Makefile's stages (formatting, vet and race lint, build, tests, race
+# tests, the bench module, coverage floors, fuzz and mutate smokes), the
+# workers checkpoint/resume smoke, the chaos suite, the faultinject no-op
+# check and a cftcgd smoke. Exits non-zero on the first failure.
 # `make check` runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
-
-echo "== gofmt =="
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-	echo "gofmt needed on:"
-	echo "$unformatted"
-	exit 1
-fi
-
-echo "== go vet =="
-go vet ./...
 
 # The switch VM (vm.New) is the test oracle of the threaded backend, not an
 # executor: it steps one instruction at a time through EvalPure and runs
@@ -32,54 +22,14 @@ if [ -n "$refvm" ]; then
 	exit 1
 fi
 
-# Focused full-speed race pass over the concurrency-bearing packages: the
-# engine's cross-goroutine status plane, the campaign daemon's shard fan-out
-# and the shared coverage structures. (The later -short -race sweep covers
-# the rest of the tree.)
-echo "== lint: go test -race (concurrency packages) =="
-go test -race ./internal/fuzz ./internal/campaign ./internal/coverage ./internal/vm ./internal/ir
-# The mutation package runs at full length too, so the prover oracle covers
-# all 8 models under the race detector.
-go test -race ./internal/mutate
-
-echo "== go build =="
-go build ./...
-
-echo "== go test (shuffled) =="
-go test -shuffle=on ./...
-
-# Race mode runs -short: the headline campaign comparisons are
-# timing-sensitive and starve under the race detector's ~15x slowdown.
-echo "== go test -short -race =="
-go test -short -race ./...
-
-# The performance ledger under bench/ is its own module: the root build and
-# tests above do not notice when an internal API change breaks it.
-echo "== bench module: vet + test =="
-go -C bench vet ./...
-go -C bench test ./...
-
-# Coverage floors on the load-bearing packages (VM backends, IR, coverage
-# recorder, fuzz engine, mutation subsystem and its equivalence prover,
-# static analysis).
-echo "== coverage floors =="
-scripts/cover.sh
-
-# Native fuzz targets, briefly, past their committed corpora: the
-# cross-backend lockstep rig and the disassembler round-tripper.
-echo "== fuzz smoke =="
-go test ./internal/vm -run '^$' -fuzz '^FuzzVMBackendsLockstep$' -fuzztime 10s
-go test ./internal/ir -run '^$' -fuzz '^FuzzDisasmRoundTrip$' -fuzztime 5s
-
-# Mutation-testing smoke: generate mutants for a small model, kill them
-# with a freshly fuzzed suite plus one refuzz round, and require a mutation
-# score in (0, 1]. Same gate as `make mutate-smoke`.
-echo "== mutate smoke =="
-out=$(go run ./cmd/cftcg mutate SolarPV -budget 30 -execs 1500 -fuzz-budget 5s -feedback 1 -json)
-score=$(echo "$out" | sed -n 's/.*"score": \([0-9.]*\),*/\1/p' | head -n1)
-echo "mutation score: $score"
-awk "BEGIN { exit !($score > 0 && $score <= 1) }" </dev/null \
-	|| { echo "mutate-smoke: score $score outside (0, 1]"; exit 1; }
+# Every stage with a Make target runs through it, so each command is
+# spelled out once, in the Makefile: gofmt, vet and the full-speed race
+# passes (lint), build, the shuffled tests, the -short -race sweep, the
+# bench module, the coverage floors, and the fuzz and mutate smokes.
+for stage in lint build test race bench-test cover fuzz-smoke mutate-smoke; do
+	echo "== make $stage =="
+	make "$stage"
+done
 
 # Multi-worker checkpoint/resume smoke: `cftcg fuzz -workers 2` runs a
 # two-shard campaign, so each shard checkpoints to <base>.shardK and a
@@ -100,11 +50,8 @@ echo "executions: $first saved, $resumed after resume"
 	|| { echo "resumed run did not carry on from the saved exec count"; cat "$ckdir/first.txt" "$ckdir/resumed.txt"; exit 1; }
 rm -rf "$ckdir"
 
-# Chaos suite: arm the build-tag-gated failpoints and run the
-# fault-injection tests (torn WAL writes, fsync failures, checkpoint
-# panics, hanging shards, kill-9 of a journaled daemon) under -race.
-echo "== chaos: go test -race -tags faultinject =="
-go test -race -tags faultinject ./internal/faultinject ./internal/wal ./internal/fuzz ./internal/campaign
+echo "== make chaos =="
+make chaos
 
 # Daemon smoke test: build cftcgd, bring it up on an ephemeral port, poll
 # the health and metrics planes, submit one campaign, verify a non-empty

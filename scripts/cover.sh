@@ -1,7 +1,7 @@
 #!/bin/sh
 # cover.sh — statement-coverage floors for the packages where correctness is
 # load-bearing: the VM backends (every campaign and every mutant grind
-# executes here), the IR (programs, verifier, disassembler, generator), the
+# executes here), the IR (programs, validator, assembler, generator), the
 # coverage recorder and progress tracker (the packed per-step hit set every
 # probe writes), the fuzz engine (Algorithm 1's feedback scan, corpus,
 # checkpoints and minimization), the mutation subsystem (mutant
