@@ -62,10 +62,12 @@ cover:
 # fuzz-smoke runs the native fuzz targets briefly past their committed
 # corpora: the cross-backend lockstep rig chews randomized programs on the
 # switch and threaded backends, and the model decoder behind cftcg's and
-# cftcgd's .slx loading must return a model or an error for any XML.
+# cftcgd's .slx loading, and the parser of the MATLAB Function scripts such
+# a file carries, must return a result or an error for any input.
 fuzz-smoke:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzVMBackendsLockstep$$' -fuzztime 10s
 	$(GO) test ./internal/slxml -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 5s
+	$(GO) test ./internal/mlfunc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 
 # bench-test vets and tests the performance ledger under bench/. It is its
 # own module, so the root build and tests do not notice when a change to an

@@ -25,7 +25,6 @@ import (
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
 	"cftcg/internal/fuzz"
-	"cftcg/internal/harness"
 	"cftcg/internal/interp"
 	"cftcg/internal/model"
 	"cftcg/internal/mutate"
@@ -441,21 +440,4 @@ func BenchmarkMutantKill(b *testing.B) {
 	}
 	b.ReportMetric(float64(rep.Steps)*float64(b.N)/b.Elapsed().Seconds(), "mutant-steps/s")
 	b.ReportMetric(rep.Summary.Score, "score")
-}
-
-// BenchmarkHarnessTable3 exercises the full harness path (what cmd/benchtab
-// does) on one model, so the orchestration layer itself has a benchmark.
-func BenchmarkHarnessTable3(b *testing.B) {
-	e, err := benchmodels.Get("SolarPV")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := harness.DefaultConfig()
-	cfg.Budget = 150 * time.Millisecond
-	cfg.Repetitions = 1
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunModel(e, []harness.Tool{harness.ToolCFTCG, harness.ToolSLDV}, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

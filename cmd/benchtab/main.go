@@ -1,17 +1,22 @@
 // Command benchtab regenerates the paper's evaluation artifacts: Table 2
 // (statistics of the compiled benchmark models), Table 3 (coverage
 // comparison), Figure 7 (coverage vs time), Figure 8 (model-oriented vs
-// fuzz-only), and the §4 execution speed measurement.
+// fuzz-only), the §4 execution speed measurements, SLDV's per-objective
+// depths, the §6 hybrid, the Algorithm 1 and hint ablation, and the
+// mutation score per tool. Every tool runs through harness.RunModel or
+// harness.RunTool, except that objectives runs SLDV alone (with the same
+// harness.Config.SLDVOptions) to print its per-objective depths.
 //
 // Usage:
 //
-//	benchtab [flags] table2|table3|fig7|fig8|speed|cputask|mutation|all
+//	benchtab [flags] table2|table3|fig7|fig8|speed|cputask|objectives|hybrid|ablation|mutation|all
 //
 // Examples:
 //
 //	benchtab -budget 5s -reps 3 table3
 //	benchtab -budget 2s fig7
 //	benchtab -models SolarPV,TCP table3
+//	benchtab -reps 2 ablation
 package main
 
 import (
@@ -23,7 +28,6 @@ import (
 
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
-	"cftcg/internal/fuzz"
 	"cftcg/internal/harness"
 	"cftcg/internal/sldv"
 )
@@ -83,8 +87,7 @@ func main() {
 		fmt.Print(harness.FormatFigure7(results, cfg.Budget, *points))
 
 	case "fig8":
-		results := run(entries, []harness.Tool{harness.ToolCFTCG, harness.ToolFuzzOnly}, cfg)
-		fmt.Print(harness.FormatFigure8(results))
+		fmt.Print(harness.FormatComparison(run(entries, fig8, cfg), fig8))
 
 	case "speed":
 		e, err := benchmodels.Get("SolarPV")
@@ -103,12 +106,12 @@ func main() {
 		check(err)
 		c, err := codegen.Compile(e.Build())
 		check(err)
-		eng := fuzz.MustEngine(c, fuzz.Options{Seed: cfg.Seed, Budget: cfg.Budget})
-		res := eng.Run()
+		res, err := harness.RunTool(c, harness.ToolCFTCG, cfg, cfg.Seed)
+		check(err)
 		sp, err := harness.MeasureSpeed(c, 300*time.Millisecond, cfg.Seed)
 		check(err)
 		fmt.Printf("CPUTask: decision %.1f%% after %d executions (%d model iterations) in %s\n",
-			res.Report.Decision(), res.Execs, res.Steps, cfg.Budget)
+			res.Decision, res.Execs, res.Steps, cfg.Budget)
 		atSim := float64(res.Steps) / sp.SimStepsPerSec
 		atPaperRate := float64(res.Steps) / 6 / 3600
 		fmt.Printf("the same iterations would take %.1fs on our engine (ratio %.0fx)\n", atSim, sp.Ratio())
@@ -122,29 +125,24 @@ func main() {
 		for _, e := range entries {
 			c, err := codegen.Compile(e.Build())
 			check(err)
-			res := sldvRun(c, cfg)
-			fmt.Print(res.FormatObjectives(c.Plan))
+			fmt.Print(sldv.Run(c, cfg.SLDVOptions(cfg.Budget)).FormatObjectives(c.Plan))
 			fmt.Println()
 		}
 
 	case "hybrid":
 		// §6 future work: constraint solving seeds the fuzzer. Compare
 		// plain CFTCG against the hybrid at the same total budget.
-		results := run(entries, []harness.Tool{harness.ToolCFTCG, harness.ToolHybrid}, cfg)
-		fmt.Printf("%-9s | %22s | %22s\n", "Model", "CFTCG (DC/CC/MCDC)", "Hybrid (DC/CC/MCDC)")
-		for _, mr := range results {
-			f := mr.Results[harness.ToolCFTCG]
-			h := mr.Results[harness.ToolHybrid]
-			fmt.Printf("%-9s | %6.1f%% %6.1f%% %6.1f%% | %6.1f%% %6.1f%% %6.1f%%\n",
-				mr.Entry.Name, f.Decision, f.Condition, f.MCDC, h.Decision, h.Condition, h.MCDC)
-		}
+		tools := []harness.Tool{harness.ToolCFTCG, harness.ToolHybrid}
+		fmt.Print(harness.FormatComparison(run(entries, tools, cfg), tools))
 
 	case "ablation":
-		// CFTCG variants at a fixed execution budget: full engine vs no
-		// iteration-difference priority vs no comparison-constant hints.
-		rows, err := harness.RunAblation(entries, 20000, cfg.Seed, cfg.Repetitions)
-		check(err)
-		fmt.Print(harness.FormatAblation(rows))
+		// CFTCG variants at a fixed execution budget and no wall budget:
+		// the full engine vs no iteration-difference priority vs no
+		// comparison-constant hints.
+		acfg := cfg
+		acfg.Budget, acfg.FuzzMaxExecs = 0, 20000
+		tools := []harness.Tool{harness.ToolCFTCG, harness.ToolNoIterDiff, harness.ToolNoHints}
+		fmt.Print(harness.FormatComparison(run(entries, tools, acfg), tools))
 
 	case "mutation":
 		// Mutation score per tool: one shared mutant pool per model,
@@ -166,7 +164,7 @@ func main() {
 		fmt.Println("\n== Figure 7 ==")
 		fmt.Print(harness.FormatFigure7(results, cfg.Budget, *points))
 		fmt.Println("\n== Figure 8 ==")
-		fmt.Print(harness.FormatFigure8(results))
+		fmt.Print(harness.FormatComparison(results, fig8))
 
 	default:
 		fmt.Fprintf(os.Stderr, "unknown command %q\n", cmd)
@@ -175,13 +173,8 @@ func main() {
 	}
 }
 
-func sldvRun(c *codegen.Compiled, cfg harness.Config) *sldv.Result {
-	return sldv.Run(c, sldv.Options{
-		MaxDepth:   cfg.SLDVDepth,
-		NodeBudget: cfg.SLDVNodes,
-		Budget:     cfg.Budget,
-	})
-}
+// fig8 is Figure 8's comparison: model-oriented fuzzing vs fuzz-only.
+var fig8 = []harness.Tool{harness.ToolCFTCG, harness.ToolFuzzOnly}
 
 func run(entries []benchmodels.Entry, tools []harness.Tool, cfg harness.Config) []harness.ModelResult {
 	var out []harness.ModelResult

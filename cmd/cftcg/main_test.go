@@ -17,6 +17,7 @@ import (
 
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/core"
+	"cftcg/internal/model"
 	"cftcg/internal/mutate"
 	"cftcg/internal/testcase"
 )
@@ -59,6 +60,27 @@ func TestMissingModelPrintsUsage(t *testing.T) {
 		_, stderr, code := cftcg(t, sub)
 		if code != 2 || !strings.HasPrefix(stderr, "usage: cftcg ") {
 			t.Errorf("cftcg %s: exit %d, stderr %q; want exit 2 and the usage line", sub, code, stderr)
+		}
+	}
+}
+
+// TestFuzzModelWithoutInports: a model with an empty input tuple is an
+// error the command reports, not a panic.
+func TestFuzzModelWithoutInports(t *testing.T) {
+	b := model.NewBuilder("NoIn")
+	b.Outport("y", model.Float64, b.SwitchGE(b.UnitDelay(b.Const(1), 0), 0.5, b.Const(10), b.Const(20)))
+	sys, err := core.FromModel(b.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/noin.slx"
+	if err := sys.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-execs", "100"}, {"-execs", "100", "-mode", "fuzz-only"}, {"-execs", "100", "-workers", "2"}} {
+		_, stderr, code := cftcg(t, append([]string{"fuzz", path}, args...)...)
+		if code != 1 || !strings.Contains(stderr, "model NoIn has no inports") || strings.Contains(stderr, "panic") {
+			t.Errorf("cftcg fuzz %v: exit %d, stderr %q; want exit 1 naming the model", args, code, stderr)
 		}
 	}
 }

@@ -85,12 +85,12 @@ func main() {
 	fmt.Printf("\n%d violating input(s) found; first one decoded:\n", len(res.Violations))
 	lay := sys.Layout()
 	data := res.Violations[0].Data
-	n := len(data) / lay.TupleSize
-	for i := 0; i < n && i < 10; i++ {
-		base := i * lay.TupleSize
-		sp := model.DecodeInt(model.Int16, model.GetRaw(model.Int16, data[base+lay.Fields[0].Offset:]))
-		br := model.DecodeInt(model.Int8, model.GetRaw(model.Int8, data[base+lay.Fields[1].Offset:]))
-		rs := model.DecodeInt(model.Int8, model.GetRaw(model.Int8, data[base+lay.Fields[2].Offset:]))
+	in := make([]uint64, len(lay.Fields))
+	for i := 0; i < lay.Steps(data) && i < 10; i++ {
+		lay.Decode(in, data, i)
+		sp := model.DecodeInt(model.Int16, in[0])
+		br := model.DecodeInt(model.Int8, in[1])
+		rs := model.DecodeInt(model.Int8, in[2])
 		fmt.Printf("  step %d: setpoint=%-6d brake=%-4d resume=%d\n", i, sp, br, rs)
 	}
 	// Attribute the violations: replay them and see which Assertion

@@ -51,7 +51,7 @@ func main() {
 	for s := fuzz.ChangeBinaryInteger; s <= fuzz.TuplesCrossOver; s++ {
 		mutated := mut.Apply(s, sample, other)
 		fmt.Printf("  %-22s %2d tuples -> %2d tuples\n",
-			s, len(sample)/lay.TupleSize, len(mutated)/lay.TupleSize)
+			s, lay.Steps(sample), lay.Steps(mutated))
 	}
 
 	// Iteration Difference Coverage on two hand-built inputs (Figure 6):

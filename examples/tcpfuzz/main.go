@@ -73,12 +73,13 @@ func established(sys *core.System, data []byte) bool {
 
 func decodeSegments(lay model.Layout, data []byte) string {
 	out := ""
-	n := len(data) / lay.TupleSize
+	n := lay.Steps(data)
+	in := make([]uint64, len(lay.Fields))
 	for i := 0; i < n && i < 12; i++ {
-		base := i * lay.TupleSize
-		flags := model.GetRaw(lay.Fields[0].Type, data[base+lay.Fields[0].Offset:])
-		seq := model.DecodeInt(lay.Fields[1].Type, model.GetRaw(lay.Fields[1].Type, data[base+lay.Fields[1].Offset:]))
-		cmd := model.DecodeInt(lay.Fields[2].Type, model.GetRaw(lay.Fields[2].Type, data[base+lay.Fields[2].Offset:]))
+		lay.Decode(in, data, i)
+		flags := in[0]
+		seq := model.DecodeInt(lay.Fields[1].Type, in[1])
+		cmd := model.DecodeInt(lay.Fields[2].Type, in[2])
 		names := ""
 		for bit, nm := range map[uint64]string{1: "SYN", 2: "ACK", 4: "FIN", 8: "RST"} {
 			if flags&bit != 0 {

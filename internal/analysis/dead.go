@@ -129,7 +129,7 @@ func (ai *absInterp) absFunc(code []ir.Instr, entry *env) *env {
 				halted = true
 			default:
 				ai.step(e, instr)
-				if dst, _ := Operands(instr); dst >= 0 {
+				if dst, _, _ := Operands(instr); dst >= 0 {
 					for r, cd := range cmps {
 						if r == dst || cd.a == dst || cd.b == dst {
 							delete(cmps, r)

@@ -87,10 +87,10 @@ func ComputeInfluence(p *ir.Program, plan *coverage.Plan) *Influence {
 			case ir.OpConst:
 				regTaint[instr.Dst] |= ctrl[pc]
 			default:
-				dst, reads := Operands(instr)
+				dst, reads, n := Operands(instr)
 				if dst >= 0 && int(dst) < len(regTaint) {
 					m := ctrl[pc]
-					for _, r := range reads {
+					for _, r := range reads[:n] {
 						if r >= 0 && int(r) < len(regTaint) {
 							m |= regTaint[r]
 						}

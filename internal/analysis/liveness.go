@@ -109,11 +109,11 @@ func funcLiveness(code []ir.Instr, numRegs int, exitLive []bool) (perPC [][]bool
 			if record {
 				perPC[pc] = append([]bool(nil), live...)
 			}
-			dst, reads := Operands(&code[pc])
+			dst, reads, n := Operands(&code[pc])
 			if dst >= 0 && int(dst) < numRegs {
 				live[dst] = false
 			}
-			for _, r := range reads {
+			for _, r := range reads[:n] {
 				if r >= 0 && int(r) < numRegs {
 					live[r] = true
 				}

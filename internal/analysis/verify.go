@@ -116,26 +116,27 @@ func (v *verifier) warnf(fn string, pc int, format string, args ...interface{}) 
 }
 
 // Operands returns the destination register (-1 when none) and the registers
-// an instruction reads. Every register-use analysis, the mutation prover's
-// included, shares this one table, so a new opcode is classified once.
-func Operands(ins *ir.Instr) (dst int32, reads []int32) {
+// an instruction reads, reads[:n]; it allocates nothing. Every register-use
+// analysis, the mutation prover's included, shares this one table, so a new
+// opcode is classified once.
+func Operands(ins *ir.Instr) (dst int32, reads [3]int32, n int) {
 	switch ins.Op {
 	case ir.OpConst, ir.OpLoadIn, ir.OpLoadState:
-		return ins.Dst, nil
+		return ins.Dst, reads, 0
 	case ir.OpMov, ir.OpNeg, ir.OpAbs, ir.OpNot, ir.OpTruth, ir.OpCast,
 		ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
 		ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
-		return ins.Dst, []int32{ins.A}
+		return ins.Dst, [3]int32{ins.A}, 1
 	case ir.OpSelect:
-		return ins.Dst, []int32{ins.A, ins.B, ins.C}
+		return ins.Dst, [3]int32{ins.A, ins.B, ins.C}, 3
 	case ir.OpStoreOut, ir.OpStoreState, ir.OpJmpIf, ir.OpJmpIfNot:
-		return -1, []int32{ins.A}
+		return -1, [3]int32{ins.A}, 1
 	case ir.OpCondProbe:
-		return -1, []int32{ins.B}
+		return -1, [3]int32{ins.B}, 1
 	case ir.OpJmp, ir.OpHalt, ir.OpNop, ir.OpProbe:
-		return -1, nil
+		return -1, reads, 0
 	default: // remaining binary ALU ops
-		return ins.Dst, []int32{ins.A, ins.B}
+		return ins.Dst, [3]int32{ins.A, ins.B}, 2
 	}
 }
 
@@ -145,8 +146,8 @@ func globalReads(p *ir.Program) []bool {
 	reads := make([]bool, p.NumRegs)
 	scan := func(code []ir.Instr) {
 		for i := range code {
-			_, rs := Operands(&code[i])
-			for _, r := range rs {
+			_, rs, n := Operands(&code[i])
+			for _, r := range rs[:n] {
 				if r >= 0 && int(r) < len(reads) {
 					reads[r] = true
 				}
@@ -165,11 +166,11 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 	// Linear per-instruction checks: ranges, DT consistency, probe bounds.
 	for pc := range code {
 		ins := &code[pc]
-		dst, reads := Operands(ins)
+		dst, reads, nr := Operands(ins)
 		if dst >= n {
 			v.errf(fn, pc, "%s: dst register r%d out of range (%d registers)", ins.Op, dst, n)
 		}
-		for _, r := range reads {
+		for _, r := range reads[:nr] {
 			if r < 0 || r >= n {
 				v.errf(fn, pc, "%s: source register r%d out of range (%d registers)", ins.Op, r, n)
 			}
@@ -283,7 +284,7 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 	transfer := func(bi int) []bool {
 		defs := append([]bool(nil), ins[bi]...)
 		for pc := blocks[bi].start; pc < blocks[bi].end; pc++ {
-			if dst, _ := Operands(&code[pc]); dst >= 0 && dst < n {
+			if dst, _, _ := Operands(&code[pc]); dst >= 0 && dst < n {
 				defs[dst] = true
 			}
 		}
@@ -332,8 +333,8 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 		}
 		defs := append([]bool(nil), ins[bi]...)
 		for pc := b.start; pc < b.end; pc++ {
-			dst, reads := Operands(&code[pc])
-			for _, r := range reads {
+			dst, reads, nr := Operands(&code[pc])
+			for _, r := range reads[:nr] {
 				if r >= 0 && r < n && !defs[r] {
 					v.errf(fn, pc, "%s: use of r%d before definition", code[pc].Op, r)
 				}

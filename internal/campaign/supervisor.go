@@ -98,12 +98,6 @@ func (sl *shardSlot) engine() *fuzz.Engine {
 	return sl.eng
 }
 
-func (sl *shardSlot) isQuarantined() bool {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.quarantined
-}
-
 // superviseShard drives one shard to completion: panics are captured, a
 // wedged engine is detected by the liveness watchdog and replaced (resuming
 // from its last checkpoint), repeated failures back off exponentially with

@@ -110,7 +110,7 @@ func (s *System) Fuzz(opts fuzz.Options) (*fuzz.Result, error) {
 // Layout returns the model's input tuple layout (field order, types,
 // offsets) — what the fuzz driver's data segmentation uses.
 func (s *System) Layout() model.Layout {
-	return model.Layout{Fields: s.Compiled.Prog.In, TupleSize: s.Compiled.Prog.TupleSize()}
+	return s.Compiled.Prog.Layout()
 }
 
 // BranchCount returns the number of instrumented branch slots (Table 2's
@@ -123,22 +123,14 @@ func (s *System) BranchCount() int { return s.Compiled.Plan.BranchCount() }
 func (s *System) Replay(cases [][]byte) (coverage.Report, *coverage.Recorder) {
 	rec := coverage.NewRecorder(s.Compiled.Plan)
 	m := vm.NewThreadedFromCode(s.Compiled.Threaded(), rec)
-	tuple := s.Compiled.Prog.TupleSize()
-	fields := s.Compiled.Prog.In
-	in := make([]uint64, len(fields))
+	lay := s.Layout()
+	in := make([]uint64, len(lay.Fields))
 	for _, data := range cases {
 		if m.Init() != nil {
 			continue
 		}
-		n := 0
-		if tuple > 0 {
-			n = len(data) / tuple
-		}
-		for it := 0; it < n; it++ {
-			base := it * tuple
-			for fi, f := range fields {
-				in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
-			}
+		for it := 0; it < lay.Steps(data); it++ {
+			lay.Decode(in, data, it)
 			rec.BeginStep()
 			if m.Step(in) != nil {
 				break // hung case: keep the coverage reached so far
@@ -212,18 +204,11 @@ func (s *System) Trace(w io.Writer, data []byte) error {
 
 	m := vm.NewThreadedFromCode(s.Compiled.Threaded(), nil)
 	m.Init()
-	tuple := prog.TupleSize()
-	n := 0
-	if tuple > 0 {
-		n = len(data) / tuple
-	}
-	in := make([]uint64, len(prog.In))
+	lay := s.Layout()
+	in := make([]uint64, len(lay.Fields))
 	sample := make([]uint64, len(signals))
-	for it := 0; it < n; it++ {
-		base := it * tuple
-		for fi, f := range prog.In {
-			in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
-		}
+	for it := 0; it < lay.Steps(data); it++ {
+		lay.Decode(in, data, it)
 		m.Step(in)
 		copy(sample, in)
 		copy(sample[len(in):], m.Out())

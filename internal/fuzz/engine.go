@@ -190,9 +190,9 @@ type Engine struct {
 	opts Options
 	rng  *rand.Rand
 
-	mut   *Mutator
-	bmut  *ByteMutator
-	tuple int
+	mut  *Mutator
+	bmut *ByteMutator
+	lay  model.Layout // the input tuple layout
 	// picked holds the random tuples pick returns for the parent and the
 	// crossover partner while the corpus is empty.
 	picked [2][]byte
@@ -306,6 +306,10 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 30 * time.Second
 	}
+	lay := c.Prog.Layout()
+	if len(lay.Fields) == 0 {
+		return nil, fmt.Errorf("fuzz: model %s has no inports: the tuple mutator cannot build an input for it", c.Prog.Name)
+	}
 	rec := coverage.NewRecorder(c.Plan)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	e := &Engine{
@@ -314,12 +318,12 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 		m:          vm.NewThreadedFromCode(c.Threaded(), rec),
 		opts:       opts,
 		rng:        rng,
-		mut:        NewMutator(c.Prog.In, c.Prog.TupleSize(), opts.MaxTuples, rng),
-		bmut:       NewByteMutator(opts.MaxTuples*c.Prog.TupleSize(), rng),
-		tuple:      c.Prog.TupleSize(),
+		mut:        NewMutator(lay.Fields, lay.TupleSize, opts.MaxTuples, rng),
+		bmut:       NewByteMutator(opts.MaxTuples*lay.TupleSize, rng),
+		lay:        lay,
 		prog:       coverage.NewProgress(c.Plan),
 		last:       make([]uint64, len(rec.Curr)),
-		tupleBuf:   make([]uint64, len(c.Prog.In)),
+		tupleBuf:   make([]uint64, len(lay.Fields)),
 		findingIdx: map[string]int{},
 		fpLoop:     "fuzz.loop",
 	}
@@ -523,14 +527,10 @@ func (e *Engine) RunInput(data []byte) (metric int, newMasked, newAny int) {
 	}
 	clear(e.last)
 
-	n := len(data) / e.tuple
-	fields := e.c.Prog.In
+	n := e.lay.Steps(data)
 	for it := 0; it < n; it++ {
 		step = it
-		base := it * e.tuple
-		for fi, f := range fields {
-			e.tupleBuf[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
-		}
+		e.lay.Decode(e.tupleBuf, data, it)
 		rec.BeginStep()
 		stepErr := e.m.Step(e.tupleBuf)
 		e.lastInputFuel += e.m.LastFuelUsed()
@@ -628,7 +628,7 @@ func (e *Engine) Run() *Result {
 	// witnesses in hybrid mode).
 	seeds := [][]byte{
 		{},
-		make([]byte, e.tuple),
+		make([]byte, e.lay.TupleSize),
 	}
 	for i := 0; i < 4; i++ {
 		var s []byte
@@ -695,7 +695,7 @@ func (e *Engine) Run() *Result {
 		Report: e.rec.Report(),
 		Suite: &testcase.Suite{
 			Model:  e.c.Prog.Name,
-			Layout: model.Layout{Fields: e.c.Prog.In, TupleSize: e.tuple},
+			Layout: e.lay,
 			Cases:  e.cases,
 		},
 		Execs:           e.execs,
@@ -749,7 +749,7 @@ func (e *Engine) tryInput(data []byte) bool {
 		// would collapse the corpus onto a few long attractors. Density
 		// rewards inputs whose iterations keep changing the triggered
 		// logic — the diversification Algorithm 1 is after.
-		iters := len(data)/e.tuple + 1
+		iters := e.lay.Steps(data) + 1
 		weight = 1 + float64(metric)/float64(iters)
 		if metric >= 2*e.bestRawMetric && metric > 0 {
 			// A decisive iteration-difference record diversifies execution

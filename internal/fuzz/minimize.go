@@ -6,7 +6,6 @@ import (
 
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
-	"cftcg/internal/model"
 	"cftcg/internal/testcase"
 	"cftcg/internal/vm"
 )
@@ -52,19 +51,15 @@ func Minimize(c *codegen.Compiled, cases []testcase.Case) []testcase.Case {
 func caseCoverage(c *codegen.Compiled) func(data []byte) []uint64 {
 	rec := coverage.NewRecorder(c.Plan)
 	m := vm.NewThreadedFromCode(c.Threaded(), rec)
-	tuple := c.Prog.TupleSize()
-	fields := c.Prog.In
-	in := make([]uint64, len(fields))
+	lay := c.Prog.Layout()
+	in := make([]uint64, len(lay.Fields))
 	return func(data []byte) []uint64 {
 		set := make([]uint64, len(rec.Curr))
-		if m.Init() != nil || tuple == 0 {
+		if m.Init() != nil {
 			return set
 		}
-		for it := 0; it < len(data)/tuple; it++ {
-			base := it * tuple
-			for fi, f := range fields {
-				in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
-			}
+		for it := 0; it < lay.Steps(data); it++ {
+			lay.Decode(in, data, it)
 			rec.BeginStep()
 			err := m.Step(in)
 			for w, hit := range rec.Curr {

@@ -1,8 +1,11 @@
-// Package harness orchestrates the paper's evaluation: it runs each tool
-// (CFTCG, SLDV, SimCoTest, and the Fuzz-Only ablation) on each benchmark
-// model under a common budget and renders Table 2, Table 3, the Figure 7
-// coverage timelines, the Figure 8 ablation comparison, and the §4
-// execution-speed measurements.
+// Package harness orchestrates the paper's evaluation as one sweep: RunModel
+// runs each tool (SLDV, SimCoTest, CFTCG, and the fuzz-engine variants —
+// Figure 8's fuzz-only ablation, the §6 hybrid, and the Algorithm 1 and
+// comparison-hint ablations) on one benchmark model under a common budget.
+// The results render as Table 2, Table 3, the Figure 7 coverage timelines,
+// one side-by-side comparison table (Figure 8, the hybrid and the
+// ablation), and the mutation-score table; speed.go holds the §4
+// execution-speed measurement.
 package harness
 
 import (
@@ -25,22 +28,37 @@ import (
 // Tool identifies a test-case generator under evaluation.
 type Tool string
 
-// The evaluated tools. Hybrid is the paper's §6 future work: constraint
-// solving discovers inport relationships first, fuzzing continues from its
-// witnesses.
+// The evaluated tools. FuzzOnly is Figure 8's ablation (no model-oriented
+// feedback); Hybrid is the paper's §6 future work: constraint solving
+// discovers inport relationships first, fuzzing continues from its
+// witnesses. NoIterDiff drops Algorithm 1's iteration-difference corpus
+// priority and NoHints the comparison-constant hints.
 const (
-	ToolSLDV      Tool = "SLDV"
-	ToolSimCoTest Tool = "SimCoTest"
-	ToolCFTCG     Tool = "CFTCG"
-	ToolFuzzOnly  Tool = "FuzzOnly"
-	ToolHybrid    Tool = "Hybrid"
+	ToolSLDV       Tool = "SLDV"
+	ToolSimCoTest  Tool = "SimCoTest"
+	ToolCFTCG      Tool = "CFTCG"
+	ToolFuzzOnly   Tool = "FuzzOnly"
+	ToolHybrid     Tool = "Hybrid"
+	ToolNoIterDiff Tool = "NoIterDiff"
+	ToolNoHints    Tool = "NoHints"
 )
+
+// fuzzTools holds the engine options of every tool that runs the fuzz
+// engine; RunTool fills in the seed and the budgets.
+var fuzzTools = map[Tool]fuzz.Options{
+	ToolCFTCG:      {Mode: fuzz.ModeModelOriented},
+	ToolFuzzOnly:   {Mode: fuzz.ModeFuzzOnly},
+	ToolHybrid:     {Mode: fuzz.ModeModelOriented},
+	ToolNoIterDiff: {Mode: fuzz.ModeNoIterDiff},
+	ToolNoHints:    {Mode: fuzz.ModeModelOriented, NoHints: true},
+}
 
 // Config sets the common experiment budget. The paper ran 24 hours per
 // tool/model with coverage stabilizing within an hour; these budgets scale
 // the same comparison to seconds.
 type Config struct {
-	// Budget is the wall-clock budget per tool per model.
+	// Budget is the wall-clock budget per tool per model. The fuzz-based
+	// tools run unbounded by time at 0, so FuzzMaxExecs alone bounds them.
 	Budget time.Duration
 	// Repetitions averages randomized tools over this many seeds
 	// (the paper uses 10).
@@ -48,9 +66,8 @@ type Config struct {
 	// Seed is the base random seed; repetition r uses Seed+r.
 	Seed int64
 
-	// SLDV parameters.
+	// SLDVDepth is SLDV's unrolling depth limit.
 	SLDVDepth int
-	SLDVNodes int64
 
 	// SimThrottleStepsPerSec emulates the paper's measured Simulink engine
 	// rate for SimCoTest (at its default 50-step horizon) when positive; 0
@@ -73,6 +90,16 @@ type Config struct {
 	// that exceeds it (or panics) is rendered as degraded in Table 3 instead
 	// of sinking the whole evaluation. 0 derives a deadline from Budget.
 	CellTimeout time.Duration
+}
+
+// sldvNodes is SLDV's node budget: large enough that the wall budget
+// governs.
+const sldvNodes = 1 << 40
+
+// SLDVOptions returns the options of an SLDV run (alone or as the hybrid's
+// solver stage) under the given wall budget.
+func (c Config) SLDVOptions(budget time.Duration) sldv.Options {
+	return sldv.Options{MaxDepth: c.SLDVDepth, NodeBudget: sldvNodes, Budget: budget}
 }
 
 // cellDeadline returns the effective per-cell deadline: the configured
@@ -98,7 +125,6 @@ func DefaultConfig() Config {
 		Repetitions:            3,
 		Seed:                   1,
 		SLDVDepth:              5,
-		SLDVNodes:              1 << 40, // wall budget governs
 		SimThrottleStepsPerSec: 500,
 	}
 }
@@ -164,21 +190,19 @@ type ModelResult struct {
 
 // RunTool executes one tool on one compiled model with one seed.
 func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult, error) {
-	switch tool {
-	case ToolSLDV:
-		res := sldv.Run(c, sldv.Options{
-			MaxDepth:   cfg.SLDVDepth,
-			NodeBudget: cfg.SLDVNodes,
-			Budget:     cfg.Budget,
-		})
-		rep := res.Report
-		return ToolResult{
-			Tool: tool, Decision: rep.Decision(), Condition: rep.Condition(), MCDC: rep.MCDC(),
-			Execs: res.Witnesses, Cases: len(res.Suite.Cases), Timeline: res.Timeline,
-			Suite: suiteBytes(res.Suite),
-		}, nil
+	var (
+		rep          coverage.Report
+		execs, steps int64
+		suite        [][]byte
+		timeline     []coverage.TimePoint
+	)
+	opts, fuzzed := fuzzTools[tool]
+	switch {
+	case tool == ToolSLDV:
+		res := sldv.Run(c, cfg.SLDVOptions(cfg.Budget))
+		rep, execs, suite, timeline = res.Report, res.Witnesses, suiteBytes(res.Suite), res.Timeline
 
-	case ToolSimCoTest:
+	case tool == ToolSimCoTest:
 		res, err := simcotest.Run(c.Design, c.Plan, c.Index, simcotest.Options{
 			Seed:                seed,
 			Budget:              cfg.Budget,
@@ -187,67 +211,36 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 		if err != nil {
 			return ToolResult{}, err
 		}
-		rep := res.Report
-		return ToolResult{
-			Tool: tool, Decision: rep.Decision(), Condition: rep.Condition(), MCDC: rep.MCDC(),
-			Execs: res.Sims, Steps: res.Steps, Cases: len(res.Suite.Cases), Timeline: res.Timeline,
-			Suite: suiteBytes(res.Suite),
-		}, nil
+		rep, execs, steps, suite, timeline = res.Report, res.Sims, res.Steps, suiteBytes(res.Suite), res.Timeline
 
-	case ToolCFTCG, ToolFuzzOnly:
-		mode := fuzz.ModeModelOriented
-		if tool == ToolFuzzOnly {
-			mode = fuzz.ModeFuzzOnly
+	case fuzzed:
+		opts.Seed, opts.Budget, opts.MaxExecs = seed, cfg.Budget, cfg.FuzzMaxExecs
+		var solver *sldv.Result
+		if tool == ToolHybrid {
+			// A quarter of the budget for constraint solving, then fuzzing
+			// resumes from the solver's witnesses.
+			solver = sldv.Run(c, cfg.SLDVOptions(cfg.Budget/4))
+			opts.Budget -= cfg.Budget / 4
+			opts.SeedInputs = suiteBytes(solver.Suite)
 		}
-		eng, err := fuzz.NewEngine(c, fuzz.Options{
-			Seed:     seed,
-			Mode:     mode,
-			Budget:   cfg.Budget,
-			MaxExecs: cfg.FuzzMaxExecs,
-		})
+		eng, err := fuzz.NewEngine(c, opts)
 		if err != nil {
 			return ToolResult{}, err
 		}
 		res := eng.Run()
-		rep := res.Report
-		return ToolResult{
-			Tool: tool, Decision: rep.Decision(), Condition: rep.Condition(), MCDC: rep.MCDC(),
-			Execs: res.Execs, Steps: res.Steps, Cases: len(res.Suite.Cases), Timeline: res.Timeline,
-			Suite: suiteBytes(res.Suite),
-		}, nil
+		rep, execs, steps, suite, timeline = res.Report, res.Execs, res.Steps, suiteBytes(res.Suite), res.Timeline
+		if solver != nil {
+			execs += solver.Witnesses
+			suite = append(suite, opts.SeedInputs...)
+		}
 
-	case ToolHybrid:
-		// A quarter of the budget for constraint solving, then fuzzing
-		// resumes from the solver's witnesses.
-		solverRes := sldv.Run(c, sldv.Options{
-			MaxDepth:   cfg.SLDVDepth,
-			NodeBudget: cfg.SLDVNodes,
-			Budget:     cfg.Budget / 4,
-		})
-		var seedInputs [][]byte
-		for _, tc := range solverRes.Suite.Cases {
-			seedInputs = append(seedInputs, tc.Data)
-		}
-		eng, err := fuzz.NewEngine(c, fuzz.Options{
-			Seed:       seed,
-			Mode:       fuzz.ModeModelOriented,
-			Budget:     cfg.Budget - cfg.Budget/4,
-			MaxExecs:   cfg.FuzzMaxExecs,
-			SeedInputs: seedInputs,
-		})
-		if err != nil {
-			return ToolResult{}, err
-		}
-		res := eng.Run()
-		rep := res.Report
-		return ToolResult{
-			Tool: tool, Decision: rep.Decision(), Condition: rep.Condition(), MCDC: rep.MCDC(),
-			Execs: res.Execs + solverRes.Witnesses, Steps: res.Steps,
-			Cases: len(res.Suite.Cases) + len(solverRes.Suite.Cases), Timeline: res.Timeline,
-			Suite: append(suiteBytes(res.Suite), suiteBytes(solverRes.Suite)...),
-		}, nil
+	default:
+		return ToolResult{}, fmt.Errorf("harness: unknown tool %q", tool)
 	}
-	return ToolResult{}, fmt.Errorf("harness: unknown tool %q", tool)
+	return ToolResult{
+		Tool: tool, Decision: rep.Decision(), Condition: rep.Condition(), MCDC: rep.MCDC(),
+		Execs: execs, Steps: steps, Cases: len(suite), Timeline: timeline, Suite: suite,
+	}, nil
 }
 
 // runTool is the cell entry point, indirected so tests can inject failures.
@@ -523,80 +516,6 @@ func FormatFigure7(results []ModelResult, budget time.Duration, points int) stri
 	return w.String()
 }
 
-// AblationRow is one model's result for a CFTCG-variant comparison.
-type AblationRow struct {
-	Model    string
-	Variants map[string]ToolResult
-}
-
-// RunAblation compares CFTCG variants (full, no iteration-difference
-// priority, no comparison-constant hints) at an identical execution budget,
-// averaged over reps seeds.
-func RunAblation(entries []benchmodels.Entry, execs int64, seed int64, reps int) ([]AblationRow, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	variants := []struct {
-		name string
-		opts fuzz.Options
-	}{
-		{"full", fuzz.Options{Mode: fuzz.ModeModelOriented}},
-		{"no-iterdiff", fuzz.Options{Mode: fuzz.ModeNoIterDiff}},
-		{"no-hints", fuzz.Options{Mode: fuzz.ModeModelOriented, NoHints: true}},
-	}
-	var rows []AblationRow
-	for _, e := range entries {
-		c, err := codegen.Compile(e.Build())
-		if err != nil {
-			return nil, err
-		}
-		row := AblationRow{Model: e.Name, Variants: map[string]ToolResult{}}
-		for _, v := range variants {
-			var acc ToolResult
-			for r := 0; r < reps; r++ {
-				o := v.opts
-				o.Seed = seed + int64(r)
-				o.MaxExecs = execs
-				eng, err := fuzz.NewEngine(c, o)
-				if err != nil {
-					return nil, err
-				}
-				res := eng.Run()
-				rep := res.Report
-				acc.Decision += rep.Decision()
-				acc.Condition += rep.Condition()
-				acc.MCDC += rep.MCDC()
-				acc.Execs += res.Execs
-				acc.Steps += res.Steps
-			}
-			acc.Decision /= float64(reps)
-			acc.Condition /= float64(reps)
-			acc.MCDC /= float64(reps)
-			row.Variants[v.name] = acc
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// FormatAblation renders the variant comparison table.
-func FormatAblation(rows []AblationRow) string {
-	var w strings.Builder
-	fmt.Fprintf(&w, "%-9s | %22s | %22s | %22s\n",
-		"Model", "full (DC/CC/MCDC)", "no-iterdiff", "no-hints")
-	for _, r := range rows {
-		f := r.Variants["full"]
-		ni := r.Variants["no-iterdiff"]
-		nh := r.Variants["no-hints"]
-		fmt.Fprintf(&w, "%-9s | %6.1f%% %6.1f%% %6.1f%% | %6.1f%% %6.1f%% %6.1f%% | %6.1f%% %6.1f%% %6.1f%%\n",
-			r.Model,
-			f.Decision, f.Condition, f.MCDC,
-			ni.Decision, ni.Condition, ni.MCDC,
-			nh.Decision, nh.Condition, nh.MCDC)
-	}
-	return w.String()
-}
-
 // FormatMutationTable renders the mutation score per tool next to Table 3's
 // coverage: same mutant pool per model, one row per tool — the external
 // check that higher coverage actually buys fault-detection power.
@@ -626,18 +545,27 @@ func FormatMutationTable(results []ModelResult, tools []Tool) string {
 	return w.String()
 }
 
-// FormatFigure8 renders the model-oriented vs fuzz-only comparison.
-func FormatFigure8(results []ModelResult) string {
+// FormatComparison renders one row per model with the given tools'
+// decision, condition and MCDC coverage side by side: Figure 8 (CFTCG and
+// FuzzOnly), the §6 hybrid (CFTCG and Hybrid) and the ablation (CFTCG,
+// NoIterDiff and NoHints).
+func FormatComparison(results []ModelResult, tools []Tool) string {
 	var w strings.Builder
-	fmt.Fprintf(&w, "%-9s | %22s | %22s\n", "Model", "CFTCG (DC/CC/MCDC)", "FuzzOnly (DC/CC/MCDC)")
+	fmt.Fprintf(&w, "%-9s", "Model")
+	for _, tool := range tools {
+		fmt.Fprintf(&w, " | %22s", string(tool)+" (DC/CC/MCDC)")
+	}
+	w.WriteByte('\n')
 	for _, mr := range results {
-		f, okF := mr.Results[ToolCFTCG]
-		o, okO := mr.Results[ToolFuzzOnly]
-		if !okF || !okO || f.Failed || o.Failed {
-			continue
+		fmt.Fprintf(&w, "%-9s", mr.Entry.Name)
+		for _, tool := range tools {
+			if tr, ok := mr.Results[tool]; ok && !tr.Failed {
+				fmt.Fprintf(&w, " | %6.1f%% %6.1f%% %6.1f%%", tr.Decision, tr.Condition, tr.MCDC)
+			} else {
+				fmt.Fprintf(&w, " | %-23s", "FAILED: "+truncate(tr.FailReason, 15))
+			}
 		}
-		fmt.Fprintf(&w, "%-9s | %6.1f%% %6.1f%% %6.1f%% | %6.1f%% %6.1f%% %6.1f%%\n",
-			mr.Entry.Name, f.Decision, f.Condition, f.MCDC, o.Decision, o.Condition, o.MCDC)
+		w.WriteByte('\n')
 	}
 	return w.String()
 }

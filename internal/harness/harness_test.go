@@ -6,8 +6,13 @@ import (
 	"time"
 
 	"cftcg/internal/benchmodels"
+	"cftcg/internal/campaign"
 	"cftcg/internal/codegen"
+	"cftcg/internal/core"
 	"cftcg/internal/coverage"
+	"cftcg/internal/fuzz"
+	"cftcg/internal/model"
+	"cftcg/internal/mutate"
 )
 
 func quickConfig() Config {
@@ -70,7 +75,7 @@ func TestFormatters(t *testing.T) {
 	if !strings.Contains(f7, "SolarPV") {
 		t.Errorf("Figure 7 malformed:\n%s", f7)
 	}
-	f8 := FormatFigure8(results)
+	f8 := FormatComparison(results, []Tool{ToolCFTCG, ToolFuzzOnly})
 	if !strings.Contains(f8, "FuzzOnly") {
 		t.Errorf("Figure 8 malformed:\n%s", f8)
 	}
@@ -154,5 +159,62 @@ func TestSampleTimelineStepFunction(t *testing.T) {
 		if samples[i] != want[i] {
 			t.Errorf("sample %d: want %v got %v (all %v)", i, want[i], samples[i], samples)
 		}
+	}
+}
+
+// noInportModel is Constant → UnitDelay → Switch → Outport: a model whose
+// input tuple is empty, so every case drives zero steps.
+func noInportModel() *model.Model {
+	b := model.NewBuilder("NoIn")
+	d := b.UnitDelay(b.Const(1), 0)
+	b.Outport("y", model.Float64, b.SwitchGE(d, 0.5, b.Const(10), b.Const(20)))
+	return b.Model()
+}
+
+// TestModelWithoutInports: no tool divides by the empty tuple. SLDV and
+// SimCoTest run, the fuzz-based tools and a campaign refuse the model with
+// an error that names it, and the suite replays and grinds mutants.
+func TestModelWithoutInports(t *testing.T) {
+	m := noInportModel()
+	c, err := codegen.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickConfig()
+	cfg.Budget = 50 * time.Millisecond
+	var suite [][]byte
+	for _, tool := range []Tool{ToolSLDV, ToolSimCoTest} {
+		tr, err := RunTool(c, tool, cfg, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tool, err)
+		}
+		suite = append(suite, tr.Suite...)
+	}
+	if len(suite) == 0 {
+		t.Fatal("SLDV and SimCoTest emitted no case")
+	}
+	for _, tool := range []Tool{ToolCFTCG, ToolFuzzOnly} {
+		if _, err := RunTool(c, tool, cfg, 1); err == nil || !strings.Contains(err.Error(), "model NoIn has no inports") {
+			t.Errorf("%s: err = %v, want the model named as having no inports", tool, err)
+		}
+	}
+	if _, err := campaign.New(c, campaign.Config{Shards: 2, Fuzz: fuzz.Options{MaxExecs: 100}}); err == nil ||
+		!strings.Contains(err.Error(), "no inports") {
+		t.Errorf("campaign.New: err = %v, want the no-inport error", err)
+	}
+
+	sys, err := core.FromModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, _ := sys.Replay(suite); rep.DecisionTotal == 0 {
+		t.Errorf("replay reports no decisions: %+v", rep)
+	}
+	muts := mutate.Generate(c, m, mutate.Config{Limit: 20, Seed: 1})
+	if len(muts) == 0 {
+		t.Fatal("no mutants generated")
+	}
+	if rep := mutate.Run(c, muts, suite, mutate.RunConfig{}); rep.Summary.Total != len(muts) {
+		t.Errorf("mutate.Run scored %d of %d mutants", rep.Summary.Total, len(muts))
 	}
 }

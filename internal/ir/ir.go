@@ -190,6 +190,11 @@ func (p *Program) TupleSize() int {
 	return n
 }
 
+// Layout returns the input tuple layout: the fields of In and TupleSize.
+func (p *Program) Layout() model.Layout {
+	return model.Layout{Fields: p.In, TupleSize: p.TupleSize()}
+}
+
 // Validate checks structural invariants: register indexes in range, jump
 // targets in range, state/input/output slots in range. The VM relies on
 // these so it can skip bounds checks in its hot loop.

@@ -79,9 +79,6 @@ func (f *Function) declsOf(c VarClass) []Decl {
 // Stmt is a statement node.
 type Stmt interface {
 	stmt()
-	// Emit renders the statement as C-like source (used by the fuzz-code
-	// emitter for Figure 3/4-style artifacts).
-	Emit(w *strings.Builder, indent string)
 }
 
 // Assign assigns the value of Expr to the named variable.
@@ -189,7 +186,7 @@ func IsRelOp(op string) bool {
 	return false
 }
 
-// --- source emission ----------------------------------------------------
+// --- expression source (the coverage labels of script conditions) -------
 
 // Emit renders the literal.
 func (e *Lit) Emit(w *strings.Builder) {
@@ -245,67 +242,4 @@ func (e *Call) Emit(w *strings.Builder) {
 		a.Emit(w)
 	}
 	w.WriteByte(')')
-}
-
-// Emit renders the assignment.
-func (s *Assign) Emit(w *strings.Builder, indent string) {
-	w.WriteString(indent)
-	w.WriteString(s.Name)
-	w.WriteString(" = ")
-	s.Rhs.Emit(w)
-	w.WriteString(";\n")
-}
-
-// Emit renders the conditional.
-func (s *If) Emit(w *strings.Builder, indent string) {
-	w.WriteString(indent)
-	w.WriteString("if ")
-	s.Cond.Emit(w)
-	w.WriteString(" {\n")
-	for _, st := range s.Then {
-		st.Emit(w, indent+"    ")
-	}
-	w.WriteString(indent)
-	w.WriteString("}")
-	if len(s.Else) > 0 {
-		w.WriteString(" else {\n")
-		for _, st := range s.Else {
-			st.Emit(w, indent+"    ")
-		}
-		w.WriteString(indent)
-		w.WriteString("}")
-	}
-	w.WriteString("\n")
-}
-
-// Emit renders the while loop.
-func (s *While) Emit(w *strings.Builder, indent string) {
-	w.WriteString(indent)
-	w.WriteString("while ")
-	s.Cond.Emit(w)
-	w.WriteString(" {\n")
-	for _, st := range s.Body {
-		st.Emit(w, indent+"    ")
-	}
-	w.WriteString(indent)
-	w.WriteString("}\n")
-}
-
-// Emit renders the loop.
-func (s *For) Emit(w *strings.Builder, indent string) {
-	fmt.Fprintf(w, "%sfor (%s = 0; %s < %d; %s++) {\n", indent, s.Var, s.Var, s.Count, s.Var)
-	for _, st := range s.Body {
-		st.Emit(w, indent+"    ")
-	}
-	w.WriteString(indent)
-	w.WriteString("}\n")
-}
-
-// EmitBody renders the function's statements as C-like source.
-func (f *Function) EmitBody(indent string) string {
-	var w strings.Builder
-	for _, s := range f.Body {
-		s.Emit(&w, indent)
-	}
-	return w.String()
 }

@@ -182,23 +182,6 @@ func TestPrecedence(t *testing.T) {
 	}
 }
 
-func TestEmitBodyReadable(t *testing.T) {
-	f, err := Parse("emit", `
-input int32 x;
-output int32 y;
-if (x ~= 0) { y = abs(x); } else { y = 0; }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := f.EmitBody("  ")
-	for _, want := range []string{"if (x != 0) {", "y = abs(x);", "else"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("emitted body missing %q:\n%s", want, src)
-		}
-	}
-}
-
 func TestParseWhile(t *testing.T) {
 	f, err := Parse("w", `
 input  int32 x;
@@ -220,10 +203,6 @@ while (x > 0) {
 	}
 	if got := ExprString(wl.Cond); got != "(x > 0)" {
 		t.Errorf("cond: %s", got)
-	}
-	src := f.EmitBody("")
-	if !strings.Contains(src, "while (x > 0) {") {
-		t.Errorf("emit:\n%s", src)
 	}
 	// Errors surface.
 	if _, err := Parse("w", "output int32 n;\nwhile x > 0 { n = 1; }"); err == nil {

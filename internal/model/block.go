@@ -317,6 +317,25 @@ type Layout struct {
 	TupleSize int
 }
 
+// Steps returns how many model iterations data drives: one per whole tuple
+// (trailing bytes that cannot fill one are discarded), and none when the
+// tuple is empty (a model without inports).
+func (l Layout) Steps(data []byte) int {
+	if l.TupleSize == 0 {
+		return 0
+	}
+	return len(data) / l.TupleSize
+}
+
+// Decode reads iteration step's tuple of data into in, one raw word per
+// field.
+func (l Layout) Decode(in []uint64, data []byte, step int) {
+	base := step * l.TupleSize
+	for i, f := range l.Fields {
+		in[i] = GetRaw(f.Type, data[base+f.Offset:])
+	}
+}
+
 // InputLayout computes the tuple layout from the model's root inports.
 func (m *Model) InputLayout() Layout {
 	var lay Layout

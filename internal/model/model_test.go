@@ -130,6 +130,25 @@ func TestInputLayoutOrderAndOffsets(t *testing.T) {
 	}
 }
 
+// TestLayoutSteps: a case drives one step per whole tuple, trailing bytes
+// are discarded, a zero-size tuple (a model without inports) drives none,
+// and Decode reads each field of the step's tuple.
+func TestLayoutSteps(t *testing.T) {
+	lay := Layout{Fields: []Field{{Type: Int8}, {Type: UInt16, Offset: 1}}, TupleSize: 3}
+	data := []byte{0xff, 0x34, 0x12, 7, 0, 1, 9}
+	if got := lay.Steps(data); got != 2 {
+		t.Errorf("Steps = %d, want 2", got)
+	}
+	if got := (Layout{}).Steps(data); got != 0 {
+		t.Errorf("zero-size tuple: Steps = %d, want 0", got)
+	}
+	in := make([]uint64, 2)
+	lay.Decode(in, data, 1)
+	if in[0] != 7 || in[1] != 0x100 {
+		t.Errorf("step 1 decodes to %#x, want [0x7 0x100]", in)
+	}
+}
+
 func TestInportsSortedByIndexNotCreation(t *testing.T) {
 	// Build out of order, then check Index drives the layout.
 	g := Graph{}

@@ -129,8 +129,8 @@ func absEval(ins *ir.Instr, get func(int32) av) av {
 // fold computes the instruction concretely when every operand's raw word is
 // known.
 func fold(ins *ir.Instr, get func(int32) av) (uint64, bool) {
-	_, reads := analysis.Operands(ins)
-	for _, r := range reads {
+	_, reads, n := analysis.Operands(ins)
+	for _, r := range reads[:n] {
 		if !get(r).known {
 			return 0, false
 		}

@@ -301,8 +301,8 @@ func (pr *prover) stepPair(e *penv, li, ri *ir.Instr) bool {
 			eqNew = e.state(li.Imm).eq
 		default:
 			eqNew = true
-			_, reads := analysis.Operands(li)
-			for _, x := range reads {
+			_, reads, n := analysis.Operands(li)
+			for _, x := range reads[:n] {
 				if !e.reg(x).eq {
 					eqNew = false
 					break
@@ -633,8 +633,8 @@ func (o *original) equivalent(mut *ir.Program, fn string, pc int) bool {
 			return true
 		}
 		oi, mi := &oc[pc], &mc[pc]
-		od, oreads := analysis.Operands(oi)
-		md, mreads := analysis.Operands(mi)
+		od, oreads, on := analysis.Operands(oi)
+		md, mreads, mn := analysis.Operands(mi)
 		if od >= 0 && od == md && pureValueOp(oi.Op) && pureValueOp(mi.Op) {
 			if o.live == nil {
 				o.live = analysis.ComputeLiveness(orig)
@@ -644,7 +644,7 @@ func (o *original) equivalent(mut *ir.Program, fn string, pc int) bool {
 			// them the whole liveness, unchanged.
 			lo := o.live.LiveOut(fn, pc)
 			lm := lo
-			if !slices.Equal(oreads, mreads) {
+			if !slices.Equal(oreads[:on], mreads[:mn]) {
 				lm = analysis.ComputeLiveness(mut).LiveOut(fn, pc)
 			}
 			if lo != nil && lm != nil && int(od) < len(lo) && int(od) < len(lm) && !lo[od] && !lm[od] {

@@ -6,7 +6,6 @@ import (
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
 	"cftcg/internal/ir"
-	"cftcg/internal/model"
 	"cftcg/internal/vm"
 )
 
@@ -144,21 +143,13 @@ func hash64(h, v uint64) uint64 {
 // decodeCases converts suite cases (byte tuple streams) into per-step input
 // word vectors.
 func decodeCases(p *ir.Program, cases [][]byte) [][][]uint64 {
-	tuple := p.TupleSize()
+	lay := p.Layout()
 	out := make([][][]uint64, 0, len(cases))
 	for _, data := range cases {
-		n := 0
-		if tuple > 0 {
-			n = len(data) / tuple
-		}
-		steps := make([][]uint64, n)
-		for it := 0; it < n; it++ {
-			base := it * tuple
-			in := make([]uint64, len(p.In))
-			for fi, f := range p.In {
-				in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
-			}
-			steps[it] = in
+		steps := make([][]uint64, lay.Steps(data))
+		for it := range steps {
+			steps[it] = make([]uint64, len(lay.Fields))
+			lay.Decode(steps[it], data, it)
 		}
 		out = append(out, steps)
 	}

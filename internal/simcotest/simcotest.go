@@ -192,7 +192,7 @@ func (s *search) simulate(data []byte) ([]float64, int, error) {
 	if err := s.eng.Init(); err != nil {
 		return nil, 0, err
 	}
-	n := len(data) / s.fields.TupleSize
+	n := s.fields.Steps(data)
 	in := make([]uint64, len(s.fields.Fields))
 
 	// Feature accumulators per output: min, max, mean, sign changes of the
@@ -219,10 +219,7 @@ func (s *search) simulate(data []byte) ([]float64, int, error) {
 		throttleStart = time.Now()
 	}
 	for it := 0; it < n; it++ {
-		base := it * s.fields.TupleSize
-		for fi, f := range s.fields.Fields {
-			in[fi] = model.GetRaw(f.Type, data[base+f.Offset:])
-		}
+		s.fields.Decode(in, data, it)
 		s.rec.BeginStep()
 		outs, err := s.eng.Step(in)
 		if err != nil {

@@ -41,7 +41,7 @@ func TestSimCoTestFindsCoverage(t *testing.T) {
 	}
 	// Suite cases decode to the right number of steps.
 	for _, tc := range res.Suite.Cases {
-		if got := tc.Tuples(res.Suite.Layout.TupleSize); got != 30 {
+		if got := res.Suite.Layout.Steps(tc.Data); got != 30 {
 			t.Errorf("case should span the horizon: got %d tuples", got)
 		}
 	}

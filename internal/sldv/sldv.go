@@ -96,7 +96,7 @@ func Run(c *codegen.Compiled, opts Options) *Result {
 		Report: s.rec.Report(),
 		Suite: &testcase.Suite{
 			Model:  c.Prog.Name,
-			Layout: model.Layout{Fields: c.Prog.In, TupleSize: c.Prog.TupleSize()},
+			Layout: c.Prog.Layout(),
 			Cases:  s.cases,
 		},
 		Timeline:       s.timeline,
@@ -272,7 +272,7 @@ func (s *solver) explore(root box, budget int64, deadline time.Time) {
 // program, emitting a test case when it reaches new model coverage.
 func (s *solver) witness(b box) {
 	nf := len(s.prog.In)
-	depth := len(b.dims) / nf
+	depth := s.curDepth
 	tupleSize := s.prog.TupleSize()
 	data := make([]byte, depth*tupleSize)
 	in := make([]uint64, nf)
@@ -312,7 +312,7 @@ func (s *solver) witness(b box) {
 // dim i) that influence the undecided branch condition.
 func (s *solver) determinate(b box) (ok bool, failTaint uint64) {
 	nf := len(s.prog.In)
-	depth := len(b.dims) / nf
+	depth := s.curDepth
 	regs := make([]itv, s.prog.NumRegs)
 	state := make([]itv, s.prog.NumState)
 	taint := make([]uint64, s.prog.NumRegs)

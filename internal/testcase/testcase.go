@@ -27,15 +27,6 @@ type Case struct {
 	NewBranches int
 }
 
-// Tuples returns how many full model iterations the case drives for the
-// given tuple size.
-func (c Case) Tuples(tupleSize int) int {
-	if tupleSize <= 0 {
-		return 0
-	}
-	return len(c.Data) / tupleSize
-}
-
 // Suite is an ordered collection of cases for one model.
 type Suite struct {
 	Model  string
@@ -58,18 +49,15 @@ func ToCSV(lay model.Layout, data []byte) string {
 	}
 	_ = w.Write(header)
 
-	if lay.TupleSize > 0 {
-		n := len(data) / lay.TupleSize
-		row := make([]string, len(lay.Fields)+1)
-		for i := 0; i < n; i++ {
-			row[0] = strconv.Itoa(i)
-			base := i * lay.TupleSize
-			for j, f := range lay.Fields {
-				raw := model.GetRaw(f.Type, data[base+f.Offset:])
-				row[j+1] = formatValue(f.Type, raw)
-			}
-			_ = w.Write(row)
+	raw := make([]uint64, len(lay.Fields))
+	row := make([]string, len(lay.Fields)+1)
+	for i := 0; i < lay.Steps(data); i++ {
+		lay.Decode(raw, data, i)
+		row[0] = strconv.Itoa(i)
+		for j, f := range lay.Fields {
+			row[j+1] = formatValue(f.Type, raw[j])
 		}
+		_ = w.Write(row)
 	}
 	w.Flush()
 	return sb.String()

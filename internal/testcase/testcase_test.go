@@ -104,16 +104,6 @@ func TestFromCSVRejectsBadHeader(t *testing.T) {
 	}
 }
 
-func TestCaseTuples(t *testing.T) {
-	c := Case{Data: make([]byte, 27)}
-	if c.Tuples(13) != 2 {
-		t.Errorf("tuples: %d, want 2", c.Tuples(13))
-	}
-	if c.Tuples(0) != 0 {
-		t.Error("zero tuple size must not panic")
-	}
-}
-
 func TestWriteSuiteCSV(t *testing.T) {
 	lay := layout()
 	s := &Suite{
