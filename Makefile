@@ -63,11 +63,13 @@ cover:
 # corpora: the cross-backend lockstep rig chews randomized programs on the
 # switch and threaded backends, and the model decoder behind cftcg's and
 # cftcgd's .slx loading, and the parser of the MATLAB Function scripts such
-# a file carries, must return a result or an error for any input.
+# a file carries, must return a result or an error for any input; a
+# checkpoint the loader accepts must resume an engine its budget ends.
 fuzz-smoke:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzVMBackendsLockstep$$' -fuzztime 10s
 	$(GO) test ./internal/slxml -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 5s
 	$(GO) test ./internal/mlfunc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
+	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 5s
 
 # bench-test vets and tests the performance ledger under bench/. It is its
 # own module, so the root build and tests do not notice when a change to an

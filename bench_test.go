@@ -128,7 +128,10 @@ func BenchmarkTable3Coverage(b *testing.B) {
 		b.Run(e.Name+"/SLDV", func(b *testing.B) {
 			var rep coverage.Report
 			for i := 0; i < b.N; i++ {
-				res := sldv.Run(c, sldv.Options{MaxDepth: 4, NodeBudget: 20000})
+				res, err := sldv.Run(c, sldv.Options{MaxDepth: 4, NodeBudget: 20000})
+				if err != nil {
+					b.Fatal(err)
+				}
 				rep = res.Report
 			}
 			reportCoverage(b, rep)

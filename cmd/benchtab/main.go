@@ -125,7 +125,9 @@ func main() {
 		for _, e := range entries {
 			c, err := codegen.Compile(e.Build())
 			check(err)
-			fmt.Print(sldv.Run(c, cfg.SLDVOptions(cfg.Budget)).FormatObjectives(c.Plan))
+			res, err := sldv.Run(c, cfg.SLDVOptions(cfg.Budget))
+			check(err)
+			fmt.Print(res.FormatObjectives(c.Plan))
 			fmt.Println()
 		}
 

@@ -104,7 +104,7 @@ func TestOutputsOfRecord(t *testing.T) {
 				campaignRecord(t, c, fuzz.Options{Seed: seed, MaxExecs: 3000})
 		}
 		fuzzRows[name+"/seed1/fuel100"] = fuzzRecord(c, fuzz.Options{Seed: 1, MaxExecs: 3000, Fuel: 100})
-		sldvRows[name] = sldvRecord(c)
+		sldvRows[name] = sldvRecord(t, c)
 		analyzeRows[name] = analyzeRecord(c)
 	}
 	complete := len(names) == len(benchmodels.Names())
@@ -143,8 +143,12 @@ func resultRow(res *fuzz.Result) fuzzRow {
 	return row
 }
 
-func sldvRecord(c *codegen.Compiled) sldvRow {
-	res := sldv.Run(c, sldv.Options{MaxDepth: 5, NodeBudget: 40000})
+func sldvRecord(t *testing.T, c *codegen.Compiled) sldvRow {
+	t.Helper()
+	res, err := sldv.Run(c, sldv.Options{MaxDepth: 5, NodeBudget: 40000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	row := sldvRow{
 		Nodes: res.Nodes, Witnesses: res.Witnesses, Cases: len(res.Suite.Cases),
 		CasesSHA256: casesSHA256(res.Suite.Cases),

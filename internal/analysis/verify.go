@@ -69,6 +69,69 @@ func VerifyStrict(p *ir.Program, plan *coverage.Plan) error {
 		p.Name, len(errs), strings.Join(errs, "\n  "))
 }
 
+// VerifyPatch returns VerifyStrict(p, plan) for a program p that differs
+// from a verifier-clean original only in instruction pc of fn ("init" or
+// "step"), where the original held orig. When the patched instruction keeps
+// orig's shape (its dst, its reads, its control class and, for a jump, its
+// target), the function's blocks, reachability, def-before-use and init's
+// exit def set are the original's, so only that instruction's own rules can
+// fail, and only they are checked. Any other patch, and any failing rule,
+// runs the full pass, so an error reads exactly as VerifyStrict's. The
+// caller vouches for the original: an error elsewhere in it would go
+// unreported, so a caller that has not seen it pass VerifyStrict must call
+// VerifyStrict instead.
+func VerifyPatch(p *ir.Program, plan *coverage.Plan, fn string, pc int, orig ir.Instr) error {
+	var code []ir.Instr
+	switch fn {
+	case "init":
+		code = p.Init
+	case "step":
+		code = p.Step
+	}
+	if pc < 0 || pc >= len(code) || !sameShape(&code[pc], &orig) {
+		return VerifyStrict(p, plan)
+	}
+	v := verifier{p: p, plan: plan}
+	v.checkInstr(fn, code, pc)
+	if len(v.issues) > 0 {
+		return VerifyStrict(p, plan)
+	}
+	return nil
+}
+
+// Control classes: how an instruction ends or splits a basic block.
+const (
+	ctlNone = iota
+	ctlJmp
+	ctlCondJmp
+	ctlHalt
+)
+
+func controlClass(op ir.Op) int {
+	switch op {
+	case ir.OpJmp:
+		return ctlJmp
+	case ir.OpJmpIf, ir.OpJmpIfNot:
+		return ctlCondJmp
+	case ir.OpHalt:
+		return ctlHalt
+	}
+	return ctlNone
+}
+
+// sameShape reports whether b can stand in for a without changing any
+// block boundary, edge or def-use fact of the function: the same dst and
+// reads, the same control class and, for a jump, the same target.
+func sameShape(a, b *ir.Instr) bool {
+	ad, ar, an := Operands(a)
+	bd, br, bn := Operands(b)
+	class := controlClass(a.Op)
+	if ad != bd || ar != br || an != bn || class != controlClass(b.Op) {
+		return false
+	}
+	return (class != ctlJmp && class != ctlCondJmp) || a.Imm == b.Imm
+}
+
 // verify checks both functions; lint adds the SevWarn findings.
 func verify(p *ir.Program, plan *coverage.Plan, lint bool) []Issue {
 	v := &verifier{p: p, plan: plan, lint: lint}
@@ -159,90 +222,96 @@ func globalReads(p *ir.Program) []bool {
 	return reads
 }
 
+// checkInstr applies one instruction's own rules: operand, jump and slot
+// ranges, the per-opcode DT invariants and probe IDs bounded by the plan.
+func (v *verifier) checkInstr(fn string, code []ir.Instr, pc int) {
+	n := int32(v.p.NumRegs)
+	ins := &code[pc]
+	dst, reads, nr := Operands(ins)
+	if dst >= n {
+		v.errf(fn, pc, "%s: dst register r%d out of range (%d registers)", ins.Op, dst, n)
+	}
+	for _, r := range reads[:nr] {
+		if r < 0 || r >= n {
+			v.errf(fn, pc, "%s: source register r%d out of range (%d registers)", ins.Op, r, n)
+		}
+	}
+	switch ins.Op {
+	case ir.OpJmp, ir.OpJmpIf, ir.OpJmpIfNot:
+		if ins.Imm > uint64(len(code)) {
+			v.errf(fn, pc, "%s: jump target %d beyond function end %d", ins.Op, ins.Imm, len(code))
+		}
+	case ir.OpLoadIn:
+		if int(ins.Imm) >= len(v.p.In) {
+			v.errf(fn, pc, "loadin: input slot %d out of range (%d fields)", ins.Imm, len(v.p.In))
+		}
+	case ir.OpStoreOut:
+		if int(ins.Imm) >= len(v.p.Out) {
+			v.errf(fn, pc, "storeout: output slot %d out of range (%d fields)", ins.Imm, len(v.p.Out))
+		}
+	case ir.OpLoadState, ir.OpStoreState:
+		if int(ins.Imm) >= v.p.NumState {
+			v.errf(fn, pc, "%s: state slot %d out of range (%d slots)", ins.Op, ins.Imm, v.p.NumState)
+		}
+	case ir.OpProbe:
+		if v.plan != nil {
+			if int(ins.A) < 0 || int(ins.A) >= len(v.plan.Decisions) {
+				v.errf(fn, pc, "probe: decision ID %d out of range (%d decisions)", ins.A, len(v.plan.Decisions))
+			} else if d := v.plan.Decision(int(ins.A)); int(ins.B) < 0 || int(ins.B) >= d.NumOutcomes {
+				v.errf(fn, pc, "probe: outcome %d out of range for decision %d (%d outcomes)",
+					ins.B, ins.A, d.NumOutcomes)
+			}
+		}
+	case ir.OpCondProbe:
+		if v.plan != nil && (int(ins.A) < 0 || int(ins.A) >= len(v.plan.Conds)) {
+			v.errf(fn, pc, "condprobe: condition ID %d out of range (%d conditions)", ins.A, len(v.plan.Conds))
+		}
+	}
+	// DT invariants per opcode class. Zero-valued DT is model.Bool, so
+	// only opcodes whose lowering always sets a type are checked.
+	switch ins.Op {
+	case ir.OpTruth:
+		if ins.DT != model.Bool {
+			v.errf(fn, pc, "truth: result type must be bool, got %s", ins.DT)
+		}
+		if !ins.DT2.Valid() {
+			v.errf(fn, pc, "truth: invalid source type %d", ins.DT2)
+		} else if ins.DT2 == model.Bool {
+			v.warnf(fn, pc, "truth of a bool register is an identity")
+		}
+	case ir.OpCast:
+		if !ins.DT.Valid() || !ins.DT2.Valid() {
+			v.errf(fn, pc, "cast: invalid types %d -> %d", ins.DT2, ins.DT)
+		} else if ins.DT == ins.DT2 {
+			v.warnf(fn, pc, "identity cast %s -> %s", ins.DT2, ins.DT)
+		}
+	case ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpNot:
+		if ins.DT != model.Bool {
+			v.errf(fn, pc, "%s: logical op type must be bool, got %s", ins.Op, ins.DT)
+		}
+	case ir.OpBitAnd, ir.OpBitOr, ir.OpBitXor, ir.OpShl, ir.OpShr:
+		if !ins.DT.IsInteger() {
+			v.errf(fn, pc, "%s: bitwise op type must be integer, got %s", ins.Op, ins.DT)
+		}
+	case ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
+		ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
+		if !ins.DT.IsFloat() {
+			v.errf(fn, pc, "%s: math op type must be float, got %s", ins.Op, ins.DT)
+		}
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMin, ir.OpMax,
+		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe, ir.OpSelect:
+		if !ins.DT.Valid() {
+			v.errf(fn, pc, "%s: invalid operation type %d", ins.Op, ins.DT)
+		}
+	}
+}
+
 // verifyFunc checks one function and returns the set of registers guaranteed
 // defined on every path through it (its must-defined exit set).
 func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bool {
 	n := int32(v.p.NumRegs)
-	// Linear per-instruction checks: ranges, DT consistency, probe bounds.
 	for pc := range code {
-		ins := &code[pc]
-		dst, reads, nr := Operands(ins)
-		if dst >= n {
-			v.errf(fn, pc, "%s: dst register r%d out of range (%d registers)", ins.Op, dst, n)
-		}
-		for _, r := range reads[:nr] {
-			if r < 0 || r >= n {
-				v.errf(fn, pc, "%s: source register r%d out of range (%d registers)", ins.Op, r, n)
-			}
-		}
-		switch ins.Op {
-		case ir.OpJmp, ir.OpJmpIf, ir.OpJmpIfNot:
-			if ins.Imm > uint64(len(code)) {
-				v.errf(fn, pc, "%s: jump target %d beyond function end %d", ins.Op, ins.Imm, len(code))
-			}
-		case ir.OpLoadIn:
-			if int(ins.Imm) >= len(v.p.In) {
-				v.errf(fn, pc, "loadin: input slot %d out of range (%d fields)", ins.Imm, len(v.p.In))
-			}
-		case ir.OpStoreOut:
-			if int(ins.Imm) >= len(v.p.Out) {
-				v.errf(fn, pc, "storeout: output slot %d out of range (%d fields)", ins.Imm, len(v.p.Out))
-			}
-		case ir.OpLoadState, ir.OpStoreState:
-			if int(ins.Imm) >= v.p.NumState {
-				v.errf(fn, pc, "%s: state slot %d out of range (%d slots)", ins.Op, ins.Imm, v.p.NumState)
-			}
-		case ir.OpProbe:
-			if v.plan != nil {
-				if int(ins.A) < 0 || int(ins.A) >= len(v.plan.Decisions) {
-					v.errf(fn, pc, "probe: decision ID %d out of range (%d decisions)", ins.A, len(v.plan.Decisions))
-				} else if d := v.plan.Decision(int(ins.A)); int(ins.B) < 0 || int(ins.B) >= d.NumOutcomes {
-					v.errf(fn, pc, "probe: outcome %d out of range for decision %d (%d outcomes)",
-						ins.B, ins.A, d.NumOutcomes)
-				}
-			}
-		case ir.OpCondProbe:
-			if v.plan != nil && (int(ins.A) < 0 || int(ins.A) >= len(v.plan.Conds)) {
-				v.errf(fn, pc, "condprobe: condition ID %d out of range (%d conditions)", ins.A, len(v.plan.Conds))
-			}
-		}
-		// DT invariants per opcode class. Zero-valued DT is model.Bool, so
-		// only opcodes whose lowering always sets a type are checked.
-		switch ins.Op {
-		case ir.OpTruth:
-			if ins.DT != model.Bool {
-				v.errf(fn, pc, "truth: result type must be bool, got %s", ins.DT)
-			}
-			if !ins.DT2.Valid() {
-				v.errf(fn, pc, "truth: invalid source type %d", ins.DT2)
-			} else if ins.DT2 == model.Bool {
-				v.warnf(fn, pc, "truth of a bool register is an identity")
-			}
-		case ir.OpCast:
-			if !ins.DT.Valid() || !ins.DT2.Valid() {
-				v.errf(fn, pc, "cast: invalid types %d -> %d", ins.DT2, ins.DT)
-			} else if ins.DT == ins.DT2 {
-				v.warnf(fn, pc, "identity cast %s -> %s", ins.DT2, ins.DT)
-			}
-		case ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpNot:
-			if ins.DT != model.Bool {
-				v.errf(fn, pc, "%s: logical op type must be bool, got %s", ins.Op, ins.DT)
-			}
-		case ir.OpBitAnd, ir.OpBitOr, ir.OpBitXor, ir.OpShl, ir.OpShr:
-			if !ins.DT.IsInteger() {
-				v.errf(fn, pc, "%s: bitwise op type must be integer, got %s", ins.Op, ins.DT)
-			}
-		case ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
-			ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
-			if !ins.DT.IsFloat() {
-				v.errf(fn, pc, "%s: math op type must be float, got %s", ins.Op, ins.DT)
-			}
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMin, ir.OpMax,
-			ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe, ir.OpSelect:
-			if !ins.DT.Valid() {
-				v.errf(fn, pc, "%s: invalid operation type %d", ins.Op, ins.DT)
-			}
-		}
+		v.checkInstr(fn, code, pc)
 		// Dead-store lint, in two precision tiers. A register no instruction
 		// ever reads is trivially dead; a register that is read somewhere but
 		// not live after this definition (every path overwrites it before any
@@ -250,7 +319,10 @@ func (v *verifier) verifyFunc(fn string, code []ir.Instr, entryDefs []bool) []bo
 		// distinguishes the two; the mutation prover's dead-register rule
 		// reads the same liveness, so it and this lint agree on what "dead"
 		// means.
-		if v.lint && dst >= 0 && dst < n {
+		if !v.lint {
+			continue
+		}
+		if dst, _, _ := Operands(&code[pc]); dst >= 0 && dst < n {
 			if !v.readRegs[dst] {
 				v.warnf(fn, pc, "dead store: r%d is never read", dst)
 			} else if lo := v.live.LiveOut(fn, pc); lo != nil && int(dst) < len(lo) && !lo[dst] {

@@ -190,7 +190,10 @@ func TestVerifierRejectsMalformed(t *testing.T) {
 // TestVerifyStrictMatchesVerifyErrors: VerifyStrict runs without the lint,
 // so it must return exactly the error that Verify's SevError issues make,
 // on every malformed program above, every benchmark model and every mutant
-// Generate emits (SolarPV's only, with -short).
+// Generate emits (SolarPV's only, with -short). VerifyPatch must return
+// VerifyStrict's verdict on every IR mutant and on the patches of
+// patchCases; Generate checks its IR mutants with VerifyPatch, so it must
+// also emit every candidate of the pool.
 func TestVerifyStrictMatchesVerifyErrors(t *testing.T) {
 	check := func(name string, p *ir.Program, plan *coverage.Plan) {
 		t.Helper()
@@ -209,8 +212,30 @@ func TestVerifyStrictMatchesVerifyErrors(t *testing.T) {
 			t.Errorf("%s: VerifyStrict = %v, want %v", name, got, want)
 		}
 	}
+	checkPatch := func(name string, p *ir.Program, plan *coverage.Plan, fn string, pc int, orig ir.Instr) error {
+		t.Helper()
+		want := analysis.VerifyStrict(p, plan)
+		if got := analysis.VerifyPatch(p, plan, fn, pc, orig); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: VerifyPatch = %v, want VerifyStrict's %v", name, got, want)
+		}
+		return want
+	}
 	for _, tc := range malformedCases() {
 		check(tc.name, tc.prog, tinyPlan())
+	}
+	for _, tc := range patchCases() {
+		p := tc.base()
+		code := p.Step
+		orig := code[tc.pc]
+		code[tc.pc] = tc.patch
+		check(tc.name, p, tinyPlan())
+		err := checkPatch(tc.name, p, tinyPlan(), "step", tc.pc, orig)
+		if tc.wantMsg == "" && err != nil {
+			t.Errorf("%s: VerifyStrict = %v, want nil", tc.name, err)
+		}
+		if tc.wantMsg != "" && (err == nil || !strings.Contains(err.Error(), tc.wantMsg)) {
+			t.Errorf("%s: VerifyStrict = %v, want an error containing %q", tc.name, err, tc.wantMsg)
+		}
 	}
 	mutants := 0
 	for _, e := range benchmodels.All() {
@@ -223,12 +248,101 @@ func TestVerifyStrictMatchesVerifyErrors(t *testing.T) {
 		if testing.Short() && e.Name != "SolarPV" {
 			continue
 		}
-		for _, mu := range mutate.Generate(c, m, mutate.Config{}) {
+		muts := mutate.Generate(c, m, mutate.Config{})
+		if pool := mutate.Pool(c, m, mutate.Config{}).Total(); len(muts) != pool {
+			t.Errorf("%s: Generate emitted %d of a pool of %d", e.Name, len(muts), pool)
+		}
+		for _, mu := range muts {
 			check(e.Name+" "+mu.String(), mu.Prog, mu.Plan)
 			mutants++
+			if mu.Func == "chart" {
+				continue
+			}
+			orig := c.Prog.Step
+			if mu.Func == "init" {
+				orig = c.Prog.Init
+			}
+			checkPatch(e.Name+" "+mu.String(), mu.Prog, mu.Plan, mu.Func, mu.PC, orig[mu.PC])
 		}
 	}
 	t.Logf("checked %d mutants", mutants)
+}
+
+// patchCase replaces instruction pc of a base program's step with patch.
+// wantMsg is part of the error VerifyStrict must return, or "" for none.
+type patchCase struct {
+	name    string
+	base    func() *ir.Program
+	pc      int
+	patch   ir.Instr
+	wantMsg string
+}
+
+// patchBase is a verifier-clean step: r4 is defined only when the jump at
+// pc 2 falls through, r0 only after the join at pc 5.
+func patchBase() *ir.Program {
+	return tinyProg(5, 0, nil, []ir.Instr{
+		i(ir.OpConst, model.Bool, 1, 0, 0, 1),                          // 0: r1 = true
+		i(ir.OpAnd, model.Bool, 2, 1, 1, 0),                            // 1: r2 = r1 && r1
+		i(ir.OpJmpIf, 0, 0, 2, 0, 5),                                   // 2: if r2 goto 5
+		i(ir.OpProbe, 0, 0, 0, 0, 0),                                   // 3: probe d0 outcome 0
+		i(ir.OpConst, model.Int8, 4, 0, 0, 7),                          // 4: r4 = 7 (one path only)
+		i(ir.OpLoadIn, model.Int8, 0, 0, 0, 0),                         // 5: r0 = u (the join)
+		{Op: ir.OpCast, DT: model.Int8, DT2: model.Bool, Dst: 3, A: 1}, // 6: r3 = int8(r1)
+		i(ir.OpStoreOut, model.Int8, 0, 0, 0, 0),                       // 7: y = r0
+	})
+}
+
+// patchCases covers what the mutation operators never emit: patches that
+// break only the patched instruction's own rule (VerifyPatch's local check
+// must catch them), patches that change its shape (the full pass must run),
+// and patches to originals that are not clean.
+func patchCases() []patchCase {
+	i8 := model.Int8
+	// uncleanAt returns patchBase with instruction pc replaced.
+	uncleanAt := func(pc int, ins ir.Instr) func() *ir.Program {
+		return func() *ir.Program {
+			p := patchBase()
+			p.Step[pc] = ins
+			return p
+		}
+	}
+	return []patchCase{
+		{name: "and-retyped-float64", base: patchBase, pc: 1,
+			patch: i(ir.OpAnd, model.Float64, 2, 1, 1, 0), wantMsg: "logical op type must be bool"},
+		{name: "cast-invalid-type", base: patchBase, pc: 6,
+			patch:   ir.Instr{Op: ir.OpCast, DT: i8, DT2: model.DType(200), Dst: 3, A: 1},
+			wantMsg: "cast: invalid types"},
+		{name: "probe-outcome-out-of-range", base: patchBase, pc: 3,
+			patch: i(ir.OpProbe, 0, 0, 0, 5, 0), wantMsg: "outcome 5 out of range"},
+		{name: "or-for-and", base: patchBase, pc: 1,
+			patch: i(ir.OpOr, model.Bool, 2, 1, 1, 0)},
+		{name: "jmpifnot-for-jmpif", base: patchBase, pc: 2,
+			patch: i(ir.OpJmpIfNot, 0, 0, 2, 0, 5)},
+		{name: "new-dst", base: patchBase, pc: 5,
+			patch: i(ir.OpLoadIn, i8, 3, 0, 0, 0), wantMsg: "step[7]: storeout: use of r0 before definition"},
+		{name: "new-dst-still-clean", base: patchBase, pc: 6,
+			patch: ir.Instr{Op: ir.OpCast, DT: i8, DT2: model.Bool, Dst: 2, A: 1}},
+		{name: "read-undefined-on-a-path", base: patchBase, pc: 7,
+			patch: i(ir.OpStoreOut, i8, 0, 4, 0, 0), wantMsg: "step[7]: storeout: use of r4 before definition"},
+		{name: "retargeted-jump", base: patchBase, pc: 2,
+			patch: i(ir.OpJmpIf, 0, 0, 2, 0, 6), wantMsg: "step[7]: storeout: use of r0 before definition"},
+		{name: "jump-out-of-range", base: patchBase, pc: 2,
+			patch: i(ir.OpJmpIf, 0, 0, 2, 0, 99), wantMsg: "jump target 99 beyond function end 8"},
+		{name: "unconditional-for-conditional", base: patchBase, pc: 2,
+			patch: i(ir.OpJmp, 0, 0, 0, 0, 5)},
+		// The original's only error is the patched instruction's own rule:
+		// the patch repairs it, or keeps it and the full pass reports it.
+		{name: "unclean-original-repaired", base: uncleanAt(1, i(ir.OpAnd, model.Float64, 2, 1, 1, 0)), pc: 1,
+			patch: i(ir.OpOr, model.Bool, 2, 1, 1, 0)},
+		{name: "unclean-original-kept", base: uncleanAt(1, i(ir.OpAnd, model.Float64, 2, 1, 1, 0)), pc: 1,
+			patch: i(ir.OpOr, model.Float64, 2, 1, 1, 0), wantMsg: "or: logical op type must be bool"},
+		// An original with a def-before-use error elsewhere: a patch that
+		// breaks its own rule gets the full pass, which reports both.
+		{name: "unclean-original-elsewhere", base: uncleanAt(7, i(ir.OpStoreOut, i8, 0, 4, 0, 0)), pc: 6,
+			patch:   ir.Instr{Op: ir.OpCast, DT: model.DType(200), DT2: model.Bool, Dst: 3, A: 1},
+			wantMsg: "2 verifier error(s)"},
+	}
 }
 
 // TestVerifierWarnings checks that lint findings (unreachable code, dead

@@ -15,6 +15,11 @@ import (
 // incompatibly; loading rejects mismatched versions.
 const CheckpointVersion = 1
 
+// maxCheckpointCount bounds the saved exec and step counters. A resumed
+// engine adds to them, so a larger saved count could overflow into a
+// negative one that no exec budget ever reaches; no campaign comes near it.
+const maxCheckpointCount = 1 << 62
+
 // CheckpointEntry is one serialized corpus member.
 type CheckpointEntry struct {
 	Data   []byte  `json:"data"`
@@ -116,7 +121,8 @@ func WriteCheckpoint(path string, cp *Checkpoint) error {
 	return nil
 }
 
-// LoadCheckpoint reads and validates a checkpoint file.
+// LoadCheckpoint reads and validates a checkpoint file: its version and the
+// range of its counters.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -128,6 +134,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	}
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("fuzz: checkpoint %s: version %d, want %d", path, cp.Version, CheckpointVersion)
+	}
+	if cp.Execs < 0 || cp.Execs > maxCheckpointCount || cp.Steps < 0 || cp.Steps > maxCheckpointCount {
+		return nil, fmt.Errorf("fuzz: checkpoint %s: execs %d, steps %d: counters must lie in [0, 2^62]",
+			path, cp.Execs, cp.Steps)
 	}
 	return &cp, nil
 }

@@ -307,8 +307,8 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 		opts.CheckpointEvery = 30 * time.Second
 	}
 	lay := c.Prog.Layout()
-	if len(lay.Fields) == 0 {
-		return nil, fmt.Errorf("fuzz: model %s has no inports: the tuple mutator cannot build an input for it", c.Prog.Name)
+	if err := lay.Drivable(c.Prog.Name); err != nil {
+		return nil, fmt.Errorf("fuzz: %w", err)
 	}
 	rec := coverage.NewRecorder(c.Plan)
 	rng := rand.New(rand.NewSource(opts.Seed))

@@ -11,15 +11,15 @@ import (
 )
 
 // benchCompiled compiles one built-in benchmark model.
-func benchCompiled(t *testing.T, name string) *codegen.Compiled {
-	t.Helper()
+func benchCompiled(tb testing.TB, name string) *codegen.Compiled {
+	tb.Helper()
 	e, err := benchmodels.Get(name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, err := codegen.Compile(e.Build())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
 }

@@ -199,7 +199,10 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 	opts, fuzzed := fuzzTools[tool]
 	switch {
 	case tool == ToolSLDV:
-		res := sldv.Run(c, cfg.SLDVOptions(cfg.Budget))
+		res, err := sldv.Run(c, cfg.SLDVOptions(cfg.Budget))
+		if err != nil {
+			return ToolResult{}, err
+		}
 		rep, execs, suite, timeline = res.Report, res.Witnesses, suiteBytes(res.Suite), res.Timeline
 
 	case tool == ToolSimCoTest:
@@ -219,7 +222,10 @@ func RunTool(c *codegen.Compiled, tool Tool, cfg Config, seed int64) (ToolResult
 		if tool == ToolHybrid {
 			// A quarter of the budget for constraint solving, then fuzzing
 			// resumes from the solver's witnesses.
-			solver = sldv.Run(c, cfg.SLDVOptions(cfg.Budget/4))
+			var err error
+			if solver, err = sldv.Run(c, cfg.SLDVOptions(cfg.Budget/4)); err != nil {
+				return ToolResult{}, err
+			}
 			opts.Budget -= cfg.Budget / 4
 			opts.SeedInputs = suiteBytes(solver.Suite)
 		}

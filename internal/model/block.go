@@ -327,6 +327,16 @@ func (l Layout) Steps(data []byte) int {
 	return len(data) / l.TupleSize
 }
 
+// Drivable reports whether a case of the model named name drives any step:
+// it returns an error naming the model when the tuple is empty, the one
+// reason every case generator refuses a model.
+func (l Layout) Drivable(name string) error {
+	if l.TupleSize == 0 {
+		return fmt.Errorf("model %s has no inports: a case of it drives no steps", name)
+	}
+	return nil
+}
+
 // Decode reads iteration step's tuple of data into in, one raw word per
 // field.
 func (l Layout) Decode(in []uint64, data []byte, step int) {

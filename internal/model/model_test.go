@@ -132,7 +132,8 @@ func TestInputLayoutOrderAndOffsets(t *testing.T) {
 
 // TestLayoutSteps: a case drives one step per whole tuple, trailing bytes
 // are discarded, a zero-size tuple (a model without inports) drives none,
-// and Decode reads each field of the step's tuple.
+// Drivable refuses it by name, and Decode reads each field of the step's
+// tuple.
 func TestLayoutSteps(t *testing.T) {
 	lay := Layout{Fields: []Field{{Type: Int8}, {Type: UInt16, Offset: 1}}, TupleSize: 3}
 	data := []byte{0xff, 0x34, 0x12, 7, 0, 1, 9}
@@ -141,6 +142,12 @@ func TestLayoutSteps(t *testing.T) {
 	}
 	if got := (Layout{}).Steps(data); got != 0 {
 		t.Errorf("zero-size tuple: Steps = %d, want 0", got)
+	}
+	if err := lay.Drivable("M"); err != nil {
+		t.Errorf("Drivable = %v, want nil", err)
+	}
+	if err := (Layout{}).Drivable("NoIn"); err == nil || !strings.Contains(err.Error(), "model NoIn has no inports") {
+		t.Errorf("zero-size tuple: Drivable = %v, want the model named as having no inports", err)
 	}
 	in := make([]uint64, 2)
 	lay.Decode(in, data, 1)

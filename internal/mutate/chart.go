@@ -12,7 +12,8 @@ import (
 // copy of the model graph and recompile. Unlike the IR operators these
 // exercise the whole lowering pipeline, and they reach chart structure the
 // lowered form obscures (transition priority order). A mutation that fails
-// to recompile is discarded — it would be a build error, not a fault.
+// to recompile is discarded when it is sampled, and sampling draws the next
+// candidate: it would be a build error, not a fault.
 
 // chartSite locates one chart block in the (sub)graph tree by block path.
 type chartSite struct {
@@ -134,30 +135,33 @@ func guardMutations(guard string) []struct{ text, desc string } {
 	return out
 }
 
-// chartMutants generates the model-level mutants: guard relational swaps and
-// transition-priority swaps, each recompiled from a deep model clone.
-// Generate validates the ones it samples.
-func chartMutants(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
-	var out []*Mutant
-	build := func(patch func(*stateflow.Chart) bool, path []model.BlockID, op, site string) {
-		mm := cloneModel(m)
-		ch := chartAt(mm, path)
-		if ch == nil || !patch(ch) {
-			return
-		}
-		mc, err := codegen.Compile(mm)
-		if err != nil {
-			return // a mutation that breaks lowering is not a measurable fault
-		}
-		out = append(out, &Mutant{
-			Operator: op,
-			Func:     "chart",
-			PC:       -1,
-			Site:     site,
-			Prog:     mc.Prog,
-			Plan:     mc.Plan,
-			SamePlan: mc.Plan.NumBranches == c.Plan.NumBranches,
-		})
+// chartCandidates lists the model-level mutations, guard relational swaps
+// and transition-priority swaps, as builders: each deep-copies the model,
+// patches one chart and recompiles only when Generate samples it.
+func chartCandidates(c *codegen.Compiled, m *model.Model, cfg Config) []candidate {
+	var out []candidate
+	add := func(patch func(*stateflow.Chart), path []model.BlockID, op, site string) {
+		out = append(out, candidate{op: op, chart: func() *Mutant {
+			mm := cloneModel(m)
+			ch := chartAt(mm, path)
+			if ch == nil {
+				return nil
+			}
+			patch(ch)
+			mc, err := codegen.Compile(mm)
+			if err != nil {
+				return nil // a mutation that breaks lowering is not a measurable fault
+			}
+			return &Mutant{
+				Operator: op,
+				Func:     "chart",
+				PC:       -1,
+				Site:     site,
+				Prog:     mc.Prog,
+				Plan:     mc.Plan,
+				SamePlan: mc.Plan.NumBranches == c.Plan.NumBranches,
+			}
+		}})
 	}
 
 	for _, cs := range findCharts(&m.Root, nil) {
@@ -165,11 +169,7 @@ func chartMutants(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
 		if cfg.enabled("chart-guard") {
 			for ti, t := range cs.chart.Transitions {
 				for _, gm := range guardMutations(t.Guard) {
-					ti, text := ti, gm.text
-					build(func(ch *stateflow.Chart) bool {
-						ch.Transitions[ti].Guard = text
-						return true
-					}, cs.path, "chart-guard",
+					add(func(ch *stateflow.Chart) { ch.Transitions[ti].Guard = gm.text }, cs.path, "chart-guard",
 						fmt.Sprintf("chart %s %s: guard %s", chartName, t.Label(), gm.desc))
 				}
 			}
@@ -187,10 +187,9 @@ func chartMutants(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
 				if a < 0 || b < 0 {
 					continue
 				}
-				build(func(ch *stateflow.Chart) bool {
+				add(func(ch *stateflow.Chart) {
 					ch.Transitions[a].Priority, ch.Transitions[b].Priority =
 						ch.Transitions[b].Priority, ch.Transitions[a].Priority
-					return true
 				}, cs.path, "chart-priority",
 					fmt.Sprintf("chart %s state %s: swap priorities of %s and %s",
 						chartName, st.Name, from[0].Label(), from[1].Label()))

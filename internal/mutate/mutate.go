@@ -13,7 +13,11 @@
 // chart (guard relational operators, transition priorities) and recompile,
 // exercising the whole lowering pipeline. Every emitted mutant passes
 // ir.Program.Validate and the analysis strict verifier — a malformed mutant
-// would measure the generator, not the suite.
+// would measure the generator, not the suite. Generate builds only the
+// candidates it samples: a chart mutation is compiled when drawn, and an IR
+// patch, which keeps the patched instruction's operands and control flow,
+// has only that instruction's own rules checked (analysis.VerifyPatch) once
+// the original has passed the full pass.
 //
 // A surviving IR mutant that the product-program prover (equiv.go, over the
 // abstract domain in absdom.go) shows observably equivalent to the original
@@ -104,26 +108,42 @@ func cloneProgram(p *ir.Program) *ir.Program {
 }
 
 // candidate is one mutant before sampling: an IR patch that replaces
-// instruction pc of function fn with ins, or an already recompiled chart
-// mutant.
+// instruction pc of function fn with ins, or a chart mutation whose builder
+// clones the model, patches one chart and recompiles (nil when the mutation
+// does not lower).
 type candidate struct {
 	op, fn, desc string
 	pc           int
 	ins          ir.Instr
-	chart        *Mutant // non-nil for a chart mutant
+	chart        func() *Mutant // non-nil for a chart mutant
 }
 
-// build materializes an IR patch on a copy of the original program; a chart
-// candidate is already built.
+// code returns the function of p that an IR candidate patches.
+func (cd candidate) code(p *ir.Program) []ir.Instr {
+	if cd.fn == "init" {
+		return p.Init
+	}
+	return p.Step
+}
+
+// build materializes a candidate: an IR patch on a copy of the original
+// program, or a chart mutant compiled now. It returns nil for a mutant that
+// fails Validate or the strict verifier. An IR patch keeps the patched
+// instruction's operands and control flow, so only its own rules are checked
+// (analysis.VerifyPatch); a chart mutant is a whole new program and gets the
+// full pass.
 func (cd candidate) build(c *codegen.Compiled) *Mutant {
 	if cd.chart != nil {
-		return cd.chart
+		mu := cd.chart()
+		if mu == nil || mu.Prog.Validate() != nil || analysis.VerifyStrict(mu.Prog, mu.Plan) != nil {
+			return nil
+		}
+		return mu
 	}
 	mp := cloneProgram(c.Prog)
-	if cd.fn == "init" {
-		mp.Init[cd.pc] = cd.ins
-	} else {
-		mp.Step[cd.pc] = cd.ins
+	cd.code(mp)[cd.pc] = cd.ins
+	if mp.Validate() != nil || analysis.VerifyPatch(mp, c.Plan, cd.fn, cd.pc, cd.code(c.Prog)[cd.pc]) != nil {
+		return nil
 	}
 	return &Mutant{
 		Operator: cd.op,
@@ -139,19 +159,21 @@ func (cd candidate) build(c *codegen.Compiled) *Mutant {
 // Generate derives the enabled mutants of a compiled model, sampled down to
 // cfg.Limit. m may be nil (e.g. in the campaign daemon, which only holds the
 // compiled form); chart operators are then skipped. Each returned mutant has
-// passed Validate and the strict verifier.
+// passed Validate and the strict verifier. Only sampled candidates are
+// built: a chart mutation is compiled when it is drawn. An original that
+// fails the strict verifier yields no mutant: it is no reference for the
+// kill oracle.
 func Generate(c *codegen.Compiled, m *model.Model, cfg Config) []*Mutant {
+	// codegen verifies what it lowers only in tests, so the original is
+	// checked here, once, and its patches are then checked locally. The
+	// checks are defensive: no operator is expected to emit malformed IR
+	// (the property test holds every operator to that), but a broken
+	// mutant must never reach the runner.
+	if analysis.VerifyStrict(c.Prog, c.Plan) != nil {
+		return nil
+	}
 	cands := candidates(c, m, cfg)
-	muts := sample(len(cands), cfg, func(i int) *Mutant {
-		mu := cands[i].build(c)
-		if mu.Prog.Validate() != nil || analysis.VerifyStrict(mu.Prog, mu.Plan) != nil {
-			// Defensive: no operator is expected to emit malformed IR (the
-			// property test holds every operator to that), but a broken
-			// mutant must never reach the runner.
-			return nil
-		}
-		return mu
-	})
+	muts := sample(len(cands), cfg, func(i int) *Mutant { return cands[i].build(c) })
 	for i, mu := range muts {
 		mu.ID = i
 	}
@@ -172,7 +194,9 @@ func (p PoolSize) Total() int {
 
 // Pool counts, per operator, the candidates Generate samples from under
 // cfg's operator filter (Limit and Seed are ignored): the pool a mutant
-// budget draws on, and exactly what Limit 0 builds.
+// budget draws on. It compiles no chart mutation, so a chart candidate that
+// fails to lower still counts (none of the 78 on the 8 benchmark models
+// does); on those models the pool is exactly what Limit 0 builds.
 func Pool(c *codegen.Compiled, m *model.Model, cfg Config) PoolSize {
 	p := PoolSize{}
 	for _, cd := range candidates(c, m, cfg) {
@@ -183,7 +207,7 @@ func Pool(c *codegen.Compiled, m *model.Model, cfg Config) PoolSize {
 
 // candidates enumerates every enabled mutant in generation order: each IR
 // operator's variants of each instruction of init then step, then the chart
-// mutants when m is given.
+// mutations when m is given.
 func candidates(c *codegen.Compiled, m *model.Model, cfg Config) []candidate {
 	var cands []candidate
 	for _, fn := range []struct {
@@ -206,9 +230,7 @@ func candidates(c *codegen.Compiled, m *model.Model, cfg Config) []candidate {
 		}
 	}
 	if m != nil {
-		for _, mu := range chartMutants(c, m, cfg) {
-			cands = append(cands, candidate{op: mu.Operator, chart: mu})
-		}
+		cands = append(cands, chartCandidates(c, m, cfg)...)
 	}
 	return cands
 }

@@ -105,6 +105,32 @@ func TestOperatorsEmitValidMutants(t *testing.T) {
 	}
 }
 
+// TestGenerateSkipsUncleanOriginal: Generate checks a patch locally only
+// after the original passes the strict verifier, and emits no mutant of an
+// original that fails it. Here the original reads a register nothing
+// defines; a local check alone would pass its patches.
+func TestGenerateSkipsUncleanOriginal(t *testing.T) {
+	c := compile(t, thresholdModel())
+	p := cloneProgram(c.Prog)
+	p.NumRegs++
+	for pc := range p.Step {
+		if p.Step[pc].Op == ir.OpStoreOut {
+			p.Step[pc].A = int32(p.NumRegs - 1)
+			break
+		}
+	}
+	if analysis.VerifyStrict(p, c.Plan) == nil {
+		t.Fatal("the corrupted original passes the verifier")
+	}
+	bad := &codegen.Compiled{Prog: p, Plan: c.Plan}
+	if Pool(bad, nil, Config{}).Total() == 0 {
+		t.Fatal("empty pool")
+	}
+	if muts := Generate(bad, nil, Config{}); len(muts) != 0 {
+		t.Errorf("Generate emitted %d mutants of an original that fails the verifier, first %s", len(muts), muts[0])
+	}
+}
+
 // TestGenerateDeterministic: same model, same config — identical mutant list.
 func TestGenerateDeterministic(t *testing.T) {
 	e, err := benchmodels.Get("SolarPV")
@@ -621,5 +647,29 @@ func TestRunConcurrentMatchesSequential(t *testing.T) {
 				t.Errorf("goroutine %d, pool %d: report differs from the sequential run's", g, i)
 			}
 		}
+	}
+}
+
+// BenchmarkGenerate times the generate step of the ledger's three mutate
+// pools: Generate with Limit 100, seed 1, the IR and chart operators.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range []string{"CPUTask", "TCP", "RAC"} {
+		e, err := benchmodels.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := e.Build()
+		c, err := codegen.Compile(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if muts := Generate(c, m, Config{Limit: 100, Seed: 1}); len(muts) != 100 {
+					b.Fatalf("%d mutants, want 100", len(muts))
+				}
+			}
+		})
 	}
 }

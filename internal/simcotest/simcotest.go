@@ -10,6 +10,7 @@
 package simcotest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -64,8 +65,13 @@ type signalSpec struct {
 	t0, period int
 }
 
-// Run executes the SimCoTest-style campaign.
+// Run executes the SimCoTest-style campaign. It refuses a model without
+// inports, whose candidates could not replay.
 func Run(d *blocks.Design, plan *coverage.Plan, ix *coverage.Index, opts Options) (*Result, error) {
+	fields := d.Model.InputLayout()
+	if err := fields.Drivable(d.Model.Name); err != nil {
+		return nil, fmt.Errorf("simcotest: %w", err)
+	}
 	if opts.Horizon <= 0 {
 		opts.Horizon = 50
 	}
@@ -78,7 +84,6 @@ func Run(d *blocks.Design, plan *coverage.Plan, ix *coverage.Index, opts Options
 	prg := coverage.NewProgress(plan)
 
 	inports := d.Model.Inports()
-	fields := d.Model.InputLayout()
 	outN := len(d.Model.Outports())
 
 	st := &search{

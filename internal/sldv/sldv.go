@@ -70,8 +70,12 @@ func (r *Result) FormatObjectives(plan *coverage.Plan) string {
 	return w.String()
 }
 
-// Run executes the constraint-solving campaign on a compiled model.
-func Run(c *codegen.Compiled, opts Options) *Result {
+// Run executes the constraint-solving campaign on a compiled model. It
+// refuses a model without inports, whose witnesses could not replay.
+func Run(c *codegen.Compiled, opts Options) (*Result, error) {
+	if err := c.Prog.Layout().Drivable(c.Prog.Name); err != nil {
+		return nil, fmt.Errorf("sldv: %w", err)
+	}
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 5
 	}
@@ -106,7 +110,7 @@ func Run(c *codegen.Compiled, opts Options) *Result {
 		DepthsDone:     s.depthsDone,
 		BudgetSpent:    time.Since(s.start),
 		ObjectiveDepth: s.objDepth,
-	}
+	}, nil
 }
 
 type solver struct {

@@ -49,7 +49,7 @@ if (run >= 12) { alarm = 1; }
 }
 
 func TestSolverCoversShallowLogic(t *testing.T) {
-	res := Run(shallow(t), Options{MaxDepth: 2, NodeBudget: 50000})
+	res := run(t, shallow(t), Options{MaxDepth: 2, NodeBudget: 50000})
 	if res.Report.Decision() < 100 {
 		t.Errorf("interval solver should fully cover combinational logic: %.1f%% (uncovered %v)",
 			res.Report.Decision(), res.Report.UncoveredDecisions)
@@ -62,7 +62,7 @@ func TestSolverCoversShallowLogic(t *testing.T) {
 func TestSolverDepthLimitedOnDeepState(t *testing.T) {
 	// With MaxDepth 5 the run>=12 branch is unreachable: the solver must
 	// fail to cover it — the paper's shallow-logic limitation.
-	res := Run(deep(t), Options{MaxDepth: 5, NodeBudget: 20000})
+	res := run(t, deep(t), Options{MaxDepth: 5, NodeBudget: 20000})
 	if res.Report.Decision() >= 100 {
 		t.Errorf("depth-limited solver should miss the deep branch, got %.1f%%", res.Report.Decision())
 	}
@@ -79,8 +79,8 @@ func TestSolverDepthLimitedOnDeepState(t *testing.T) {
 
 func TestSolverMemoryGrowsWithDepth(t *testing.T) {
 	c := deep(t)
-	shallowRes := Run(c, Options{MaxDepth: 1, NodeBudget: 4000})
-	deepRes := Run(c, Options{MaxDepth: 8, NodeBudget: 4000})
+	shallowRes := run(t, c, Options{MaxDepth: 1, NodeBudget: 4000})
+	deepRes := run(t, c, Options{MaxDepth: 8, NodeBudget: 4000})
 	if deepRes.PeakMemory <= shallowRes.PeakMemory {
 		t.Errorf("frontier memory should grow with unrolling depth: depth1=%d depth8=%d",
 			shallowRes.PeakMemory, deepRes.PeakMemory)
@@ -88,7 +88,7 @@ func TestSolverMemoryGrowsWithDepth(t *testing.T) {
 }
 
 func TestObjectiveDepths(t *testing.T) {
-	res := Run(shallow(t), Options{MaxDepth: 2, NodeBudget: 50000})
+	res := run(t, shallow(t), Options{MaxDepth: 2, NodeBudget: 50000})
 	c := shallow(t)
 	foundShallow := false
 	for _, d := range res.ObjectiveDepth {
@@ -108,7 +108,7 @@ func TestObjectiveDepths(t *testing.T) {
 	}
 
 	// The deep model's run>=12 objective must stay undecided.
-	deepRes := Run(deep(t), Options{MaxDepth: 4, NodeBudget: 10000})
+	deepRes := run(t, deep(t), Options{MaxDepth: 4, NodeBudget: 10000})
 	dc := deep(t)
 	undecided := strings.Count(deepRes.FormatObjectives(dc.Plan), "undecided")
 	if undecided == 0 {
@@ -119,7 +119,7 @@ func TestObjectiveDepths(t *testing.T) {
 func TestSolverRespectsWallBudget(t *testing.T) {
 	c := deep(t)
 	start := time.Now()
-	Run(c, Options{MaxDepth: 12, NodeBudget: 1 << 40, Budget: 50 * time.Millisecond})
+	run(t, c, Options{MaxDepth: 12, NodeBudget: 1 << 40, Budget: 50 * time.Millisecond})
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("solver ignored wall budget: ran %v", elapsed)
 	}
@@ -137,4 +137,14 @@ func TestMathFloorNegative(t *testing.T) {
 	if mathFloor(-3) != -3 {
 		t.Error("mathFloor(-3) must be -3")
 	}
+}
+
+// run is Run for models that have inports.
+func run(t *testing.T, c *codegen.Compiled, opts Options) *Result {
+	t.Helper()
+	res, err := Run(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
