@@ -46,11 +46,11 @@ mutate-smoke:
 		|| { echo "mutate-smoke: score $$score outside (0, 1]"; exit 1; }
 
 # chaos arms the build-tag-gated failpoints (internal/faultinject) and runs
-# the fault-injection suites under the race detector: torn WAL writes, fsync
-# failures, checkpoint panics, hanging shards, and a kill-9 of a real
-# journaled daemon process.
+# the fault-injection suites under the race detector: failed durable
+# writes, job file write failures, checkpoint panics, hanging shards, and a
+# kill-9 of a real journaled daemon process.
 chaos:
-	$(GO) test -race -tags faultinject ./internal/faultinject ./internal/wal ./internal/fuzz ./internal/campaign
+	$(GO) test -race -tags faultinject ./internal/faultinject ./internal/durable ./internal/fuzz ./internal/campaign
 
 # cover enforces the statement-coverage floors on the load-bearing
 # packages (VM backends, IR, coverage recorder, fuzz engine, mutation
@@ -64,12 +64,15 @@ cover:
 # switch and threaded backends, and the model decoder behind cftcg's and
 # cftcgd's .slx loading, and the parser of the MATLAB Function scripts such
 # a file carries, must return a result or an error for any input; a
-# checkpoint the loader accepts must resume an engine its budget ends.
+# checkpoint the loader accepts must resume an engine its budget ends; and a
+# campaign spec the daemon accepts must build an engine that runs or refuse
+# it, never panic.
 fuzz-smoke:
 	$(GO) test ./internal/vm -run '^$$' -fuzz '^FuzzVMBackendsLockstep$$' -fuzztime 10s
 	$(GO) test ./internal/slxml -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 5s
 	$(GO) test ./internal/mlfunc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 5s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime 5s
 
 # bench-test vets and tests the performance ledger under bench/. It is its
 # own module, so the root build and tests do not notice when a change to an

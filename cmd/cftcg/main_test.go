@@ -11,12 +11,14 @@ import (
 	"maps"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/core"
+	"cftcg/internal/coverage"
 	"cftcg/internal/model"
 	"cftcg/internal/mutate"
 	"cftcg/internal/testcase"
@@ -82,6 +84,63 @@ func TestFuzzModelWithoutInports(t *testing.T) {
 		if code != 1 || !strings.Contains(stderr, "model NoIn has no inports") || strings.Contains(stderr, "panic") {
 			t.Errorf("cftcg fuzz %v: exit %d, stderr %q; want exit 1 naming the model", args, code, stderr)
 		}
+	}
+}
+
+// TestFuzzRefusesOverflowingMaxTuples: a -max-tuples whose product with the
+// model's tuple size overflows is an error naming the model, not a panic of
+// the first mutation, in every mode and with several workers.
+func TestFuzzRefusesOverflowingMaxTuples(t *testing.T) {
+	for _, args := range [][]string{{}, {"-mode", "fuzz-only"}, {"-workers", "2"}} {
+		args = append([]string{"fuzz", "CPUTask", "-max-tuples", "4611686018427387905", "-execs", "2000"}, args...)
+		_, stderr, code := cftcg(t, args...)
+		if code != 1 || !strings.Contains(stderr, "model CPUTask: MaxTuples 4611686018427387905") || strings.Contains(stderr, "panic") {
+			t.Errorf("cftcg %v: exit %d, stderr %q; want exit 1 naming the model", args, code, stderr)
+		}
+	}
+}
+
+// TestFuzzSuiteMinimizeTrim drives the suite path: fuzz -o writes a suite,
+// -minimize -trim writes one of no more cases and bytes, and cov -json
+// replays both to the same decision and condition coverage. (MCDC may
+// differ: a minimized suite keeps the branch-covering cases only.)
+func TestFuzzSuiteMinimizeTrim(t *testing.T) {
+	dir := t.TempDir()
+	suite := func(name string, extra ...string) (cases int, bytes int, rep coverage.Report) {
+		t.Helper()
+		out := filepath.Join(dir, name)
+		args := append([]string{"fuzz", "SolarPV", "-seed", "1", "-execs", "3000", "-budget", "2m", "-o", out}, extra...)
+		if _, stderr, code := cftcg(t, args...); code != 0 {
+			t.Fatalf("cftcg %v: exit %d: %s", args, code, stderr)
+		}
+		files, err := filepath.Glob(filepath.Join(out, "case*.bin"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("cftcg %v wrote no cases (%v)", args, err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes += len(data)
+		}
+		stdout, stderr, code := cftcg(t, append([]string{"cov", "SolarPV", "-json"}, files...)...)
+		if code != 0 {
+			t.Fatalf("cftcg cov %s: exit %d: %s", name, code, stderr)
+		}
+		if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+			t.Fatalf("cftcg cov %s: %v", name, err)
+		}
+		return len(files), bytes, rep
+	}
+	nA, bytesA, repA := suite("a")
+	nB, bytesB, repB := suite("b", "-minimize", "-trim")
+	if repA.DecisionCovered != repB.DecisionCovered || repA.CondCovered != repB.CondCovered {
+		t.Errorf("minimized, trimmed suite covers decision %d, condition %d; the full suite %d, %d",
+			repB.DecisionCovered, repB.CondCovered, repA.DecisionCovered, repA.CondCovered)
+	}
+	if nB > nA || bytesB > bytesA {
+		t.Errorf("minimized, trimmed suite holds %d cases, %d bytes; the full suite %d, %d", nB, bytesB, nA, bytesA)
 	}
 }
 

@@ -7,11 +7,13 @@
 //	cftcgd [-addr host:port] [-runners n] [-drain-timeout d] [-journal dir]
 //	        [-max-queue n] [-max-import-bytes n]
 //
-// With -journal the daemon is crash-durable: every job state transition is
-// appended to a WAL in the journal directory, and on restart the journal is
-// replayed — finished campaigns reappear in the API, campaigns that were
-// queued or running when the process died are requeued and resume their
-// shards from the per-shard checkpoint files the journal directory hosts.
+// With -journal the daemon is crash-durable: each job is one file,
+// job-<id>.json in the journal directory, replaced atomically at every state
+// transition, and on restart the job files are read back — finished
+// campaigns reappear in the API, campaigns that were queued or running when
+// the process died are requeued and resume their shards from the per-shard
+// checkpoint files the journal directory hosts. A journal directory holding
+// the *.wal segments of an older cftcgd is refused at start.
 //
 // Endpoints (see internal/campaign.Server.Handler):
 //

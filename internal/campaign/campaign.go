@@ -2,7 +2,7 @@
 // Campaign runs N shard engines over one compiled model with whole-campaign
 // checkpointing and per-shard supervision (panic capture, stall watchdog,
 // restart-from-checkpoint, quarantine), and Server wraps campaigns in an
-// HTTP control plane (queue, crash-durable WAL journal, JSON status,
+// HTTP control plane (queue, crash-durable job files, JSON status,
 // Prometheus-text metrics, corpus export/import, graceful drain). Both
 // `cftcg fuzz -workers N` and the cftcgd daemon run their shards here.
 //
@@ -51,8 +51,7 @@ type Config struct {
 	// user-requested resumes stay strict so typos surface.
 	ResumeLenient bool
 	// Observer, when set, receives lifecycle events (checkpoints, restarts,
-	// quarantines) synchronously from campaign goroutines. The daemon uses
-	// it to journal shard progress.
+	// quarantines) synchronously from campaign goroutines.
 	Observer func(ObserverEvent)
 }
 

@@ -337,21 +337,21 @@ func TestChaosCheckpointPanicNeverCorrupts(t *testing.T) {
 	}
 }
 
-// TestChaosJournalSyncFailureDegradesHealth: when the journal cannot fsync,
-// the daemon keeps serving but /healthz flips to degraded with the sticky
-// journal error — durability loss is loud, not silent.
-func TestChaosJournalSyncFailureDegradesHealth(t *testing.T) {
+// TestChaosJournalWriteFailureDegradesHealth: when a job file cannot be
+// written, the daemon keeps serving but /healthz flips to degraded with the
+// sticky journal error — durability loss is loud, not silent.
+func TestChaosJournalWriteFailureDegradesHealth(t *testing.T) {
 	defer faultinject.Reset()
 	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultinject.Set("wal.sync", faultinject.Failpoint{
+	faultinject.Set("journal.write", faultinject.Failpoint{
 		Kind: faultinject.KindError, Msg: "disk on fire", Times: 1,
 	})
 	job, err := srv.Submit(Spec{Model: "Magic", MaxExecs: 200})
 	if err != nil {
-		t.Fatal(err) // the failed journal append must not reject the job
+		t.Fatal(err) // the failed job file write must not reject the job
 	}
 	h := srv.Health()
 	if h.Status != "degraded" || !strings.Contains(h.JournalError, "disk on fire") {
@@ -359,4 +359,40 @@ func TestChaosJournalSyncFailureDegradesHealth(t *testing.T) {
 	}
 	waitState(t, srv, job.ID, StateDone)
 	drain(t, srv)
+}
+
+// TestChaosSlowJobFileWriteKeepsLatestState: the first job file write stalls
+// on an injected delay while the runner wants to start and finish the job.
+// Every write holds the job's mutex and writes the job's state at that
+// moment, so whichever goroutine stalls, the file a restarted server reads
+// holds the finished job, not an earlier state written last.
+func TestChaosSlowJobFileWriteKeepsLatestState(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Set("journal.write", faultinject.Failpoint{
+		Kind: faultinject.KindDelay, Delay: 200 * time.Millisecond, Times: 1,
+	})
+	job, err := srv.Submit(Spec{Model: "Magic", MaxExecs: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, job.ID, StateDone)
+	drain(t, srv)
+
+	srv2, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, srv2)
+	restored, ok := srv2.Job(job.ID)
+	if !ok {
+		t.Fatalf("job %d lost across restart", job.ID)
+	}
+	if st := restored.status(); st.State != StateDone || st.Requeued || st.Report == nil {
+		t.Fatalf("job file should hold the finished job: %+v", st)
+	}
 }

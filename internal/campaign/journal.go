@@ -3,67 +3,38 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"cftcg/internal/coverage"
+	"cftcg/internal/durable"
 	"cftcg/internal/mutate"
-	"cftcg/internal/wal"
 )
 
-// The campaign journal makes the daemon's job table crash-durable: every
-// job state transition is appended to a WAL (internal/wal) as one JSON
-// record, and a restarted daemon replays the journal to reconstruct the
-// table — finished campaigns reappear with their final report, interrupted
-// ones (queued or running at the kill) are requeued and resume their shards
-// from the per-shard checkpoints the journal directory also hosts.
-//
-// Event types. "snapshot" is the compaction record: a full job-table dump
-// that resets the fold, written as the first record of a fresh WAL segment
-// so older segments can be deleted. Types this build does not know — such as
-// the "pollinated" records of journals written while shards still exchanged
-// inputs — only advance the next job ID.
-const (
-	evSubmitted    = "submitted"
-	evStarted      = "started"
-	evCheckpointed = "checkpointed"
-	evRestarted    = "restarted"
-	evQuarantined  = "quarantined"
-	evFinished     = "finished"
-	evCanceled     = "canceled"
-	evSnapshot     = "snapshot"
-)
+// The campaign journal makes the daemon's job table crash-durable. Each job
+// is one file, job-<id>.json, holding the job's journalJob record; the
+// server replaces it atomically (durable.WriteFile, failpoints
+// journal.write and journal.rename) at every state transition — submitted,
+// started, finished, canceled — with the job's mutex held, so the file
+// always holds the job's latest state. A crash leaves each file old or new,
+// never torn. A restarted daemon reads every job file: finished campaigns
+// reappear with their final report, interrupted ones (queued or running at
+// the kill) are requeued and resume their shards from the per-shard
+// checkpoints the journal directory also hosts.
 
-// journalEvent is the wire form of one journal record.
-type journalEvent struct {
-	Type string    `json:"type"`
-	Job  int       `json:"job,omitempty"`
-	Time time.Time `json:"time"`
-
-	Spec  *Spec  `json:"spec,omitempty"`  // submitted
-	Shard int    `json:"shard,omitempty"` // checkpointed/restarted/quarantined
-	Error string `json:"error,omitempty"` // finished (failed) / checkpointed
-
-	// finished
-	State    string           `json:"state,omitempty"` // done | failed
-	Stopped  bool             `json:"stopped,omitempty"`
-	Degraded bool             `json:"degraded,omitempty"`
-	Report   *coverage.Report `json:"report,omitempty"`
-	Mutation *mutate.Summary  `json:"mutation,omitempty"`
-
-	// snapshot (compaction)
-	NextID int          `json:"nextID,omitempty"`
-	Jobs   []journalJob `json:"jobs,omitempty"`
-}
-
-// journalJob is one job's replayable state: what the fold over the events
-// yields, and what a snapshot record stores per job.
+// journalJob is one job's durable state: the content of its job file.
 type journalJob struct {
 	ID        int              `json:"id"`
 	Spec      Spec             `json:"spec"`
 	State     string           `json:"state"`
 	Error     string           `json:"error,omitempty"`
-	Stopped   bool             `json:"stopped,omitempty"`
-	Degraded  bool             `json:"degraded,omitempty"`
+	Stopped   bool             `json:"stopped,omitempty"`  // finished on an external stop rather than its budget
+	Degraded  bool             `json:"degraded,omitempty"` // finished with at least one quarantined shard
 	Report    *coverage.Report `json:"report,omitempty"`
 	Mutation  *mutate.Summary  `json:"mutation,omitempty"`
 	Submitted time.Time        `json:"submitted"`
@@ -71,149 +42,86 @@ type journalJob struct {
 	Finished  time.Time        `json:"finished,omitempty"`
 }
 
-// journal wraps the WAL with the event encoding. A nil *journal is valid and
-// inert, so call sites need no journaling-enabled checks.
+// journal writes job files into dir. A nil *journal is valid and inert, so
+// call sites need no journaling-enabled checks.
 type journal struct {
-	log *wal.Log
+	dir string
+
+	mu     sync.Mutex
+	failed error // sticky first write failure (health plane)
 }
 
-// journalSegmentBytes is the journal's WAL segment size (0 selects
-// wal.DefaultSegmentBytes). Tests lower it to reach compaction quickly.
-var journalSegmentBytes int64
+// jobName is the name of job id's file in the journal directory.
+func jobName(id int) string { return fmt.Sprintf("job-%d.json", id) }
 
-// openJournal opens (creating if needed) the journal WAL in dir.
-func openJournal(dir string) (*journal, error) {
-	log, err := wal.Open(dir, wal.Options{SegmentBytes: journalSegmentBytes})
-	if err != nil {
-		return nil, fmt.Errorf("campaign: journal: %w", err)
+// openJournal opens (creating if needed) the journal directory and reads
+// its job files: the records that parse, sorted by ID, and the next free
+// job ID, one past the largest ID among the file names. A file that does
+// not parse is skipped, and its ID is never handed out again. A directory
+// that still holds the WAL segments of an older cftcgd is refused: this
+// build cannot read them, and starting over them would lose their jobs.
+func openJournal(dir string) (*journal, []*journalJob, int, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, 0, fmt.Errorf("campaign: journal: %w", err)
 	}
-	return &journal{log: log}, nil
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*.wal")); len(segs) > 0 {
+		return nil, nil, 0, fmt.Errorf("campaign: journal %s holds WAL segments of an older cftcgd (%s); "+
+			"this build keeps one job-<id>.json per job and cannot read them", dir, strings.Join(segs, ", "))
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "job-*.json"))
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("campaign: journal: %w", err)
+	}
+	var jobs []*journalJob
+	nextID := 1
+	for _, path := range paths {
+		name := filepath.Base(path)
+		id, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "job-"), ".json"))
+		if err != nil || id < 1 || name != jobName(id) {
+			continue // not a name this daemon writes
+		}
+		nextID = max(nextID, id+1)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("campaign: journal: %w", err)
+		}
+		var jj journalJob
+		if json.Unmarshal(data, &jj) != nil || jj.ID != id {
+			continue
+		}
+		jobs = append(jobs, &jj)
+	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
+	return &journal{dir: dir}, jobs, nextID, nil
 }
 
-// record appends one event. Append failures are not fatal to the campaign —
-// the daemon keeps serving with degraded durability — but stay visible
-// through err() and the health endpoint.
-func (j *journal) record(ev journalEvent) {
+// write replaces the job's file with jj. The caller holds the job's mutex.
+// A failure is not fatal to the campaign — the daemon keeps serving with
+// degraded durability — but the first one sticks and shows through err()
+// and the health endpoint.
+func (j *journal) write(jj *journalJob) {
 	if j == nil {
 		return
 	}
-	ev.Time = time.Now()
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return
+	data, err := json.Marshal(jj)
+	if err == nil {
+		err = durable.WriteFile("journal", filepath.Join(j.dir, jobName(jj.ID)), data)
 	}
-	j.log.Append(data)
+	if err != nil {
+		j.mu.Lock()
+		if j.failed == nil {
+			j.failed = fmt.Errorf("campaign: journal: job %d: %w", jj.ID, err)
+		}
+		j.mu.Unlock()
+	}
 }
 
-// err returns the journal's sticky append/fsync failure, if any.
+// err returns the journal's sticky write failure, if any.
 func (j *journal) err() error {
 	if j == nil {
 		return nil
 	}
-	return j.log.Err()
-}
-
-func (j *journal) close() {
-	if j != nil {
-		j.log.Close()
-	}
-}
-
-// replay folds the journal into the job table it describes plus the next
-// free job ID. Unparseable records are skipped (forward compatibility);
-// event order is last-wins per job, so duplicated transitions from a
-// crash-requeue-crash sequence are idempotent.
-func (j *journal) replay() ([]*journalJob, int, error) {
-	var jobs []*journalJob
-	byID := map[int]*journalJob{}
-	nextID := 1
-	get := func(id int) *journalJob {
-		if jj, ok := byID[id]; ok {
-			return jj
-		}
-		jj := &journalJob{ID: id, State: StateQueued}
-		byID[id] = jj
-		jobs = append(jobs, jj)
-		return jj
-	}
-	err := j.log.Replay(func(rec []byte) error {
-		var ev journalEvent
-		if err := json.Unmarshal(rec, &ev); err != nil {
-			return nil
-		}
-		if ev.Job >= nextID {
-			nextID = ev.Job + 1
-		}
-		switch ev.Type {
-		case evSnapshot:
-			jobs = jobs[:0]
-			byID = map[int]*journalJob{}
-			for i := range ev.Jobs {
-				jj := ev.Jobs[i]
-				byID[jj.ID] = &jj
-				jobs = append(jobs, &jj)
-				if jj.ID >= nextID {
-					nextID = jj.ID + 1
-				}
-			}
-			if ev.NextID > nextID {
-				nextID = ev.NextID
-			}
-		case evSubmitted:
-			jj := get(ev.Job)
-			jj.State = StateQueued
-			jj.Submitted = ev.Time
-			if ev.Spec != nil {
-				jj.Spec = *ev.Spec
-			}
-		case evStarted:
-			jj := get(ev.Job)
-			jj.State = StateRunning
-			jj.Started = ev.Time
-		case evFinished:
-			jj := get(ev.Job)
-			jj.State = ev.State
-			jj.Error = ev.Error
-			jj.Stopped = ev.Stopped
-			jj.Degraded = ev.Degraded
-			jj.Report = ev.Report
-			jj.Mutation = ev.Mutation
-			jj.Finished = ev.Time
-		case evCanceled:
-			jj := get(ev.Job)
-			jj.State = StateCanceled
-			jj.Finished = ev.Time
-		case evCheckpointed, evRestarted, evQuarantined:
-			// Progress markers: they advance nextID only.
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("campaign: journal replay: %w", err)
-	}
-	return jobs, nextID, nil
-}
-
-// compact rewrites the journal as a single snapshot of the current job
-// table, releasing every older segment.
-func (j *journal) compact(jobs []journalJob, nextID int) error {
-	if j == nil {
-		return nil
-	}
-	data, err := json.Marshal(journalEvent{
-		Type: evSnapshot, Time: time.Now(), NextID: nextID, Jobs: jobs,
-	})
-	if err != nil {
-		return err
-	}
-	return j.log.Compact(data)
-}
-
-// segments reports the journal's current WAL segment count (the compaction
-// trigger); 0 when journaling is off.
-func (j *journal) segments() int {
-	if j == nil {
-		return 0
-	}
-	return j.log.Segments()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.failed
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,9 +40,22 @@ func waitState(t *testing.T, srv *Server, id int, want string) JobStatus {
 	}
 }
 
+// writeJobFile hand-writes a job file the way the server writes it.
+func writeJobFile(t *testing.T, dir string, jj journalJob) {
+	t.Helper()
+	data, err := json.Marshal(jj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, jobName(jj.ID)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJournalDurableLifecycle: a journaled server survives restart — the
-// finished campaign reappears with its report, the auto-assigned checkpoint
-// lives under the journal directory, and the job ID sequence continues.
+// job file is on disk when Submit answers, the finished campaign reappears
+// with its report, the auto-assigned checkpoint lives under the journal
+// directory, and the job ID sequence continues.
 func TestJournalDurableLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ServerConfig{Journal: dir}
@@ -52,6 +66,9 @@ func TestJournalDurableLifecycle(t *testing.T) {
 	job, err := srv.Submit(Spec{Model: "Magic", MaxExecs: 300})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, jobName(job.ID))); err != nil {
+		t.Fatalf("Submit answered before the job file was written: %v", err)
 	}
 	if !strings.HasPrefix(job.Spec.Checkpoint, dir) {
 		t.Fatalf("journaled job should get a server-side checkpoint, got %q", job.Spec.Checkpoint)
@@ -85,19 +102,15 @@ func TestJournalDurableLifecycle(t *testing.T) {
 	drain(t, srv2)
 }
 
-// TestJournalRequeuesInterrupted: a journal recording submitted+started with
-// no finish — the shape a SIGKILL leaves behind — makes the restarted server
-// requeue the job and run it to completion.
+// TestJournalRequeuesInterrupted: a job file left in state running — the
+// shape a SIGKILL leaves behind — makes the restarted server requeue the job
+// and run it to completion, resuming from its checkpoint base.
 func TestJournalRequeuesInterrupted(t *testing.T) {
 	dir := t.TempDir()
-	jnl, err := openJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{Model: "Magic", MaxExecs: 300}
-	jnl.record(journalEvent{Type: evSubmitted, Job: 1, Spec: &spec})
-	jnl.record(journalEvent{Type: evStarted, Job: 1})
-	jnl.close()
+	writeJobFile(t, dir, journalJob{
+		ID: 1, Spec: Spec{Model: "Magic", MaxExecs: 300}, State: StateRunning,
+		Submitted: time.Now(), Started: time.Now(),
+	})
 
 	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
 	if err != nil {
@@ -107,73 +120,72 @@ func TestJournalRequeuesInterrupted(t *testing.T) {
 	if !st.Requeued {
 		t.Error("recovered job should be marked requeued")
 	}
+	if st.Spec.Resume == "" || st.Spec.Resume != st.Spec.Checkpoint {
+		t.Errorf("recovered job should resume from its checkpoint base: %+v", st.Spec)
+	}
 	if st.Report == nil {
 		t.Error("recovered job has no report")
 	}
 	drain(t, srv)
 }
 
-// TestJournalTornFinalRecord: garbage after the last intact record — a crash
-// mid-append — must not block recovery, and the records before the tear
-// must survive.
+// TestJournalTornFinalRecord: a crash in the middle of a job file write
+// leaves the job's previous file intact next to a stray, truncated .tmp.
+// The stray must not block recovery, and the record before the tear must
+// survive.
 func TestJournalTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
-	jnl, err := openJournal(dir)
-	if err != nil {
+	writeJobFile(t, dir, journalJob{ID: 1, Spec: Spec{Model: "Magic", MaxExecs: 200}, State: StateQueued})
+	if err := os.WriteFile(filepath.Join(dir, jobName(1)+".tmp"), []byte(`{"id":1,"spec":{"mo`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{Model: "Magic", MaxExecs: 200}
-	jnl.record(journalEvent{Type: evSubmitted, Job: 1, Spec: &spec})
-	jnl.close()
-
-	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no journal segments: %v %v", segs, err)
-	}
-	sort.Strings(segs)
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0x13, 0x37, 0x00}) // torn frame: too short for a header
-	f.Close()
 
 	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
 	if err != nil {
-		t.Fatalf("torn journal tail must not block recovery: %v", err)
+		t.Fatalf("a torn job file write must not block recovery: %v", err)
 	}
 	waitState(t, srv, 1, StateDone)
 	drain(t, srv)
 }
 
-// TestJournalDoubleResumeIdempotent: the crash→requeue→crash shape writes
-// duplicate transitions; the replay fold must yield one job, and a second
-// recovery cycle must not mint a duplicate either.
+// TestJournalSkipsUnparseableJobFile: a job file that does not parse is
+// skipped rather than blocking recovery, and its ID is never handed out
+// again: the next ID is one past the largest among the file names.
+func TestJournalSkipsUnparseableJobFile(t *testing.T) {
+	dir := t.TempDir()
+	writeJobFile(t, dir, journalJob{ID: 2, Spec: Spec{Model: "Magic", MaxExecs: 200}, State: StateQueued})
+	if err := os.WriteFile(filepath.Join(dir, jobName(7)), []byte("\x13\x37 not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
+	if err != nil {
+		t.Fatalf("an unparseable job file must not block recovery: %v", err)
+	}
+	if got := len(srv.Jobs()); got != 1 {
+		t.Fatalf("recovered %d jobs, want 1", got)
+	}
+	waitState(t, srv, 2, StateDone)
+	next, err := srv.Submit(Spec{Model: "Magic", MaxExecs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != 8 {
+		t.Errorf("next job ID %d, want 8 (one past the unparseable job-7.json)", next.ID)
+	}
+	waitState(t, srv, next.ID, StateDone)
+	drain(t, srv)
+}
+
+// TestJournalDoubleResumeIdempotent: the crash→requeue→crash shape. A job
+// file left running is requeued and finished by a first recovery, and a
+// second recovery in a row must find that one job, finished, and mint no
+// duplicate.
 func TestJournalDoubleResumeIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	jnl, err := openJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{Model: "Magic", MaxExecs: 200}
-	jnl.record(journalEvent{Type: evSubmitted, Job: 1, Spec: &spec})
-	jnl.record(journalEvent{Type: evStarted, Job: 1})
-	jnl.record(journalEvent{Type: evStarted, Job: 1}) // requeued start after first crash
-	jnl.close()
-
-	jnl2, err := openJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, nextID, err := jnl2.replay()
-	jnl2.close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 || jobs[0].State != StateRunning || nextID != 2 {
-		t.Fatalf("fold of duplicated transitions: %d jobs, state %v, nextID %d",
-			len(jobs), jobs, nextID)
-	}
+	writeJobFile(t, dir, journalJob{
+		ID: 1, Spec: Spec{Model: "Magic", MaxExecs: 200}, State: StateRunning,
+		Submitted: time.Now(), Started: time.Now(),
+	})
 
 	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
 	if err != nil {
@@ -188,19 +200,16 @@ func TestJournalDoubleResumeIdempotent(t *testing.T) {
 	if got := len(srv2.Jobs()); got != 1 {
 		t.Fatalf("double recovery minted %d jobs, want 1", got)
 	}
+	if st := srv2.Jobs()[0].status(); st.ID != 1 || st.State != StateDone || st.Requeued {
+		t.Fatalf("second recovery should find job 1 finished: %+v", st)
+	}
 	drain(t, srv2)
 }
 
-// TestJournalCompaction: with one-byte WAL segments every record opens a new
-// segment, so each finished job leaves more than compactSegments of them and
-// the server compacts the journal into one snapshot record. A server
-// restarted from that snapshot replays every job's state, report and
-// mutation summary, and continues the job ID sequence. A legacy
-// "pollinated" record appended afterwards only advances the next ID.
-func TestJournalCompaction(t *testing.T) {
-	defer func(old int64) { journalSegmentBytes = old }(journalSegmentBytes)
-	journalSegmentBytes = 1
-
+// TestJournalRestoresJobTable: a server restarted over the journal restores
+// every job's state, error, report and mutation summary, keeps one file per
+// job and no stray temporary file, and continues the job ID sequence.
+func TestJournalRestoresJobTable(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ServerConfig{Journal: dir}
 	srv, err := NewServerWithConfig(testResolver(t), cfg)
@@ -227,27 +236,13 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	drain(t, srv)
 
-	// The WAL shrank to the snapshot of the last compaction.
-	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("compacted journal should be one segment, got %v (%v)", segs, err)
-	}
-	jnl, err := openJournal(dir)
+	files, err := filepath.Glob(filepath.Join(dir, "job-*.json*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var types []string
-	jnl.log.Replay(func(rec []byte) error {
-		var ev journalEvent
-		if err := json.Unmarshal(rec, &ev); err != nil {
-			return err
-		}
-		types = append(types, ev.Type)
-		return nil
-	})
-	jnl.close()
-	if len(types) != 1 || types[0] != evSnapshot {
-		t.Fatalf("compacted journal records: %v, want one %s", types, evSnapshot)
+	sort.Strings(files)
+	if len(files) != 3 || files[0] != filepath.Join(dir, jobName(1)) || files[2] != filepath.Join(dir, jobName(3)) {
+		t.Fatalf("journal should hold one file per job and no stray .tmp, got %v", files)
 	}
 
 	srv2, err := NewServerWithConfig(testResolver(t), cfg)
@@ -257,12 +252,12 @@ func TestJournalCompaction(t *testing.T) {
 	for _, w := range want {
 		j, ok := srv2.Job(w.ID)
 		if !ok {
-			t.Fatalf("job %d lost in compaction", w.ID)
+			t.Fatalf("job %d lost across restart", w.ID)
 		}
 		got := j.status()
 		if got.State != w.State || got.Error != w.Error ||
 			!reflect.DeepEqual(got.Report, w.Report) || !reflect.DeepEqual(got.Mutation, w.Mutation) {
-			t.Errorf("job %d replayed as %+v, want %+v", w.ID, got, w)
+			t.Errorf("job %d restored as %+v, want %+v", w.ID, got, w)
 		}
 	}
 	next, err := srv2.Submit(Spec{Model: "Magic", MaxExecs: 100})
@@ -270,32 +265,78 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if next.ID != len(want)+1 {
-		t.Fatalf("next job ID after compaction: %d, want %d", next.ID, len(want)+1)
+		t.Fatalf("next job ID after restart: %d, want %d", next.ID, len(want)+1)
 	}
 	waitState(t, srv2, next.ID, StateDone)
 	drain(t, srv2)
+}
 
-	jnl, err = openJournal(dir)
+// TestJournalFilesHoldLatestState: jobs submitted from several goroutines
+// to two runners, some stopped at once, the rest run or drained, are written
+// by Submit, the runners and StopJob/Drain in whatever order the goroutines
+// reach them; a server restarted over the journal must read every job back
+// in its final state.
+func TestJournalFilesHoldLatestState(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ServerConfig{Journal: dir, Runners: 2}
+	srv, err := NewServerWithConfig(testResolver(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, nextBefore, err := jnl.replay()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				job, err := srv.Submit(Spec{Model: "Magic", MaxExecs: 200})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if (g+i)%3 == 0 {
+					if err := srv.StopJob(job.ID); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	drain(t, srv)
+
+	srv2, err := NewServerWithConfig(testResolver(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jnl.log.Append([]byte(`{"type":"pollinated","job":9,"shard":1,"time":"2024-01-01T00:00:00Z"}`)); err != nil {
+	jobs := srv.Jobs()
+	if len(jobs) != 16 || len(srv2.Jobs()) != 16 {
+		t.Fatalf("%d jobs before and %d after the restart, want 16", len(jobs), len(srv2.Jobs()))
+	}
+	for _, j := range jobs {
+		want := j.status().State
+		restored, ok := srv2.Job(j.ID)
+		if !ok {
+			t.Fatalf("job %d lost across restart", j.ID)
+		}
+		if got := restored.status().State; got != want || (want != StateDone && want != StateCanceled) {
+			t.Errorf("job %d: restored %s, final %s (want done or canceled)", j.ID, got, want)
+		}
+	}
+	drain(t, srv2)
+}
+
+// TestJournalRefusesWALSegments: a journal directory still holding the WAL
+// segments of an older daemon is refused, with an error that names them.
+func TestJournalRefusesWALSegments(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "000000001.wal")
+	if err := os.WriteFile(seg, []byte{1, 0, 0, 0}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	after, nextAfter, err := jnl.replay()
-	jnl.close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nextBefore != next.ID+1 || nextAfter != 10 {
-		t.Errorf("next ID %d before and %d after the legacy record, want %d and 10", nextBefore, nextAfter, next.ID+1)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Errorf("legacy pollinated record changed the job table:\n%+v\nvs\n%+v", before, after)
+	_, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
+	if err == nil || !strings.Contains(err.Error(), seg) {
+		t.Fatalf("journal with WAL segments: got %v, want an error naming %s", err, seg)
 	}
 }
 

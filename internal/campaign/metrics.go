@@ -36,10 +36,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# HELP cftcgd_queue_depth Submissions waiting for a runner.")
 	fmt.Fprintln(w, "# TYPE cftcgd_queue_depth gauge")
 	fmt.Fprintf(w, "cftcgd_queue_depth %d\n", len(s.queue))
-	fmt.Fprintln(w, "# HELP cftcgd_journal_segments WAL segments in the campaign journal (0 = journaling off).")
-	fmt.Fprintln(w, "# TYPE cftcgd_journal_segments gauge")
-	fmt.Fprintf(w, "cftcgd_journal_segments %d\n", s.journal.segments())
-	fmt.Fprintln(w, "# HELP cftcgd_journal_failed 1 when the journal has a sticky append/fsync failure.")
+	fmt.Fprintln(w, "# HELP cftcgd_journal_failed 1 when a job file could not be written.")
 	fmt.Fprintln(w, "# TYPE cftcgd_journal_failed gauge")
 	jf := 0
 	if s.journal.err() != nil {

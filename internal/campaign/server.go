@@ -114,25 +114,17 @@ var ErrOverloaded = errors.New("campaign: queue full")
 // layer maps it to 400, because no retry can make the spec run.
 var ErrInvalidSpec = errors.New("campaign: invalid spec")
 
-// Job is one queued or executed campaign.
+// Job is one queued or executed campaign. Its journalJob record is what
+// the journal persists: ID, Spec and Submitted are fixed before the job is
+// shared, and mu guards the rest.
 type Job struct {
-	ID        int
-	Spec      Spec
-	Submitted time.Time
+	journalJob
 
 	requeued bool // recovered from the journal after a daemon crash
 
 	mu       sync.Mutex
-	state    string
 	campaign *Campaign
-	started  time.Time
-	finished time.Time
-	err      string
-	stopped  bool // finished on an external stop rather than budget
-	degraded bool // finished with at least one quarantined shard
-	report   *coverage.Report
 	final    *Snapshot
-	mutation *mutate.Summary
 	corpus   [][]byte // export snapshot once done
 }
 
@@ -160,25 +152,25 @@ func (j *Job) status() JobStatus {
 	st := JobStatus{
 		ID:        j.ID,
 		Model:     j.Spec.Model,
-		State:     j.state,
+		State:     j.State,
 		Spec:      j.Spec,
 		Submitted: j.Submitted,
-		Stopped:   j.stopped,
-		Degraded:  j.degraded,
+		Stopped:   j.Stopped,
+		Degraded:  j.Degraded,
 		Requeued:  j.requeued,
-		Error:     j.err,
-		Report:    j.report,
-		Mutation:  j.mutation,
+		Error:     j.Error,
+		Report:    j.Report,
+		Mutation:  j.Mutation,
 	}
 	if j.campaign != nil && j.campaign.Degraded() {
 		st.Degraded = true
 	}
-	if !j.started.IsZero() {
-		t := j.started
+	if !j.Started.IsZero() {
+		t := j.Started
 		st.Started = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if !j.Finished.IsZero() {
+		t := j.Finished
 		st.Finished = &t
 	}
 	switch {
@@ -202,10 +194,10 @@ type ServerConfig struct {
 	// MaxImportBytes caps a corpus-import request body (default 32 MiB).
 	MaxImportBytes int64
 	// Journal, when non-empty, is a directory holding the crash-durable
-	// job journal (a WAL) plus auto-assigned per-job checkpoint files. On
-	// start the journal is replayed: finished campaigns reappear in the
-	// API, interrupted ones are requeued and resume from their shards'
-	// checkpoints.
+	// job journal (one job-<id>.json per job) plus auto-assigned per-job
+	// checkpoint files. On start the job files are read back: finished
+	// campaigns reappear in the API, interrupted ones are requeued and
+	// resume from their shards' checkpoints.
 	Journal string
 	// Supervise tunes shard supervision for every campaign this server runs.
 	Supervise Supervise
@@ -223,10 +215,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	return c
 }
-
-// compactSegments is the WAL segment count past which the journal is
-// compacted into one snapshot record.
-const compactSegments = 4
 
 // Server is the campaign service: a submission queue, a bounded pool of
 // campaign runners, an optional crash-durable journal, and the HTTP
@@ -249,7 +237,7 @@ type Server struct {
 }
 
 // NewServerWithConfig builds a campaign server. With cfg.Journal set, the
-// journal is replayed first: completed jobs are restored read-only and jobs
+// job files are read first: completed jobs are restored read-only and jobs
 // that were queued or running when the previous process died are requeued,
 // resuming their shards from the per-shard checkpoint files.
 func NewServerWithConfig(resolve ModelResolver, cfg ServerConfig) (*Server, error) {
@@ -264,22 +252,16 @@ func NewServerWithConfig(resolve ModelResolver, cfg ServerConfig) (*Server, erro
 	}
 	var requeue []*Job
 	if cfg.Journal != "" {
-		jnl, err := openJournal(cfg.Journal)
+		jnl, restored, nextID, err := openJournal(cfg.Journal)
 		if err != nil {
 			return nil, err
 		}
-		s.journal = jnl
-		replayed, nextID, err := jnl.replay()
-		if err != nil {
-			jnl.close()
-			return nil, err
-		}
-		s.nextID = nextID
-		for _, jj := range replayed {
+		s.journal, s.nextID = jnl, nextID
+		for _, jj := range restored {
 			job := restoreJob(jj)
 			s.jobs = append(s.jobs, job)
 			s.byID[job.ID] = job
-			if job.state == StateQueued {
+			if job.State == StateQueued {
 				s.assignCheckpoint(job)
 				if job.requeued && job.Spec.Checkpoint != "" {
 					// Resume from whatever the dead process last flushed.
@@ -302,27 +284,15 @@ func NewServerWithConfig(resolve ModelResolver, cfg ServerConfig) (*Server, erro
 	return s, nil
 }
 
-// restoreJob rebuilds a Job from its replayed journal state. Jobs that were
-// queued or running when the previous daemon died come back queued (and
-// marked requeued); finished ones keep their terminal state and report.
+// restoreJob rebuilds a Job from its job file. Jobs that were queued or
+// running when the previous daemon died come back queued (and marked
+// requeued); finished ones keep their terminal state and report.
 func restoreJob(jj *journalJob) *Job {
-	job := &Job{
-		ID:        jj.ID,
-		Spec:      jj.Spec,
-		Submitted: jj.Submitted,
-		state:     jj.State,
-		started:   jj.Started,
-		finished:  jj.Finished,
-		err:       jj.Error,
-		stopped:   jj.Stopped,
-		degraded:  jj.Degraded,
-		report:    jj.Report,
-		mutation:  jj.Mutation,
-	}
-	if job.state == StateQueued || job.state == StateRunning {
-		job.requeued = job.state == StateRunning || !job.started.IsZero()
-		job.state = StateQueued
-		job.started = time.Time{}
+	job := &Job{journalJob: *jj}
+	if job.State == StateQueued || job.State == StateRunning {
+		job.requeued = job.State == StateRunning || !job.Started.IsZero()
+		job.State = StateQueued
+		job.Started = time.Time{}
 	}
 	return job
 }
@@ -349,97 +319,81 @@ func (s *Server) runner() {
 	}
 }
 
-// runJob executes one campaign, journals its transitions, and records its
-// outcome on the job.
+// runJob executes one queued campaign and records its outcome on the job
+// and in the journal. A job canceled before its campaign started stays
+// canceled.
 func (s *Server) runJob(job *Job) {
+	cm, res, err := s.launch(job)
+	var msum *mutate.Summary
+	if err == nil && cm != nil && job.Spec.Mutate {
+		// The scoring pass is part of the job's lifetime (still "running" in
+		// the API): the suite is final, the mutants are cheap to execute.
+		msum = mutationScore(cm.c, job.Spec.MutantBudget, cm.cfg.Fuzz.Seed, res)
+	}
 	job.mu.Lock()
-	if job.state != StateQueued { // canceled while queued
-		job.mu.Unlock()
+	defer job.mu.Unlock()
+	if job.State == StateCanceled {
 		return
 	}
-	job.mu.Unlock()
+	job.Finished = time.Now()
+	if err != nil {
+		job.State, job.Error = StateFailed, err.Error()
+	} else {
+		job.State = StateDone
+		job.Stopped = res.Stopped
+		job.Degraded = cm.Degraded()
+		job.Report = &res.Report
+		job.Mutation = msum
+		snap := cm.Snapshot()
+		snap.Mutation = msum
+		job.final = &snap
+		job.corpus = cm.CorpusExport()
+		if res.CheckpointErr != nil {
+			job.Error = "checkpoint: " + res.CheckpointErr.Error()
+		}
+	}
+	s.journal.write(&job.journalJob)
+}
 
-	fail := func(err error) {
-		job.mu.Lock()
-		job.state = StateFailed
-		job.err = err.Error()
-		job.finished = time.Now()
-		job.mu.Unlock()
-		s.journal.record(journalEvent{Type: evFinished, Job: job.ID, State: StateFailed, Error: err.Error()})
-		s.maybeCompact()
+// launch builds a queued job's campaign, marks the job running and runs the
+// campaign to its end. It returns a nil campaign and a nil error when the
+// job was canceled before its campaign started.
+func (s *Server) launch(job *Job) (*Campaign, *fuzz.Result, error) {
+	job.mu.Lock()
+	queued := job.State == StateQueued
+	job.mu.Unlock()
+	if !queued {
+		return nil, nil, nil
 	}
 	compiled, err := s.resolve(job.Spec.Model)
 	if err != nil {
-		fail(fmt.Errorf("resolve model: %w", err))
-		return
+		return nil, nil, fmt.Errorf("resolve model: %w", err)
 	}
 	opts, err := job.Spec.options()
 	if err != nil {
-		fail(err)
-		return
+		return nil, nil, err
 	}
 	cm, err := New(compiled, Config{
 		Shards:        job.Spec.Shards,
 		Fuzz:          opts,
 		Supervise:     s.cfg.Supervise,
 		ResumeLenient: job.requeued,
-		Observer:      s.observerFor(job.ID),
 	})
 	if err != nil {
-		fail(err)
-		return
+		return nil, nil, err
 	}
-
 	job.mu.Lock()
-	if job.state != StateQueued { // canceled between dequeue and build
+	if job.State != StateQueued { // canceled while the campaign was built
 		job.mu.Unlock()
-		return
+		return nil, nil, nil
 	}
-	job.state = StateRunning
+	job.State = StateRunning
 	job.campaign = cm
-	job.started = time.Now()
+	job.Started = time.Now()
+	s.journal.write(&job.journalJob)
 	job.mu.Unlock()
-	s.journal.record(journalEvent{Type: evStarted, Job: job.ID})
-
 	res, err := cm.Run()
-	if err != nil {
-		job.mu.Lock()
-		job.finished = time.Now()
-		job.state = StateFailed
-		job.err = err.Error()
-		job.mu.Unlock()
-		s.journal.record(journalEvent{Type: evFinished, Job: job.ID, State: StateFailed, Error: err.Error()})
-		s.maybeCompact()
-		return
-	}
-	var msum *mutate.Summary
-	if job.Spec.Mutate {
-		// The scoring pass is part of the job's lifetime (still "running" in
-		// the API): the suite is final, the mutants are cheap to execute.
-		msum = mutationScore(compiled, job.Spec.MutantBudget, opts.Seed, res)
-	}
-	job.mu.Lock()
-	job.finished = time.Now()
-	job.state = StateDone
-	job.stopped = res.Stopped
-	job.degraded = cm.Degraded()
-	job.report = &res.Report
-	job.mutation = msum
-	snap := cm.Snapshot()
-	snap.Mutation = msum
-	job.final = &snap
-	job.corpus = cm.CorpusExport()
-	if res.CheckpointErr != nil {
-		job.err = "checkpoint: " + res.CheckpointErr.Error()
-	}
-	ev := journalEvent{
-		Type: evFinished, Job: job.ID, State: StateDone,
-		Stopped: job.stopped, Degraded: job.degraded, Report: job.report, Error: job.err,
-		Mutation: msum,
-	}
-	job.mu.Unlock()
-	s.journal.record(ev)
-	s.maybeCompact()
+	return cm, res, err
 }
 
 // mutationScore runs the post-campaign mutation pass: an IR-level mutant
@@ -457,54 +411,6 @@ func mutationScore(c *codegen.Compiled, budget int, seed int64, res *fuzz.Result
 	}
 	rep := mutate.Run(c, muts, cases, mutate.RunConfig{})
 	return &rep.Summary
-}
-
-// observerFor journals a running campaign's shard lifecycle events.
-func (s *Server) observerFor(jobID int) func(ObserverEvent) {
-	if s.journal == nil {
-		return nil
-	}
-	return func(ev ObserverEvent) {
-		rec := journalEvent{Job: jobID, Shard: ev.Shard}
-		if ev.Err != nil {
-			rec.Error = ev.Err.Error()
-		}
-		switch ev.Kind {
-		case EventCheckpoint:
-			rec.Type = evCheckpointed
-		case EventRestart:
-			rec.Type = evRestarted
-		case EventQuarantine:
-			rec.Type = evQuarantined
-		default:
-			return
-		}
-		s.journal.record(rec)
-	}
-}
-
-// maybeCompact rewrites the journal as one snapshot record once it has grown
-// past compactSegments segments, releasing the older segments.
-func (s *Server) maybeCompact() {
-	if s.journal == nil || s.journal.segments() <= compactSegments {
-		return
-	}
-	s.mu.Lock()
-	jobs := append([]*Job(nil), s.jobs...)
-	nextID := s.nextID
-	s.mu.Unlock()
-	table := make([]journalJob, 0, len(jobs))
-	for _, j := range jobs {
-		j.mu.Lock()
-		table = append(table, journalJob{
-			ID: j.ID, Spec: j.Spec, State: j.state, Error: j.err,
-			Stopped: j.stopped, Degraded: j.degraded, Report: j.report,
-			Mutation:  j.mutation,
-			Submitted: j.Submitted, Started: j.started, Finished: j.finished,
-		})
-		j.mu.Unlock()
-	}
-	s.journal.compact(table, nextID)
 }
 
 // Submit enqueues a campaign, returning the job or an error if the spec is
@@ -532,7 +438,7 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		s.mu.Unlock()
 		return nil, ErrOverloaded
 	}
-	job := &Job{ID: s.nextID, Spec: spec, Submitted: time.Now(), state: StateQueued}
+	job := &Job{journalJob: journalJob{ID: s.nextID, Spec: spec, State: StateQueued, Submitted: time.Now()}}
 	s.nextID++
 	s.assignCheckpoint(job)
 	s.jobs = append(s.jobs, job)
@@ -541,15 +447,18 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 
 	select {
 	case s.queue <- job:
-		s.journal.record(journalEvent{Type: evSubmitted, Job: job.ID, Spec: &job.Spec})
-		return job, nil
 	default:
 		job.mu.Lock()
-		job.state = StateFailed
-		job.err = ErrOverloaded.Error()
+		job.State = StateFailed
+		job.Error = ErrOverloaded.Error()
 		job.mu.Unlock()
 		return nil, ErrOverloaded
 	}
+	// The job file is durable before the submission is answered.
+	job.mu.Lock()
+	s.journal.write(&job.journalJob)
+	job.mu.Unlock()
+	return job, nil
 }
 
 // Jobs returns all known jobs, oldest first.
@@ -573,20 +482,22 @@ func (s *Server) StopJob(id int) error {
 	if !ok {
 		return fmt.Errorf("campaign: no job %d", id)
 	}
+	s.stop(j)
+	return nil
+}
+
+// stop cancels a queued job or stops a running one.
+func (s *Server) stop(j *Job) {
 	j.mu.Lock()
-	switch j.state {
+	defer j.mu.Unlock()
+	switch j.State {
 	case StateQueued:
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.mu.Unlock()
-		s.journal.record(journalEvent{Type: evCanceled, Job: id})
+		j.State = StateCanceled
+		j.Finished = time.Now()
+		s.journal.write(&j.journalJob)
 	case StateRunning:
 		j.campaign.Stop()
-		j.mu.Unlock()
-	default:
-		j.mu.Unlock()
 	}
-	return nil
 }
 
 // QueueDepth reports the number of submissions waiting for a runner.
@@ -595,8 +506,7 @@ func (s *Server) QueueDepth() int { return len(s.queue) }
 // Drain is the SIGTERM path: refuse new submissions, cancel queued jobs,
 // stop running campaigns via their shards' Options.Stop channels (each
 // shard flushes its final checkpoint on the way out), and wait — bounded by
-// ctx — for the runners to finish. The journal is closed last so every
-// final transition is recorded.
+// ctx — for the runners to finish, each writing its job's final file.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -604,19 +514,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 	close(s.quit)
 	for _, j := range jobs {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			j.state = StateCanceled
-			j.finished = time.Now()
-			j.mu.Unlock()
-			s.journal.record(journalEvent{Type: evCanceled, Job: j.ID})
-		case StateRunning:
-			j.campaign.Stop()
-			j.mu.Unlock()
-		default:
-			j.mu.Unlock()
-		}
+		s.stop(j)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -625,7 +523,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.journal.close()
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("campaign: drain timed out: %w", ctx.Err())
@@ -644,7 +541,6 @@ type Health struct {
 	QueueDepth        int     `json:"queueDepth"`
 	QueueMax          int     `json:"queueMax"`
 	JournalEnabled    bool    `json:"journalEnabled"`
-	JournalSegments   int     `json:"journalSegments,omitempty"`
 	JournalError      string  `json:"journalError,omitempty"`
 	RunningCampaigns  int     `json:"runningCampaigns"`
 	DegradedCampaigns int     `json:"degradedCampaigns"`
@@ -669,7 +565,6 @@ func (s *Server) Health() Health {
 		QueueDepth:               len(s.queue),
 		QueueMax:                 s.cfg.MaxQueue,
 		JournalEnabled:           s.journal != nil,
-		JournalSegments:          s.journal.segments(),
 		LastCheckpointAgeSeconds: -1,
 	}
 	if err := s.journal.err(); err != nil {
@@ -679,7 +574,7 @@ func (s *Server) Health() Health {
 	for _, j := range jobs {
 		j.mu.Lock()
 		cm := j.campaign
-		running := j.state == StateRunning
+		running := j.State == StateRunning
 		j.mu.Unlock()
 		if !running || cm == nil {
 			continue
@@ -819,7 +714,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		job.mu.Lock()
 		cm := job.campaign
-		state := job.state
+		state := job.State
 		job.mu.Unlock()
 		if state != StateRunning || cm == nil {
 			httpError(w, http.StatusConflict, fmt.Errorf("campaign %d is %s, not running", job.ID, state))

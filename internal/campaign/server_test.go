@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -177,23 +179,16 @@ func TestServerLiveStatusAndMetrics(t *testing.T) {
 }
 
 func TestServerSubmissionErrors(t *testing.T) {
-	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: t.TempDir()})
+	dir := t.TempDir()
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	records := func() int {
-		n := 0
-		if err := srv.journal.log.Replay(func([]byte) error { n++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	before := records()
 	// An invalid spec is refused with 400, not 503 (no retry can make it
-	// run), before any job or journal record exists.
+	// run), before any job or job file exists.
 	for _, body := range []string{
 		`{}`,
 		`{"model":"Magic","mode":"bogus"}`,
@@ -209,29 +204,39 @@ func TestServerSubmissionErrors(t *testing.T) {
 	if n := len(srv.Jobs()); n != 0 {
 		t.Errorf("invalid specs created %d job(s)", n)
 	}
-	if n := records() - before; n != 0 {
-		t.Errorf("invalid specs wrote %d journal record(s)", n)
+	if files, _ := filepath.Glob(filepath.Join(dir, "job-*")); len(files) != 0 {
+		t.Errorf("invalid specs wrote job files %v", files)
 	}
 
-	// Unknown model is accepted (resolution happens on the runner) and the
-	// job fails observably.
-	var job JobStatus
-	if code := postJSON(t, ts, "/api/campaigns", Spec{Model: "NoSuch", MaxExecs: 10}, &job); code != http.StatusAccepted {
-		t.Fatalf("submit: status %d", code)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		getJSON(t, ts, fmt.Sprintf("/api/campaigns/%d", job.ID), &job)
-		if job.State == StateFailed {
-			break
+	// An unknown model is accepted (resolution happens on the runner), and
+	// so is a maxTuples whose input length cap overflows the model's
+	// 4-byte tuple (only the engine knows the tuple size); each job fails
+	// observably, with the reason.
+	for _, c := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Model: "NoSuch", MaxExecs: 10}, "NoSuch"},
+		{Spec{Model: "Magic", MaxExecs: 10, MaxTuples: 4611686018427387905}, "model Magic: MaxTuples 4611686018427387905"},
+	} {
+		var job JobStatus
+		if code := postJSON(t, ts, "/api/campaigns", c.spec, &job); code != http.StatusAccepted {
+			t.Fatalf("submit %+v: status %d", c.spec, code)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never failed: %+v", job)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			getJSON(t, ts, fmt.Sprintf("/api/campaigns/%d", job.ID), &job)
+			if job.State == StateFailed {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job never failed: %+v", job)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if job.Error == "" {
-		t.Error("failed job should carry an error")
+		if !strings.Contains(job.Error, c.want) {
+			t.Errorf("failed job %+v: error %q should name %q", c.spec, job.Error, c.want)
+		}
 	}
 
 	var missing map[string]string
@@ -306,21 +311,17 @@ func readAll(t *testing.T, resp *http.Response) string {
 // key that dropped statically dead slots from the coverage denominators.
 // Every campaign now runs the lowered program on the threaded VM with
 // uniform field choice and counts every branch slot, and old clients and
-// old journals must keep working: a submission carrying the keys, and a
-// journal whose submitted event carries them, both decode and run to
+// old job files must keep working: a submission carrying the keys, and a
+// queued job file whose spec carries them, both decode and run to
 // completion.
 func TestRetiredSpecKeysAccepted(t *testing.T) {
 	const legacy = `{"model":"Magic","execs":200,"backend":"switch","optimize":true,"directed":true,"analyze":true}`
 
 	dir := t.TempDir()
-	jnl, err := openJournal(dir)
-	if err != nil {
+	job1 := `{"id":1,"spec":` + legacy + `,"state":"queued","submitted":"2024-01-01T00:00:00Z"}`
+	if err := os.WriteFile(filepath.Join(dir, jobName(1)), []byte(job1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := jnl.log.Append([]byte(`{"type":"submitted","job":1,"time":"2024-01-01T00:00:00Z","spec":` + legacy + `}`)); err != nil {
-		t.Fatal(err)
-	}
-	jnl.close()
 
 	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Journal: dir})
 	if err != nil {

@@ -69,8 +69,7 @@ const (
 // ObserverEvent is a campaign lifecycle notification delivered to
 // Config.Observer: shard checkpoint writes, supervisor restarts and
 // quarantines. Events are delivered synchronously from campaign
-// goroutines — observers must be fast and thread-safe. The daemon journals
-// them.
+// goroutines — observers must be fast and thread-safe.
 type ObserverEvent struct {
 	Kind  string
 	Shard int

@@ -117,8 +117,8 @@ func check(name string) (Failpoint, bool) {
 }
 
 // Eval evaluates the named failpoint: it sleeps for KindDelay, panics for
-// KindPanic, and returns an injected error for KindError/KindShortWrite.
-// Unarmed failpoints cost one atomic load.
+// KindPanic, and returns an injected error for KindError. Unarmed
+// failpoints cost one atomic load.
 func Eval(name string) error {
 	fp, fire := check(name)
 	if !fire {
@@ -135,24 +135,8 @@ func Eval(name string) error {
 	}
 }
 
-// ShortWrite evaluates a KindShortWrite failpoint against an intended write
-// of n bytes. When it fires it returns the truncated length (half, at least
-// one byte short) and true; callers write the truncated prefix and then fail,
-// simulating a torn write. Non-shortwrite kinds never fire here.
-func ShortWrite(name string, n int) (int, bool) {
-	fp, fire := check(name)
-	if !fire || fp.Kind != KindShortWrite || n == 0 {
-		return n, false
-	}
-	m := n / 2
-	if m >= n {
-		m = n - 1
-	}
-	return m, true
-}
-
 // SetFromEnv parses and arms a semicolon-separated failpoint list, e.g.
-// "wal.append=error(boom)#1;fuzz.loop:shard1=delay(2s)@100".
+// "journal.write=error(boom)#1;fuzz.loop:shard1=delay(2s)@100".
 func SetFromEnv(env string) error {
 	for _, part := range strings.Split(env, ";") {
 		part = strings.TrimSpace(part)
@@ -206,8 +190,6 @@ func ParseSpec(spec string) (Failpoint, error) {
 		fp.Kind, fp.Msg = KindError, arg
 	case "panic":
 		fp.Kind, fp.Msg = KindPanic, arg
-	case "shortwrite":
-		fp.Kind, fp.Msg = KindShortWrite, arg
 	case "delay":
 		fp.Kind = KindDelay
 		d, err := time.ParseDuration(arg)
@@ -216,7 +198,7 @@ func ParseSpec(spec string) (Failpoint, error) {
 		}
 		fp.Delay = d
 	default:
-		return fp, fmt.Errorf("unknown kind %q (want error, panic, delay or shortwrite)", kind)
+		return fp, fmt.Errorf("unknown kind %q (want error, panic or delay)", kind)
 	}
 	for mods != "" {
 		op := mods[0]

@@ -18,9 +18,9 @@ func TestParseSpec(t *testing.T) {
 		{in: "error(boom)", want: Failpoint{Kind: KindError, Msg: "boom"}},
 		{in: "panic(die)#2", want: Failpoint{Kind: KindPanic, Msg: "die", Times: 2}},
 		{in: "delay(150ms)@3", want: Failpoint{Kind: KindDelay, Delay: 150 * time.Millisecond, After: 3}},
-		{in: "shortwrite#1", want: Failpoint{Kind: KindShortWrite, Times: 1}},
 		{in: "error*0.5@2#3", want: Failpoint{Kind: KindError, P: 0.5, After: 2, Times: 3}},
 		{in: "bogus", bad: true},
+		{in: "shortwrite#1", bad: true},
 		{in: "delay(xyz)", bad: true},
 		{in: "error*2", bad: true},
 		{in: "error@-1", bad: true},
@@ -81,23 +81,6 @@ func TestPanicAndDelayKinds(t *testing.T) {
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Errorf("delay failpoint slept only %s", d)
-	}
-}
-
-func TestShortWrite(t *testing.T) {
-	defer Reset()
-	Set("t.short", Failpoint{Kind: KindShortWrite, Times: 1})
-	n, fired := ShortWrite("t.short", 100)
-	if !fired || n >= 100 {
-		t.Errorf("short write: n=%d fired=%v", n, fired)
-	}
-	if n, fired = ShortWrite("t.short", 100); fired || n != 100 {
-		t.Errorf("exhausted short write should pass through: n=%d fired=%v", n, fired)
-	}
-	// Non-shortwrite kinds never fire through ShortWrite.
-	Set("t.err", Failpoint{Kind: KindError})
-	if n, fired = ShortWrite("t.err", 10); fired || n != 10 {
-		t.Errorf("error kind fired via ShortWrite: n=%d fired=%v", n, fired)
 	}
 }
 

@@ -1,15 +1,15 @@
 // Package faultinject is a failpoint registry for chaos testing: named
-// hooks threaded through the durability-critical paths (checkpoint I/O, WAL
-// append/rotate/sync, shard execution, corpus import/export) that can be
-// armed to inject errors, panics, delays or short writes.
+// hooks threaded through the durability-critical paths (the durable file
+// writes behind checkpoints and job files, and shard execution) that can be
+// armed to inject errors, panics or delays.
 //
 // The package has two builds selected by the `faultinject` build tag:
 //
 //   - Without the tag (production, default) every hook compiles to an
-//     inlinable no-op — Eval returns nil unconditionally, ShortWrite passes
-//     the length through — so instrumented call sites cost nothing and the
-//     registry machinery is absent from the binary. CI verifies this by
-//     grepping the armed-build marker string out of both binaries.
+//     inlinable no-op — Eval returns nil unconditionally — so instrumented
+//     call sites cost nothing and the registry machinery is absent from the
+//     binary. CI verifies this by grepping the armed-build marker string out
+//     of both binaries.
 //   - With `-tags faultinject` the registry is live. Failpoints are armed
 //     either programmatically (Set, the chaos-test API) or at process start
 //     from the CFTCG_FAULTPOINTS environment variable, which is how the
@@ -19,7 +19,7 @@
 // first N hits, Times bounds how often it fires, and P makes each eligible
 // hit probabilistic. The environment spec grammar mirrors the struct:
 //
-//	CFTCG_FAULTPOINTS="wal.append=error(boom)#1;fuzz.loop:shard1=delay(2s)@100"
+//	CFTCG_FAULTPOINTS="journal.write=error(boom)#1;fuzz.loop:shard1=delay(2s)@100"
 //
 // where a spec is kind[(arg)] with optional modifiers *p (probability),
 // @after and #times in any order.
@@ -40,9 +40,6 @@ const (
 	KindPanic
 	// KindDelay makes Eval sleep for Failpoint.Delay, simulating a hang.
 	KindDelay
-	// KindShortWrite makes ShortWrite truncate the reported write length,
-	// simulating a torn write. Eval treats it like KindError.
-	KindShortWrite
 )
 
 func (k Kind) String() string {
@@ -53,8 +50,6 @@ func (k Kind) String() string {
 		return "panic"
 	case KindDelay:
 		return "delay"
-	case KindShortWrite:
-		return "shortwrite"
 	}
 	return "kind(?)"
 }

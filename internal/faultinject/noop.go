@@ -13,9 +13,6 @@ func Enabled() bool { return false }
 // Eval is a no-op in production builds.
 func Eval(name string) error { return nil }
 
-// ShortWrite passes the write length through in production builds.
-func ShortWrite(name string, n int) (int, bool) { return n, false }
-
 // Set is a no-op in production builds.
 func Set(name string, fp Failpoint) {}
 

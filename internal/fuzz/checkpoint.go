@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"cftcg/internal/faultinject"
-	"cftcg/internal/wal"
+	"cftcg/internal/durable"
 )
 
 // CheckpointVersion is bumped whenever the on-disk format changes
@@ -75,47 +73,16 @@ func (e *Engine) Snapshot() *Checkpoint {
 	return cp
 }
 
-// WriteCheckpoint persists a checkpoint atomically and durably: the JSON is
-// written to a temporary sibling file, synced, renamed into place, and the
-// parent directory is synced so the rename itself survives power loss. A
+// WriteCheckpoint persists a checkpoint atomically and durably through
+// durable.WriteFile (failpoints checkpoint.write and checkpoint.rename): a
 // crash mid-save leaves the previous checkpoint intact rather than a
 // truncated one.
 func WriteCheckpoint(path string, cp *Checkpoint) error {
-	if err := faultinject.Eval("checkpoint.write"); err != nil {
-		return fmt.Errorf("fuzz: checkpoint: %w", err)
-	}
 	data, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("fuzz: marshal checkpoint: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("fuzz: checkpoint: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fuzz: checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("fuzz: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fuzz: checkpoint: %w", err)
-	}
-	if err := faultinject.Eval("checkpoint.rename"); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fuzz: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fuzz: checkpoint: %w", err)
-	}
-	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
+	if err := durable.WriteFile("checkpoint", path, data); err != nil {
 		return fmt.Errorf("fuzz: checkpoint: %w", err)
 	}
 	return nil

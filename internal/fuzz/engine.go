@@ -310,6 +310,12 @@ func NewEngine(c *codegen.Compiled, opts Options) (*Engine, error) {
 	if err := lay.Drivable(c.Prog.Name); err != nil {
 		return nil, fmt.Errorf("fuzz: %w", err)
 	}
+	// Both mutators cap an input at MaxTuples*TupleSize bytes, so the
+	// product must not overflow.
+	if limit := math.MaxInt / lay.TupleSize; opts.MaxTuples > limit {
+		return nil, fmt.Errorf("fuzz: model %s: MaxTuples %d exceeds %d, the most %d-byte tuples an input length can count",
+			c.Prog.Name, opts.MaxTuples, limit, lay.TupleSize)
+	}
 	rec := coverage.NewRecorder(c.Plan)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	e := &Engine{

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -195,5 +196,30 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := NewEngine(c, Options{ResumeFrom: "nonexistent.ckpt"}); err != nil {
 		t.Errorf("ResumeFrom alone is a valid budget source: %v", err)
+	}
+}
+
+// TestNewEngineRefusesOverflowingMaxTuples: both mutators cap an input at
+// MaxTuples*TupleSize bytes, so a MaxTuples whose product with the tuple
+// size overflows is refused by name instead of panicking the first mutation;
+// the largest MaxTuples that fits still runs.
+func TestNewEngineRefusesOverflowingMaxTuples(t *testing.T) {
+	c := benchCompiled(t, "CPUTask")
+	tuple := c.Prog.Layout().TupleSize
+	if tuple != 3 {
+		t.Fatalf("CPUTask tuple is %d bytes, want 3", tuple)
+	}
+	for _, mode := range []Mode{ModeModelOriented, ModeFuzzOnly} {
+		_, err := NewEngine(c, Options{Seed: 1, Mode: mode, MaxExecs: 200, MaxTuples: 4611686018427387905})
+		if err == nil || !strings.Contains(err.Error(), "model CPUTask") {
+			t.Errorf("%s: overflowing MaxTuples: got %v, want an error naming the model", mode, err)
+		}
+		e, err := NewEngine(c, Options{Seed: 1, Mode: mode, MaxExecs: 200, MaxTuples: math.MaxInt / tuple})
+		if err != nil {
+			t.Fatalf("%s: largest MaxTuples that fits: %v", mode, err)
+		}
+		if res := e.Run(); res.Execs != 200 {
+			t.Errorf("%s: ran %d execs, want 200", mode, res.Execs)
+		}
 	}
 }

@@ -98,15 +98,6 @@ func (cfg Config) enabled(op string) bool {
 	return false
 }
 
-// cloneProgram copies the instruction streams of a program; metadata slices
-// (fields, state names, loop sites) are immutable and shared.
-func cloneProgram(p *ir.Program) *ir.Program {
-	q := *p
-	q.Init = append([]ir.Instr(nil), p.Init...)
-	q.Step = append([]ir.Instr(nil), p.Step...)
-	return &q
-}
-
 // candidate is one mutant before sampling: an IR patch that replaces
 // instruction pc of function fn with ins, or a chart mutation whose builder
 // clones the model, patches one chart and recompiles (nil when the mutation
@@ -126,9 +117,25 @@ func (cd candidate) code(p *ir.Program) []ir.Instr {
 	return p.Step
 }
 
-// build materializes a candidate: an IR patch on a copy of the original
-// program, or a chart mutant compiled now. It returns nil for a mutant that
-// fails Validate or the strict verifier. An IR patch keeps the patched
+// patch returns p with the candidate's instruction in place. Only the
+// patched function is copied: the other function and the metadata slices
+// (fields, state names, loop sites) are shared with p, and nothing writes a
+// mutant's program once it is built.
+func (cd candidate) patch(p *ir.Program) *ir.Program {
+	q := *p
+	code := append([]ir.Instr(nil), cd.code(p)...)
+	code[cd.pc] = cd.ins
+	if cd.fn == "init" {
+		q.Init = code
+	} else {
+		q.Step = code
+	}
+	return &q
+}
+
+// build materializes a candidate: an IR patch of the original program, or
+// a chart mutant compiled now. It returns nil for a mutant that fails
+// Validate or the strict verifier. An IR patch keeps the patched
 // instruction's operands and control flow, so only its own rules are checked
 // (analysis.VerifyPatch); a chart mutant is a whole new program and gets the
 // full pass.
@@ -140,8 +147,7 @@ func (cd candidate) build(c *codegen.Compiled) *Mutant {
 		}
 		return mu
 	}
-	mp := cloneProgram(c.Prog)
-	cd.code(mp)[cd.pc] = cd.ins
+	mp := cd.patch(c.Prog)
 	if mp.Validate() != nil || analysis.VerifyPatch(mp, c.Plan, cd.fn, cd.pc, cd.code(c.Prog)[cd.pc]) != nil {
 		return nil
 	}

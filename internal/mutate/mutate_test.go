@@ -105,6 +105,15 @@ func TestOperatorsEmitValidMutants(t *testing.T) {
 	}
 }
 
+// cloneProgram copies both instruction streams of a program, for tests that
+// edit a program freely; metadata slices are shared.
+func cloneProgram(p *ir.Program) *ir.Program {
+	q := *p
+	q.Init = append([]ir.Instr(nil), p.Init...)
+	q.Step = append([]ir.Instr(nil), p.Step...)
+	return &q
+}
+
 // TestGenerateSkipsUncleanOriginal: Generate checks a patch locally only
 // after the original passes the strict verifier, and emits no mutant of an
 // original that fails it. Here the original reads a register nothing

@@ -70,7 +70,7 @@ func TestBackendsLockstepGenerated(t *testing.T) {
 // from 1 instruction up must hang (or not) identically on every backend,
 // with the same abort pc, the same partial state/output effects and the same
 // partial probe stream. This is the test that keeps the threaded backend's
-// block-level fuel charging and its replay of exhausted prefixes honest.
+// per-mop fuel charging and its replay of exhausted prefixes honest.
 func TestBackendsLockstepFuelSweep(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

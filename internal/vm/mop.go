@@ -158,8 +158,8 @@ const (
 	mCastF32F64 // float32 -> float64
 
 	// Superinstructions. All are straight-line except for a trailing
-	// control transfer, so they never cross a basic-block boundary and
-	// block-level fuel charging stays exact (see blockCosts).
+	// control transfer, so a fuel budget that dies inside one replays a
+	// prefix holding no jump (see runMops).
 	mFusedCmpJmpM      // integer/bool cmp + jmpIf/jmpIfNot (op selector in sh)
 	mFusedCmpJmpF      // float64 cmp + jmpIf/jmpIfNot
 	mFusedConstCmpJmpM // const + integer/bool cmp + jmpIf/jmpIfNot
@@ -440,54 +440,6 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 	return m
 }
 
-// blockCosts converts per-op fuel charges into per-basic-block charges:
-// the block head carries the whole block's instruction count and every
-// other mop in the block costs zero, so the dispatch loop's fuel check is
-// live only at block entries. Accounting stays bit-identical to per-op
-// charging: a block is straight-line (only its final instruction can
-// transfer control, and Halt terminates a block like a jump), so either the
-// whole block runs — charging len instructions, same as one by one — or the
-// budget dies at the head and the affordable prefix replays through the
-// reference step, which never reaches the block terminator.
-// Blocks longer than 255 instructions are chunked so the charge fits the
-// mop's uint8 cost field; a chunk boundary behaves exactly like a block
-// boundary.
-func blockCosts(code []ir.Instr, ms []mop) {
-	if len(code) == 0 {
-		return
-	}
-	head := make([]bool, len(code))
-	head[0] = true
-	for pc := range code {
-		switch code[pc].Op {
-		case ir.OpJmp, ir.OpJmpIf, ir.OpJmpIfNot, ir.OpHalt:
-			if pc+1 < len(code) {
-				head[pc+1] = true
-			}
-		}
-	}
-	targets := jumpTargets(code)
-	for pc := 0; pc < len(code); pc++ {
-		if targets[pc] {
-			head[pc] = true
-		}
-	}
-	// Walk dispatch points (stepping over fused spans so a chunk boundary
-	// never lands mid-span), accumulating each block's instruction count
-	// into its head.
-	for start := 0; start < len(code); {
-		end := start + int(ms[start].cost)
-		for end < len(code) && !head[end] && end-start+int(ms[end].cost) <= 255 {
-			end += int(ms[end].cost)
-		}
-		ms[start].cost = uint8(end - start)
-		for pc := start + 1; pc < end; pc++ {
-			ms[pc].cost = 0
-		}
-		start = end
-	}
-}
-
 // cmpSel computes one of the six relational ops (selector = op - OpEq) over
 // operands already normalized to unsigned order (masked, sign-bias xored).
 func cmpSel(sel uint8, a, b uint64) uint64 {
@@ -561,8 +513,8 @@ func fusedCmp(m *mop, op ir.Op, dt model.DType, constForm bool) bool {
 // (with or without a constant operand), the probe diamonds around every
 // decision, and the const/mov/loadState/storeState data glue between blocks.
 // A conditional branch may only end a span, never start one — otherwise the
-// span would straddle a basic-block boundary and block-level fuel charging
-// would misattribute the fallthrough instructions.
+// span would straddle a basic-block boundary and a budget dying inside it
+// would replay the fallthrough instructions past the branch.
 func fuseMops(code []ir.Instr, ms []mop) (fused int) {
 	targets := jumpTargets(code)
 	end := len(code)
@@ -684,10 +636,11 @@ func rst(base unsafe.Pointer, i int32, v uint64) {
 
 // runMops is the inner interpreter loop of every Threaded machine. Fuel
 // is charged before execution, exactly mirroring the reference interpreter's
-// check-before-execute order: cost instructions per dispatch. When the
-// budget dies inside a block, its still-affordable prefix replays through the
-// reference step, so every executed instruction's side effects land and the
-// hang pc is the precise instruction the reference would have stopped at.
+// check-before-execute order: cost instructions per dispatch (1, or a fused
+// mop's span). When the budget dies inside a fused span, its
+// still-affordable prefix replays through the reference step, so every
+// executed instruction's side effects land and the hang pc is the precise
+// instruction the reference would have stopped at.
 func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, hung bool) {
 	state := s.state
 	var rb unsafe.Pointer
@@ -706,8 +659,8 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 		m := (*mop)(unsafe.Add(mb, uintptr(uint(pc))*unsafe.Sizeof(mop{})))
 		c := int64(m.cost)
 		if fuel < c {
-			// The prefix holds no control transfer (see blockCosts), so it
-			// runs straight through.
+			// The prefix holds no control transfer (a fused span may only
+			// end in one), so it runs straight through.
 			for i := 0; i < int(fuel); i++ {
 				s.step(f.src, pc+i)
 			}

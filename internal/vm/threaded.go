@@ -20,9 +20,9 @@ import (
 // Fuel is accounted centrally in the dispatch loop: each micro-op carries the
 // number of source instructions it covers (1, or the span for fused), charged
 // before execution in the same check-before-execute order as the reference.
-// When the budget dies inside a block, the affordable prefix replays through
-// the reference step over the source instructions, so partial side effects
-// and the HangError pc match the reference Machine exactly.
+// When the budget dies inside a fused span, the affordable prefix replays
+// through the reference step over the source instructions, so partial side
+// effects and the HangError pc match the reference Machine exactly.
 //
 // The compiled Code is immutable: one compile serves any number of Threaded
 // machines, on any number of goroutines.
@@ -150,7 +150,6 @@ func (f *funcCode) compile(name string, code []ir.Instr) (fused int) {
 		ms[pc] = compileMop(&code[pc], pc, n)
 	}
 	fused = fuseMops(code, ms)
-	blockCosts(code, ms)
 	// Sentinel: every exit path lands here — sequential fall-through, an
 	// explicit halt's jump, or a branch to pc == len(code). Its zero cost
 	// can never trip the fuel check, so the dispatch loop needs neither a

@@ -55,7 +55,8 @@ make chaos
 
 # Daemon smoke test: build cftcgd, bring it up on an ephemeral port, poll
 # the health and metrics planes, submit one campaign, verify a non-empty
-# status snapshot, then drain it with SIGTERM.
+# status snapshot, drain it with SIGTERM, and check that the journal holds
+# the campaign's job file in its final state.
 echo "== cftcgd smoke =="
 tmp=$(mktemp -d)
 trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
@@ -104,6 +105,6 @@ curl -fsS "http://$addr/metrics" | grep -q 'cftcg_campaign_execs_total{campaign=
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || { echo "cftcgd drain failed"; cat "$tmp/daemon.log"; exit 1; }
 grep -q drained "$tmp/daemon.log" || { echo "cftcgd did not drain"; cat "$tmp/daemon.log"; exit 1; }
-ls "$tmp/journal"/*.wal >/dev/null 2>&1 || { echo "journal wrote no segments"; exit 1; }
+grep -q '"state":"done"' "$tmp/journal/job-1.json" || { echo "journal holds no finished job-1.json"; ls -l "$tmp/journal"; exit 1; }
 
 echo "OK"
