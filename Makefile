@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench bench-test chaos mutate-smoke cover fuzz-smoke
+.PHONY: all build test race vet fmt lint check bench bench-test mutate-smoke cover fuzz-smoke
 
 all: check
 
@@ -8,13 +8,16 @@ build:
 	$(GO) build ./...
 
 # -shuffle=on randomizes test and subtest order every run, flushing out
-# inter-test state dependence (the seed is printed for replay).
+# inter-test state dependence (the seed is printed for replay). The chaos
+# suite (failpoints armed through internal/faultinject, and a kill-9 of a
+# real journaled daemon process) runs here like any other test.
 test:
 	$(GO) test -shuffle=on ./...
 
 # Race runs in -short mode: the headline campaign comparisons are
 # timing-sensitive and starve under the race detector's ~15x slowdown; the
-# plain `test` target runs them at native speed.
+# plain `test` target runs them at native speed. -short skips only the
+# kill-9 chaos test, which lint runs under -race.
 race:
 	$(GO) test -short -race ./...
 
@@ -28,8 +31,9 @@ fmt:
 
 # lint is the fast pre-commit gate: formatting, vet, and a full-speed race
 # pass over the concurrency-bearing packages (the engine's status plane, the
-# campaign daemon's shard fan-out, and the shared coverage structures) and
-# over the mutation package, whose prover oracle then covers all 8 models.
+# campaign daemon's shard fan-out and its whole chaos suite, and the shared
+# coverage structures) and over the mutation package, whose prover oracle
+# then covers all 8 models.
 lint: fmt vet
 	$(GO) test -race ./internal/fuzz ./internal/campaign ./internal/coverage ./internal/vm ./internal/ir
 	$(GO) test -race ./internal/mutate
@@ -44,13 +48,6 @@ mutate-smoke:
 	echo "mutation score: $$score"; \
 	awk "BEGIN { exit !($$score > 0 && $$score <= 1) }" </dev/null \
 		|| { echo "mutate-smoke: score $$score outside (0, 1]"; exit 1; }
-
-# chaos arms the build-tag-gated failpoints (internal/faultinject) and runs
-# the fault-injection suites under the race detector: failed durable
-# writes, job file write failures, checkpoint panics, hanging shards, and a
-# kill-9 of a real journaled daemon process.
-chaos:
-	$(GO) test -race -tags faultinject ./internal/faultinject ./internal/durable ./internal/fuzz ./internal/campaign
 
 # cover enforces the statement-coverage floors on the load-bearing
 # packages (VM backends, IR, coverage recorder, fuzz engine, mutation
@@ -82,9 +79,9 @@ bench-test:
 	$(GO) -C bench test ./...
 
 # check is the CI gate. It runs scripts/check.sh, which runs the targets
-# above and the stages without a target of their own (the reference-VM
-# guard, the workers checkpoint/resume smoke, the faultinject no-op check
-# and the cftcgd smoke), stopping at the first failure.
+# above and the stages without a target of their own (the reference-VM and
+# failpoint guards, the workers checkpoint/resume smoke and the cftcgd
+# smoke), stopping at the first failure.
 check:
 	scripts/check.sh
 

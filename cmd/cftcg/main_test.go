@@ -100,6 +100,15 @@ func TestFuzzRefusesOverflowingMaxTuples(t *testing.T) {
 	}
 }
 
+// TestFuzzRefusesTooManyWorkers: -workers above the campaign's shard limit
+// is refused, naming the limit, before any engine is built.
+func TestFuzzRefusesTooManyWorkers(t *testing.T) {
+	_, stderr, code := cftcg(t, "fuzz", "SolarPV", "-workers", "65", "-execs", "1")
+	if code != 1 || !strings.Contains(stderr, "shards 65 outside [0, 64]") {
+		t.Errorf("cftcg fuzz -workers 65: exit %d, stderr %q; want exit 1 naming the limit", code, stderr)
+	}
+}
+
 // TestFuzzSuiteMinimizeTrim drives the suite path: fuzz -o writes a suite,
 // -minimize -trim writes one of no more cases and bytes, and cov -json
 // replays both to the same decision and condition coverage. (MCDC may

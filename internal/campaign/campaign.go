@@ -32,9 +32,22 @@ import (
 	"cftcg/internal/testcase"
 )
 
+// maxShards caps Config.Shards (and Spec.Shards): a campaign builds one
+// engine per shard.
+const maxShards = 64
+
+// checkShards refuses a shard count outside [0, maxShards] (0 means 1).
+func checkShards(n int) error {
+	if n < 0 || n > maxShards {
+		return fmt.Errorf("shards %d outside [0, %d]", n, maxShards)
+	}
+	return nil
+}
+
 // Config describes a multi-shard campaign over one compiled model.
 type Config struct {
-	// Shards is the number of shard engines (defaults to 1).
+	// Shards is the number of shard engines: 0 means 1, and New refuses a
+	// count outside [0, 64].
 	Shards int
 	// Fuzz is the per-shard option template. Seeds are prime-spaced per
 	// shard; CheckpointPath and ResumeFrom are rewritten to per-shard
@@ -44,11 +57,14 @@ type Config struct {
 	Fuzz fuzz.Options
 	// Supervise tunes the shard supervisor; the zero value means defaults.
 	Supervise Supervise
-	// ResumeLenient makes a missing or unreadable per-shard resume
-	// checkpoint start that shard fresh instead of failing the campaign.
-	// The daemon sets it for crash-requeued jobs, where the dead process
-	// may have been killed before some shard ever checkpointed; explicit
-	// user-requested resumes stay strict so typos surface.
+	// ResumeLenient makes a per-shard resume checkpoint that exists but
+	// does not load (unparseable, another version or model, out-of-range
+	// counters) start that shard fresh instead of failing the campaign. A
+	// missing checkpoint starts the shard fresh either way: fuzz.NewEngine
+	// takes it for the first run of a resumable campaign, so a resume path
+	// with a typo runs a fresh campaign. The daemon sets it for
+	// crash-requeued jobs, so that no shard checkpoint can fail a job it
+	// had already accepted.
 	ResumeLenient bool
 	// Observer, when set, receives lifecycle events (checkpoints, restarts,
 	// quarantines) synchronously from campaign goroutines.
@@ -81,7 +97,10 @@ type Campaign struct {
 // New validates the configuration and builds the shard engines. The
 // campaign does not start running until Run is called.
 func New(c *codegen.Compiled, cfg Config) (*Campaign, error) {
-	if cfg.Shards < 1 {
+	if err := checkShards(cfg.Shards); err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
 	cm := &Campaign{
@@ -222,11 +241,12 @@ func mergeResults(c *codegen.Compiled, recs []*coverage.Recorder, results []*fuz
 		out.Suite.Cases = append(out.Suite.Cases, r.Suite.Cases...)
 		out.Violations = append(out.Violations, r.Violations...)
 		out.Stopped = out.Stopped || r.Stopped
-		out.DroppedFindings += r.DroppedFindings
 		if r.CheckpointErr != nil {
 			out.CheckpointErr = r.CheckpointErr
 		}
-		out.Findings = fuzz.MergeFindings(out.Findings, r.Findings)
+		var dropped int
+		out.Findings, dropped = fuzz.MergeFindings(out.Findings, r.Findings)
+		out.DroppedFindings += r.DroppedFindings + dropped
 		timelines = append(timelines, r.Timeline)
 	}
 	// Summed execs and max coverage at aligned elapsed instants, so the

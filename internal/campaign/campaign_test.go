@@ -190,8 +190,9 @@ func TestCampaignMatchesIndependentShards(t *testing.T) {
 					want.Corpus += r.Corpus
 					want.Suite.Cases = append(want.Suite.Cases, r.Suite.Cases...)
 					want.Violations = append(want.Violations, r.Violations...)
-					want.DroppedFindings += r.DroppedFindings
-					want.Findings = fuzz.MergeFindings(want.Findings, r.Findings)
+					var dropped int
+					want.Findings, dropped = fuzz.MergeFindings(want.Findings, r.Findings)
+					want.DroppedFindings += r.DroppedFindings + dropped
 				}
 				want.Suite.Cases = fuzz.Minimize(c, want.Suite.Cases)
 				want.Report = rec.Report()
@@ -322,5 +323,19 @@ func TestCampaignRunTwiceRejected(t *testing.T) {
 	}
 	if _, err := cm.Run(); err == nil {
 		t.Error("second Run should be rejected")
+	}
+}
+
+// TestNewRefusesShardCountOutOfRange: New refuses a shard count outside
+// [0, 64] before it builds any engine. The options carry no budget, so an
+// engine built first would fail with its own error instead.
+func TestNewRefusesShardCountOutOfRange(t *testing.T) {
+	c := magicModel(t)
+	for _, n := range []int{-1, maxShards + 1} {
+		_, err := New(c, Config{Shards: n})
+		want := fmt.Sprintf("shards %d outside [0, %d]", n, maxShards)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("New with %d shards: error %v, want one containing %q", n, err, want)
+		}
 	}
 }

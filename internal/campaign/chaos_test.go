@@ -1,5 +1,3 @@
-//go:build faultinject
-
 package campaign
 
 import (
@@ -253,7 +251,7 @@ func TestChaosHangingShardRestarted(t *testing.T) {
 func TestChaosPanickingShardQuarantinedDegraded(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Set("fuzz.loop:shard1", faultinject.Failpoint{
-		Kind: faultinject.KindPanic, Msg: "injected shard panic", P: 1,
+		Kind: faultinject.KindPanic, Msg: "injected shard panic",
 	})
 	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Supervise: fastSupervise()})
 	if err != nil {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -100,6 +101,43 @@ func TestJournalDurableLifecycle(t *testing.T) {
 	}
 	waitState(t, srv2, next.ID, StateDone)
 	drain(t, srv2)
+}
+
+// TestJournalRestartRefusesCorpusExport: a finished job's corpus lives in
+// the process that ran it, not in its job file. After a restart the export
+// answers 409 naming the job and the reason, not an empty corpus that
+// reads as a campaign that found nothing.
+func TestJournalRestartRefusesCorpusExport(t *testing.T) {
+	cfg := ServerConfig{Journal: t.TempDir()}
+	srv, err := NewServerWithConfig(testResolver(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := srv.Submit(Spec{Model: "Magic", MaxExecs: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, job.ID, StateDone)
+	ts := httptest.NewServer(srv.Handler())
+	code, cases, msg := getCorpus(t, ts, job.ID)
+	ts.Close()
+	if code != http.StatusOK || len(cases) == 0 {
+		t.Fatalf("export before the restart: status %d, %d cases (%s)", code, len(cases), msg)
+	}
+	drain(t, srv)
+
+	srv2, err := NewServerWithConfig(testResolver(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, srv2)
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	code, cases, msg = getCorpus(t, ts2, job.ID)
+	want := fmt.Sprintf("campaign %d is done: its corpus is not kept across a daemon restart", job.ID)
+	if code != http.StatusConflict || cases != nil || msg != want {
+		t.Errorf("export after the restart: status %d, %d cases, error %q; want 409 and %q", code, len(cases), msg, want)
+	}
 }
 
 // TestJournalRequeuesInterrupted: a job file left in state running — the

@@ -51,14 +51,11 @@ type Spec struct {
 	MutantBudget int `json:"mutantBudget,omitempty"`
 }
 
-// maxShards caps Spec.Shards: a campaign builds one engine per shard.
-const maxShards = 64
-
 // options translates the wire spec into engine options, rejecting a shard
-// count outside [0, maxShards] (0 means 1).
+// count that New would refuse.
 func (sp *Spec) options() (fuzz.Options, error) {
-	if sp.Shards < 0 || sp.Shards > maxShards {
-		return fuzz.Options{}, fmt.Errorf("shards %d outside [0, %d]", sp.Shards, maxShards)
+	if err := checkShards(sp.Shards); err != nil {
+		return fuzz.Options{}, err
 	}
 	mode, err := fuzz.ParseMode(sp.Mode)
 	if err != nil {
@@ -687,10 +684,20 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		job.mu.Lock()
-		cases := job.corpus
-		cm := job.campaign
+		cases, cm := job.corpus, job.campaign
+		state, started := job.State, !job.Started.IsZero()
 		job.mu.Unlock()
-		if cases == nil && cm != nil {
+		// A job this process never ran has no corpus to export: an empty
+		// answer would read as a campaign that found nothing.
+		switch {
+		case cm == nil && started:
+			httpError(w, http.StatusConflict,
+				fmt.Errorf("campaign %d is %s: its corpus is not kept across a daemon restart", job.ID, state))
+			return
+		case cm == nil:
+			httpError(w, http.StatusConflict, fmt.Errorf("campaign %d is %s and has not run", job.ID, state))
+			return
+		case cases == nil:
 			cases = cm.CorpusExport()
 		}
 		writeJSON(w, http.StatusOK, corpusPayload{Model: job.Spec.Model, Cases: cases})

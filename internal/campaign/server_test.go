@@ -61,6 +61,25 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body, out any) int
 	return resp.StatusCode
 }
 
+// getCorpus exports job id's corpus over HTTP, returning the status code,
+// the exported cases and the error message of a refusal.
+func getCorpus(t *testing.T, ts *httptest.Server, id int) (int, [][]byte, string) {
+	t.Helper()
+	resp, err := ts.Client().Get(fmt.Sprintf("%s/api/campaigns/%d/corpus", ts.URL, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Cases [][]byte `json:"cases"`
+		Error string   `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("corpus export of job %d: decode: %v", id, err)
+	}
+	return resp.StatusCode, body.Cases, body.Error
+}
+
 // TestServerLiveStatusAndMetrics drives the full service loop over HTTP:
 // submit, watch the live snapshot and /metrics while the campaign runs,
 // inject a corpus, stop, export the corpus, drain.
@@ -175,6 +194,64 @@ func TestServerLiveStatusAndMetrics(t *testing.T) {
 		t.Errorf("import into finished campaign: want 409, got %d", code)
 	}
 
+	drain(t, srv)
+}
+
+// TestServerCorpusExportNeedsARun: a job that has not run has no corpus.
+// Exporting one that is queued, canceled while queued, or failed before
+// its campaign started answers 409 naming the job and its state, not an
+// empty corpus that reads as a campaign that found nothing.
+func TestServerCorpusExportNeedsARun(t *testing.T) {
+	magic := magicModel(t)
+	release := make(chan struct{})
+	srv, err := NewServerWithConfig(func(name string) (*codegen.Compiled, error) {
+		<-release
+		if name != "Magic" {
+			return nil, fmt.Errorf("unknown model %q", name)
+		}
+		return magic, nil
+	}, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// The single runner wedges resolving the first job, so the others wait.
+	var jobs []*Job
+	for _, spec := range []Spec{
+		{Model: "Magic", MaxExecs: 300},
+		{Model: "Magic", MaxExecs: 100},
+		{Model: "Magic", MaxExecs: 100},
+		{Model: "NoSuch", MaxExecs: 100},
+	} {
+		job, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	refused := func(id int, state string) {
+		t.Helper()
+		code, cases, msg := getCorpus(t, ts, id)
+		want := fmt.Sprintf("campaign %d is %s and has not run", id, state)
+		if code != http.StatusConflict || cases != nil || msg != want {
+			t.Errorf("export of job %d: status %d, %d cases, error %q; want 409 and %q", id, code, len(cases), msg, want)
+		}
+	}
+	refused(jobs[1].ID, StateQueued)
+	if err := srv.StopJob(jobs[2].ID); err != nil {
+		t.Fatal(err)
+	}
+	refused(jobs[2].ID, StateCanceled)
+
+	close(release)
+	waitState(t, srv, jobs[3].ID, StateFailed)
+	refused(jobs[3].ID, StateFailed)
+	waitState(t, srv, jobs[0].ID, StateDone)
+	if code, cases, msg := getCorpus(t, ts, jobs[0].ID); code != http.StatusOK || len(cases) == 0 {
+		t.Errorf("export of a finished job: status %d, %d cases (%s)", code, len(cases), msg)
+	}
 	drain(t, srv)
 }
 

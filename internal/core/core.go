@@ -190,7 +190,9 @@ func ReadSeedDir(dir string) ([][]byte, error) {
 }
 
 // Trace replays one binary test case and writes a VCD waveform of every
-// inport and outport to w, for inspection in a waveform viewer.
+// inport and outport to w, for inspection in a waveform viewer. When init
+// or a step fails (a hang exhausts its fuel), the waveform ends after the
+// last completed step and Trace returns the error, naming the step.
 func (s *System) Trace(w io.Writer, data []byte) error {
 	prog := s.Compiled.Prog
 	var signals []vcd.Signal
@@ -203,16 +205,25 @@ func (s *System) Trace(w io.Writer, data []byte) error {
 	vw := vcd.New(w, s.Model.Name, s.Model.SampleTime, signals)
 
 	m := vm.NewThreadedFromCode(s.Compiled.Threaded(), nil)
-	m.Init()
+	err := m.Init()
+	if err != nil {
+		err = fmt.Errorf("init: %w", err)
+	}
 	lay := s.Layout()
 	in := make([]uint64, len(lay.Fields))
 	sample := make([]uint64, len(signals))
-	for it := 0; it < lay.Steps(data); it++ {
+	for it := 0; err == nil && it < lay.Steps(data); it++ {
 		lay.Decode(in, data, it)
-		m.Step(in)
+		if err = m.Step(in); err != nil {
+			err = fmt.Errorf("step %d: %w", it, err)
+			break
+		}
 		copy(sample, in)
 		copy(sample[len(in):], m.Out())
 		vw.Step(sample)
 	}
-	return vw.Close()
+	if cerr := vw.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,8 @@ import (
 
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/fuzz"
+	"cftcg/internal/model"
+	"cftcg/internal/vm"
 )
 
 func solarpv(t *testing.T) *System {
@@ -171,6 +175,47 @@ func TestTraceVCD(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("VCD missing %q", want)
 		}
+	}
+}
+
+// TestTraceStopsAtHang: a case whose second step runs a nested 1000x1000
+// while past vm.DefaultFuel traces the completed first step, then returns
+// the hang naming its step instead of sampling the stale outputs of the
+// hung step and stepping on from its partial state.
+func TestTraceStopsAtHang(t *testing.T) {
+	b := model.NewBuilder("Spin")
+	x := b.Inport("x", model.Int32)
+	ml := b.Matlab("spin", `
+input  int32 x;
+output int32 y = 0;
+var    int32 i = 0;
+var    int32 j = 0;
+while (i < x) {
+    j = 0;
+    while (j < 1000) {
+        j = j + 1;
+        y = y + 1;
+    }
+    i = i + 1;
+}
+`, x)
+	b.Outport("y", model.Int32, ml.Out(0))
+	sys, err := FromModel(b.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 4*sys.Layout().TupleSize) // x = 0, 1000, 0, 0
+	binary.LittleEndian.PutUint32(data[sys.Layout().TupleSize:], 1000)
+	var sb strings.Builder
+	err = sys.Trace(&sb, data)
+	var hang *vm.HangError
+	if !errors.As(err, &hang) || !strings.HasPrefix(err.Error(), "step 1: ") {
+		t.Fatalf("Trace of a case that hangs at step 1: error %v, want the hang naming step 1", err)
+	}
+	// Step 0's sample (#0), then the closing timestamp (#1), and nothing after.
+	out := sb.String()
+	if !strings.Contains(out, "#0\n") || !strings.HasSuffix(out, "#1\n") || strings.Contains(out, "#2\n") {
+		t.Errorf("trace should hold step 0 alone, got:\n%s", out)
 	}
 }
 

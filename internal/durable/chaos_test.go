@@ -1,5 +1,3 @@
-//go:build faultinject
-
 package durable
 
 import (

@@ -88,8 +88,9 @@ func WriteCheckpoint(path string, cp *Checkpoint) error {
 	return nil
 }
 
-// LoadCheckpoint reads and validates a checkpoint file: its version and the
-// range of its counters.
+// LoadCheckpoint reads and validates a checkpoint file: its version, the
+// range of its counters and the number of its findings, which an engine
+// caps at maxFindings.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -105,6 +106,9 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if cp.Execs < 0 || cp.Execs > maxCheckpointCount || cp.Steps < 0 || cp.Steps > maxCheckpointCount {
 		return nil, fmt.Errorf("fuzz: checkpoint %s: execs %d, steps %d: counters must lie in [0, 2^62]",
 			path, cp.Execs, cp.Steps)
+	}
+	if len(cp.Findings) > maxFindings {
+		return nil, fmt.Errorf("fuzz: checkpoint %s: %d findings, at most %d", path, len(cp.Findings), maxFindings)
 	}
 	return &cp, nil
 }

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -57,6 +58,37 @@ func TestLoadCheckpointRejectsBadCounters(t *testing.T) {
 		// Past its budget already: the resumed run only replays.
 		if res := eng.Run(); res.Execs < tc.execs {
 			t.Errorf("resumed execs %d fell below the saved %d", res.Execs, tc.execs)
+		}
+	}
+}
+
+// TestLoadCheckpointRejectsTooManyFindings: an engine stores at most
+// maxFindings findings, so LoadCheckpoint refuses a checkpoint holding
+// more, which a resumed engine would otherwise restore in full.
+func TestLoadCheckpointRejectsTooManyFindings(t *testing.T) {
+	c := benchCompiled(t, "SolarPV")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "solarpv.ckpt")
+	if res := MustEngine(c, Options{Seed: 1, MaxExecs: 200, CheckpointPath: path}).Run(); res.CheckpointErr != nil {
+		t.Fatal(res.CheckpointErr)
+	}
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{maxFindings, maxFindings + 1} {
+		edited := *cp
+		edited.Findings = nil
+		for i := 0; i < n; i++ {
+			edited.Findings = append(edited.Findings, Finding{Kind: FindingHang, Site: fmt.Sprintf("loop%d", i), Count: 1})
+		}
+		p := filepath.Join(dir, "edited.ckpt")
+		if err := WriteCheckpoint(p, &edited); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCheckpoint(p)
+		if ok := n <= maxFindings; (err == nil) != ok {
+			t.Errorf("%d findings: LoadCheckpoint err = %v, want ok=%v", n, err, ok)
 		}
 	}
 }

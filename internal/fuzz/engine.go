@@ -106,8 +106,8 @@ type Options struct {
 	OnCheckpoint func(err error)
 
 	// Label tags this engine for observability; the campaign layer sets it
-	// to the shard name. Chaos builds scope the engine-loop failpoint by it
-	// ("fuzz.loop:<label>") so a fault can target one shard.
+	// to the shard name. It scopes the engine-loop failpoint
+	// ("fuzz.loop:<label>") so a chaos test can target one shard.
 	Label string
 }
 
@@ -170,7 +170,8 @@ type Result struct {
 	// anomalies) deduplicated by site — first-class campaign results next
 	// to coverage, in the way libFuzzer treats timeouts and crashes.
 	Findings []Finding
-	// DroppedFindings counts distinct finding sites beyond the stored cap.
+	// DroppedFindings counts the occurrences of finding sites left unstored
+	// because the cap of 64 distinct sites was full.
 	DroppedFindings int
 	// Stopped reports that the campaign ended on an external stop request
 	// (SIGINT path) rather than by exhausting its budget.
@@ -660,9 +661,9 @@ func (e *Engine) Run() *Result {
 			stopped = true
 			break
 		}
-		// Chaos-build failpoint: an injected delay simulates a wedged shard
+		// Chaos-test failpoint: an injected delay simulates a wedged shard
 		// (the supervisor's watchdog must catch it), an injected panic a
-		// crashing one. Compiles to nothing in production builds.
+		// crashing one. Unarmed, it is one inlined atomic load.
 		_ = faultinject.Eval(e.fpLoop)
 		e.drainInbox()
 		if e.opts.MaxExecs > 0 && e.execs >= e.opts.MaxExecs {

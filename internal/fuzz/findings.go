@@ -71,12 +71,15 @@ func findingKey(kind FindingKind, site string) string {
 
 // MergeFindings folds src into dst, deduplicating by (kind, site): a site
 // already present keeps its first reproducer (and earliest discovery time)
-// and accumulates the occurrence count; new sites are appended in order.
-// Both the parallel-worker merge and the campaign layer use this so every
-// consumer agrees on what "the same bug" means.
-func MergeFindings(dst, src []Finding) []Finding {
+// and accumulates the occurrence count; new sites are appended in order
+// while dst holds fewer than the engine's cap of stored findings, and the
+// occurrences of the rest are returned as dropped, for the merged result's
+// DroppedFindings. The campaign merge uses it, so a merged result agrees
+// with its shards on what "the same bug" means and holds no more findings
+// than one engine.
+func MergeFindings(dst, src []Finding) (merged []Finding, dropped int) {
 	if len(src) == 0 {
-		return dst
+		return dst, 0
 	}
 	idx := make(map[string]int, len(dst))
 	for i, f := range dst {
@@ -91,10 +94,14 @@ func MergeFindings(dst, src []Finding) []Finding {
 			}
 			continue
 		}
+		if len(dst) >= maxFindings {
+			dropped += f.Count
+			continue
+		}
 		idx[key] = len(dst)
 		dst = append(dst, f)
 	}
-	return dst
+	return dst, dropped
 }
 
 // recordFinding dedups by (kind, site): the first input reaching a site is

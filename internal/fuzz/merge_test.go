@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -20,9 +21,9 @@ func TestMergeFindingsDedupsBySite(t *testing.T) {
 		// Same site string, different kind: must stay distinct.
 		{Kind: FindingCrash, Site: "loop1", Count: 1, Found: 4 * time.Second},
 	}
-	got := MergeFindings(dst, src)
-	if len(got) != 4 {
-		t.Fatalf("want 4 distinct findings, got %d: %v", len(got), got)
+	got, dropped := MergeFindings(dst, src)
+	if len(got) != 4 || dropped != 0 {
+		t.Fatalf("want 4 distinct findings and none dropped, got %d (%d dropped): %v", len(got), dropped, got)
 	}
 	hang := got[0]
 	if hang.Count != 5 {
@@ -34,8 +35,31 @@ func TestMergeFindingsDedupsBySite(t *testing.T) {
 	if !reflect.DeepEqual(hang.Input, []byte{1}) {
 		t.Errorf("merged finding should keep the first reproducer, got %v", hang.Input)
 	}
-	if got := MergeFindings(nil, nil); got != nil {
-		t.Errorf("empty merge: got %v", got)
+	if got, dropped := MergeFindings(nil, nil); got != nil || dropped != 0 {
+		t.Errorf("empty merge: got %v, %d dropped", got, dropped)
+	}
+}
+
+// TestMergeFindingsCapped: merging two results of maxFindings distinct
+// sites each keeps maxFindings findings, as one engine would, and counts
+// the occurrences of the sites left out as dropped; a site already stored
+// still accumulates its count.
+func TestMergeFindingsCapped(t *testing.T) {
+	sites := func(prefix string, count int) []Finding {
+		out := make([]Finding, maxFindings)
+		for i := range out {
+			out[i] = Finding{Kind: FindingHang, Site: fmt.Sprintf("%s%d", prefix, i), Count: count}
+		}
+		return out
+	}
+	src := append(sites("b", 2), Finding{Kind: FindingHang, Site: "a0", Count: 3})
+	got, dropped := MergeFindings(sites("a", 1), src)
+	if len(got) != maxFindings || dropped != 2*maxFindings {
+		t.Errorf("merged %d findings with %d occurrences dropped, want %d and %d",
+			len(got), dropped, maxFindings, 2*maxFindings)
+	}
+	if got[0].Count != 4 {
+		t.Errorf("stored site a0 should sum 1+3, got %d", got[0].Count)
 	}
 }
 
