@@ -51,8 +51,8 @@ mutate-smoke:
 
 # cover enforces the statement-coverage floors on the load-bearing
 # packages (VM backends, IR, coverage recorder, fuzz engine, mutation
-# subsystem and its equivalence prover, static analysis); see
-# scripts/cover.sh for the committed floors.
+# subsystem and its equivalence prover, static analysis, campaign layer);
+# see scripts/cover.sh for the committed floors.
 cover:
 	scripts/cover.sh
 

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -32,6 +33,7 @@ import (
 	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/campaign"
+	"cftcg/internal/codegen"
 	"cftcg/internal/core"
 	"cftcg/internal/fuzz"
 	"cftcg/internal/mutate"
@@ -101,11 +103,7 @@ func main() {
 
 		var res *fuzz.Result
 		if *workers > 1 {
-			// A campaign of independent shards, merged at the end: each shard
-			// checkpoints to and resumes from its own <path>.shardK file.
-			cm, err := campaign.New(sys.Compiled, campaign.Config{Shards: *workers, Fuzz: opts})
-			check(err)
-			res, err = cm.Run()
+			res, err = fuzzWorkers(sys.Compiled, *workers, opts, os.Stderr)
 			check(err)
 		} else {
 			res, err = sys.Fuzz(opts)
@@ -416,6 +414,24 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// fuzzWorkers runs a campaign of independent shards, merged at the end:
+// each shard checkpoints to and resumes from its own <path>.shardK file.
+// Each shard that failed is named on stderr with its error; the result
+// merges the others, as the daemon's degraded jobs do.
+func fuzzWorkers(c *codegen.Compiled, workers int, opts fuzz.Options, stderr io.Writer) (*fuzz.Result, error) {
+	cm, err := campaign.New(c, campaign.Config{Shards: workers, Fuzz: opts})
+	if err != nil {
+		return nil, err
+	}
+	res, err := cm.Run()
+	for _, sh := range cm.Snapshot().Shards {
+		if sh.Quarantined {
+			fmt.Fprintf(stderr, "cftcg: shard %d failed: %s\n", sh.Shard, sh.LastError)
+		}
+	}
+	return res, err
 }
 
 // appendNewCases appends to suite the cases of round whose bytes it does not

@@ -19,6 +19,8 @@ import (
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/core"
 	"cftcg/internal/coverage"
+	"cftcg/internal/faultinject"
+	"cftcg/internal/fuzz"
 	"cftcg/internal/model"
 	"cftcg/internal/mutate"
 	"cftcg/internal/testcase"
@@ -106,6 +108,33 @@ func TestFuzzRefusesTooManyWorkers(t *testing.T) {
 	_, stderr, code := cftcg(t, "fuzz", "SolarPV", "-workers", "65", "-execs", "1")
 	if code != 1 || !strings.Contains(stderr, "shards 65 outside [0, 64]") {
 		t.Errorf("cftcg fuzz -workers 65: exit %d, stderr %q; want exit 1 naming the limit", code, stderr)
+	}
+}
+
+// TestFuzzWorkersNamesFailedShard: a shard of a `fuzz -workers` campaign
+// whose engine panics is named on stderr with its panic, and the surviving
+// shards' merged result stands: it is not an interrupted campaign.
+func TestFuzzWorkersNamesFailedShard(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Set("fuzz.loop:shard1", faultinject.Failpoint{
+		Kind: faultinject.KindPanic, Msg: "shard 1 dies",
+	})
+	sys, err := core.Resolve("SolarPV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	res, err := fuzzWorkers(sys.Compiled, 3, fuzz.Options{Seed: 1, MaxExecs: 500}, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "cftcg: shard 1 failed: panic: faultinject: failpoint fuzz.loop:shard1: shard 1 dies\n"
+	if stderr.String() != want {
+		t.Errorf("stderr %q, want %q", stderr.String(), want)
+	}
+	if res.Stopped || res.Execs != 2*500 || len(res.Suite.Cases) == 0 {
+		t.Errorf("want the two surviving shards' result, not stopped: stopped %v, execs %d, %d cases",
+			res.Stopped, res.Execs, len(res.Suite.Cases))
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package campaign is the multi-worker layer above the fuzzing engine: a
 // Campaign runs N shard engines over one compiled model with whole-campaign
-// checkpointing and per-shard supervision (panic capture, stall watchdog,
-// restart-from-checkpoint, quarantine), and Server wraps campaigns in an
-// HTTP control plane (queue, crash-durable job files, JSON status,
-// Prometheus-text metrics, corpus export/import, graceful drain). Both
-// `cftcg fuzz -workers N` and the cftcgd daemon run their shards here.
+// checkpointing and per-shard panic capture (a shard whose engine panics
+// fails, and the campaign finishes degraded on the others), and Server
+// wraps campaigns in an HTTP control plane (queue, crash-durable job files,
+// JSON status, Prometheus-text metrics, corpus export/import, graceful
+// drain). Both `cftcg fuzz -workers N` and the cftcgd daemon run their
+// shards here.
 //
 // Shards share nothing while they run. Each fuzzes its own corpus from its
 // own seed (Seed + k·7919); Run merges them once all finish: union
@@ -55,8 +56,6 @@ type Config struct {
 	// and resumes; OnNewCoverage, OnCheckpoint and Label are owned by the
 	// campaign, and closing Stop stops every shard.
 	Fuzz fuzz.Options
-	// Supervise tunes the shard supervisor; the zero value means defaults.
-	Supervise Supervise
 	// ResumeLenient makes a per-shard resume checkpoint that exists but
 	// does not load (unparseable, another version or model, out-of-range
 	// counters) start that shard fresh instead of failing the campaign. A
@@ -66,18 +65,39 @@ type Config struct {
 	// crash-requeued jobs, so that no shard checkpoint can fail a job it
 	// had already accepted.
 	ResumeLenient bool
-	// Observer, when set, receives lifecycle events (checkpoints, restarts,
-	// quarantines) synchronously from campaign goroutines.
+	// Observer, when set, receives one EventCheckpoint per shard
+	// checkpoint write attempt, synchronously from that shard's goroutine.
 	Observer func(ObserverEvent)
 }
 
-// Campaign runs one model across N independent shard engines, each under a
-// supervisor, and merges their results. Create with New, drive with Run
-// (blocking), observe concurrently with Snapshot, stop with Stop.
+// EventCheckpoint is the Kind of every ObserverEvent.
+const EventCheckpoint = "checkpoint"
+
+// ObserverEvent reports one shard checkpoint write to Config.Observer:
+// Kind is EventCheckpoint and Err the write's outcome. Observers run on
+// the shard's goroutine, so they must be fast and thread-safe.
+type ObserverEvent struct {
+	Kind  string
+	Shard int
+	Err   error
+}
+
+// shardSlot is one shard position in the ensemble: its engine, built once
+// by New, and the panic that failed it, if any. Corpus import, snapshots
+// and the final merge all go through it.
+type shardSlot struct {
+	eng *fuzz.Engine
+
+	mu      sync.Mutex
+	lastErr string // "panic: ..." once the engine's Run panicked
+}
+
+// Campaign runs one model across N independent shard engines and merges
+// their results. Create with New, drive with Run (blocking), observe
+// concurrently with Snapshot, stop with Stop.
 type Campaign struct {
 	c      *codegen.Compiled
 	cfg    Config
-	sup    Supervise
 	shards []*shardSlot
 	shared *coverage.SharedProgress
 
@@ -86,7 +106,7 @@ type Campaign struct {
 
 	pollinated atomic.Int64 // inputs that reached campaign-wide new coverage
 	running    atomic.Bool
-	degraded   atomic.Bool // at least one shard quarantined
+	degraded   atomic.Bool // at least one shard failed
 
 	mu        sync.Mutex
 	startedAt time.Time
@@ -106,7 +126,6 @@ func New(c *codegen.Compiled, cfg Config) (*Campaign, error) {
 	cm := &Campaign{
 		c:      c,
 		cfg:    cfg,
-		sup:    cfg.Supervise.withDefaults(),
 		shared: coverage.NewShared(c.Plan),
 		stop:   make(chan struct{}),
 	}
@@ -131,7 +150,7 @@ func New(c *codegen.Compiled, cfg Config) (*Campaign, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign: shard %d: %w", w, err)
 		}
-		cm.shards[w] = &shardSlot{idx: w, opts: o, eng: eng}
+		cm.shards[w] = &shardSlot{eng: eng}
 	}
 	return cm, nil
 }
@@ -153,11 +172,10 @@ func (cm *Campaign) onNewCoverage(seen []uint64) {
 	}
 }
 
-// Run executes every shard concurrently under supervision and blocks until
-// all finish, then merges the surviving shards' results (see mergeResults)
-// and minimizes the merged suite. Quarantined shards are excluded from the
-// merge; only if every shard was quarantined does Run fail. Run may be
-// called once.
+// Run executes every shard concurrently and blocks until all finish, then
+// merges the results of the shards that did not fail (see mergeResults) and
+// minimizes the merged suite. A failed shard leaves the campaign degraded;
+// only if every shard failed does Run fail. Run may be called once.
 func (cm *Campaign) Run() (*fuzz.Result, error) {
 	cm.mu.Lock()
 	if !cm.startedAt.IsZero() {
@@ -182,43 +200,56 @@ func (cm *Campaign) Run() (*fuzz.Result, error) {
 	}
 
 	results := make([]*fuzz.Result, len(cm.shards))
-	recs := make([]*coverage.Recorder, len(cm.shards))
 	var wg sync.WaitGroup
-	for _, sl := range cm.shards {
+	for i, sl := range cm.shards {
 		wg.Add(1)
-		go func(sl *shardSlot) {
+		go func() {
 			defer wg.Done()
-			results[sl.idx], recs[sl.idx] = cm.superviseShard(sl)
-		}(sl)
+			results[i] = cm.runShard(sl)
+		}()
 	}
 	wg.Wait()
 	cm.running.Store(false)
 
-	// Quarantined (or stop-interrupted) shards yield nil; merge the rest.
+	// Failed shards yield nil; merge the rest.
 	var mres []*fuzz.Result
 	var mrecs []*coverage.Recorder
-	for i := range results {
-		if results[i] != nil {
-			mres = append(mres, results[i])
-			mrecs = append(mrecs, recs[i])
+	for i, r := range results {
+		if r != nil {
+			mres = append(mres, r)
+			mrecs = append(mrecs, cm.shards[i].eng.Recorder())
 		}
 	}
 	cm.mu.Lock()
 	cm.elapsed = time.Since(cm.startedAt)
 	cm.mu.Unlock()
 	if len(mres) == 0 {
-		return nil, fmt.Errorf("campaign: all %d shards quarantined", len(cm.shards))
+		return nil, fmt.Errorf("campaign: all %d shards failed", len(cm.shards))
 	}
 	out := mergeResults(cm.c, mrecs, mres)
 	out.Suite.Cases = fuzz.Minimize(cm.c, out.Suite.Cases)
-	if cm.degraded.Load() {
-		out.Stopped = true // partial ensemble: flag the result as incomplete
-	}
 
 	cm.mu.Lock()
 	cm.result = out
 	cm.mu.Unlock()
 	return out, nil
+}
+
+// runShard runs one shard's engine to the end of its budget. A panic out of
+// the engine fails the shard at once: its message becomes the shard's
+// LastError, the campaign is degraded, and runShard returns nil so the
+// shard stays out of the merge. The engine is not run again; a panic that
+// depends only on the engine's state would recur.
+func (cm *Campaign) runShard(sl *shardSlot) *fuzz.Result {
+	defer func() {
+		if r := recover(); r != nil {
+			sl.mu.Lock()
+			sl.lastErr = fmt.Sprint("panic: ", r)
+			sl.mu.Unlock()
+			cm.degraded.Store(true)
+		}
+	}()
+	return sl.eng.Run()
 }
 
 // mergeResults folds per-shard results into one ensemble result: the union
@@ -263,15 +294,15 @@ func (cm *Campaign) Stop() {
 	cm.stopOnce.Do(func() { close(cm.stop) })
 }
 
-// Degraded reports whether any shard has been quarantined — the campaign is
-// still producing a result, but from a partial ensemble.
+// Degraded reports whether any shard has failed — the campaign still
+// produces a result, but from a partial ensemble.
 func (cm *Campaign) Degraded() bool { return cm.degraded.Load() }
 
 // Inject delivers an external input (corpus import) to every shard; each
 // shard's own admission policy decides whether it enters that corpus.
 func (cm *Campaign) Inject(data []byte) {
 	for _, sl := range cm.shards {
-		sl.engine().Inject(data)
+		sl.eng.Inject(data)
 	}
 }
 
@@ -280,7 +311,7 @@ func (cm *Campaign) Inject(data []byte) {
 func (cm *Campaign) CorpusExport() [][]byte {
 	var out [][]byte
 	for _, sl := range cm.shards {
-		out = append(out, sl.engine().Cases()...)
+		out = append(out, sl.eng.Cases()...)
 	}
 	return out
 }
@@ -296,9 +327,8 @@ func (cm *Campaign) Result() *fuzz.Result {
 type ShardStatus struct {
 	Shard int `json:"shard"`
 	fuzz.LiveStats
-	// Restarts counts supervisor-driven engine replacements; Quarantined
-	// marks a shard the supervisor gave up on (LastError says why).
-	Restarts    int    `json:"restarts,omitempty"`
+	// Quarantined marks a shard whose engine panicked; LastError holds the
+	// panic. The shard is left out of the merged result.
 	Quarantined bool   `json:"quarantined,omitempty"`
 	LastError   string `json:"lastError,omitempty"`
 }
@@ -330,11 +360,12 @@ type Snapshot struct {
 	Pollinated int64 `json:"pollinated"`
 	Received   int64 `json:"received"`
 
-	// Supervision: total engine restarts, quarantined shard count, whether
-	// the ensemble is running degraded, and the oldest successful shard
-	// checkpoint (zero when none has been written) — the staleness bound on
-	// what a crash-restart would lose.
-	Restarts         int       `json:"restarts,omitempty"`
+	// Deprecated: shards are never restarted; Restarts is always 0.
+	Restarts int `json:"-"`
+	// Failed (quarantined) shard count, whether the ensemble is degraded by
+	// one, and the oldest successful shard checkpoint (zero when none has
+	// been written) — the staleness bound on what a crash-restart would
+	// lose.
 	Quarantined      int       `json:"quarantined,omitempty"`
 	Degraded         bool      `json:"degraded,omitempty"`
 	OldestCheckpoint time.Time `json:"oldestCheckpoint,omitempty"`
@@ -360,18 +391,11 @@ func (cm *Campaign) Snapshot() Snapshot {
 	}
 	for i, sl := range cm.shards {
 		sl.mu.Lock()
-		eng := sl.eng
-		st := ShardStatus{
-			Shard:       i,
-			Restarts:    sl.restarts,
-			Quarantined: sl.quarantined,
-			LastError:   sl.lastErr,
-		}
+		st := ShardStatus{Shard: i, Quarantined: sl.lastErr != "", LastError: sl.lastErr}
 		sl.mu.Unlock()
-		ls := eng.LiveStats()
+		ls := sl.eng.LiveStats()
 		st.LiveStats = ls
 		s.Shards[i] = st
-		s.Restarts += st.Restarts
 		if st.Quarantined {
 			s.Quarantined++
 		} else if !ls.LastCheckpoint.IsZero() &&

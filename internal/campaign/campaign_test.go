@@ -10,6 +10,7 @@ import (
 	"cftcg/internal/benchmodels"
 	"cftcg/internal/codegen"
 	"cftcg/internal/coverage"
+	"cftcg/internal/faultinject"
 	"cftcg/internal/fuzz"
 	"cftcg/internal/model"
 	"cftcg/internal/testcase"
@@ -309,6 +310,52 @@ func TestWholeCampaignCheckpoint(t *testing.T) {
 	}
 	if res2.Execs < res1.Execs {
 		t.Errorf("resumed execs went backwards: %d < %d", res2.Execs, res1.Execs)
+	}
+}
+
+// TestFailedShardDegradesWithoutStopping: a shard whose engine panics
+// fails, and the campaign finishes degraded, not stopped (Stopped means an
+// external stop). The merged result is the surviving shard's alone: it
+// equals a one-shard campaign's with the same seed.
+func TestFailedShardDegradesWithoutStopping(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.Set("fuzz.loop:shard1", faultinject.Failpoint{
+		Kind: faultinject.KindPanic, Msg: "shard 1 dies",
+	})
+	c := saturationModel(t)
+	opts := fuzz.Options{Seed: 3, MaxExecs: 2000}
+	cm, err := New(c, Config{Shards: 2, Fuzz: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cm.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stopped {
+		t.Error("a campaign with a failed shard was not stopped: Result.Stopped must be false")
+	}
+	snap := cm.Snapshot()
+	if !cm.Degraded() || !snap.Degraded || snap.Quarantined != 1 {
+		t.Errorf("want a degraded campaign with one failed shard: %+v", snap)
+	}
+	if sh := snap.Shards[1]; !sh.Quarantined || !strings.Contains(sh.LastError, "panic") || !strings.Contains(sh.LastError, "shard 1 dies") {
+		t.Errorf("shard 1 should fail on its panic: %+v", sh)
+	}
+	if snap.Shards[0].Quarantined || snap.Shards[0].LastError != "" {
+		t.Errorf("shard 0 should finish: %+v", snap.Shards[0])
+	}
+
+	one, err := New(c, Config{Shards: 1, Fuzz: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := one.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := fingerprint(res), fingerprint(want); g != w {
+		t.Errorf("degraded campaign differs from its surviving shard:\n--- degraded\n%s--- shard 0 alone\n%s", g, w)
 	}
 }
 

@@ -84,17 +84,6 @@ func runChaosServer(dir string) {
 	log.Fatal(http.Serve(ln, srv.Handler()))
 }
 
-// fastSupervise keeps chaos recoveries inside test timescales.
-func fastSupervise() Supervise {
-	return Supervise{
-		StallTimeout: 80 * time.Millisecond,
-		Poll:         10 * time.Millisecond,
-		KillGrace:    30 * time.Millisecond,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   5 * time.Millisecond,
-	}
-}
-
 // TestChaosKill9LosesNoAcceptedCampaign is the headline durability claim:
 // SIGKILL a daemon with one running and one queued campaign; a restarted
 // server must still know both, requeue both, resume the running one from its
@@ -205,55 +194,16 @@ func TestChaosKill9LosesNoAcceptedCampaign(t *testing.T) {
 	drain(t, srv)
 }
 
-// TestChaosHangingShardRestarted: a shard wedged by an injected delay is
-// detected by the liveness watchdog, abandoned after the kill grace, and its
-// replacement finishes the campaign — no hang, result intact.
-func TestChaosHangingShardRestarted(t *testing.T) {
-	defer faultinject.Reset()
-	c := magicModel(t)
-	// One iteration of shard 0 blocks far past the stall timeout; the sleep
-	// is kept short enough that the abandoned goroutine exits during the
-	// test run rather than lingering.
-	faultinject.Set("fuzz.loop:shard0", faultinject.Failpoint{
-		Kind: faultinject.KindDelay, Delay: 2 * time.Second, Times: 1,
-	})
-	cm, err := New(c, Config{
-		Shards:    1,
-		Fuzz:      fuzz.Options{Seed: 1, MaxExecs: 2000},
-		Supervise: fastSupervise(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cm.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := cm.Snapshot()
-	if snap.Restarts < 1 {
-		t.Errorf("hanging shard should have been restarted, snapshot: %+v", snap)
-	}
-	if snap.Degraded || snap.Quarantined != 0 {
-		t.Errorf("recovered shard must not be quarantined: %+v", snap)
-	}
-	if res.Execs == 0 {
-		t.Error("restarted shard did no work")
-	}
-	if !strings.Contains(snap.Shards[0].LastError, "no progress") {
-		t.Errorf("stall cause not surfaced: %q", snap.Shards[0].LastError)
-	}
-}
-
-// TestChaosPanickingShardQuarantinedDegraded: a shard that panics on every
-// attempt strikes out, is quarantined, and the campaign completes degraded
-// on the surviving shard — with the quarantine visible in the job status and
-// the Prometheus metrics.
+// TestChaosPanickingShardQuarantinedDegraded: a shard that panics once
+// fails on that panic, and the campaign completes degraded on the surviving
+// shard — with the failed (quarantined) shard and its panic visible in the
+// job status and the Prometheus metrics.
 func TestChaosPanickingShardQuarantinedDegraded(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Set("fuzz.loop:shard1", faultinject.Failpoint{
-		Kind: faultinject.KindPanic, Msg: "injected shard panic",
+		Kind: faultinject.KindPanic, Msg: "injected shard panic", Times: 1,
 	})
-	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{Supervise: fastSupervise()})
+	srv, err := NewServerWithConfig(testResolver(t), ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +221,11 @@ func TestChaosPanickingShardQuarantinedDegraded(t *testing.T) {
 	if st.Snapshot == nil || st.Snapshot.Quarantined != 1 {
 		t.Fatalf("want exactly one quarantined shard: %+v", st.Snapshot)
 	}
-	if !st.Snapshot.Shards[1].Quarantined || !strings.Contains(st.Snapshot.Shards[1].LastError, "panic") {
-		t.Errorf("shard 1 quarantine cause not surfaced: %+v", st.Snapshot.Shards[1])
+	if sh := st.Snapshot.Shards[1]; !sh.Quarantined || !strings.Contains(sh.LastError, "injected shard panic") {
+		t.Errorf("shard 1 failure not surfaced: %+v", sh)
+	}
+	if st.Stopped {
+		t.Error("a degraded campaign was not stopped: it must not read stopped")
 	}
 	if st.Report == nil {
 		t.Error("degraded campaign must still produce the surviving shards' report")
@@ -286,7 +239,6 @@ func TestChaosPanickingShardQuarantinedDegraded(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf(`cftcg_campaign_quarantined_shards{campaign="%d",model="Magic"} 1`, job.ID),
 		fmt.Sprintf(`cftcg_campaign_degraded{campaign="%d",model="Magic"} 1`, job.ID),
-		fmt.Sprintf(`cftcg_campaign_shard_restarts_total{campaign="%d",model="Magic"} 2`, job.ID),
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
@@ -296,9 +248,9 @@ func TestChaosPanickingShardQuarantinedDegraded(t *testing.T) {
 }
 
 // TestChaosCheckpointPanicNeverCorrupts: a panic injected into the
-// checkpoint write path kills the shard mid-save; the supervisor restarts it
-// from the last good checkpoint and the file stays loadable throughout — the
-// write-to-temp/rename protocol holds even when the writer dies.
+// checkpoint write path kills the shard at its third save; the shard fails,
+// and the file its second save left stays loadable — the write-to-temp/rename
+// protocol holds even when the writer dies.
 func TestChaosCheckpointPanicNeverCorrupts(t *testing.T) {
 	defer faultinject.Reset()
 	c := magicModel(t)
@@ -310,28 +262,27 @@ func TestChaosCheckpointPanicNeverCorrupts(t *testing.T) {
 	cm, err := New(c, Config{
 		Shards: 1,
 		Fuzz: fuzz.Options{
-			Seed: 1, MaxExecs: 200000,
-			CheckpointPath: ckpt, CheckpointEvery: time.Millisecond,
+			// A 1ns interval saves at every periodic check (every 256
+			// execs), so the third save comes long before the budget ends.
+			Seed: 1, MaxExecs: 5000,
+			CheckpointPath: ckpt, CheckpointEvery: time.Nanosecond,
 		},
-		Supervise: fastSupervise(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cm.Run()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := cm.Run(); err == nil || !strings.Contains(err.Error(), "all 1 shards failed") {
+		t.Fatalf("Run: err %v, want the one shard failed", err)
 	}
-	snap := cm.Snapshot()
-	if snap.Restarts < 1 {
-		t.Errorf("checkpoint panic should have forced a restart: %+v", snap)
+	if sh := cm.Snapshot().Shards[0]; !sh.Quarantined || !strings.Contains(sh.LastError, "die mid-checkpoint") {
+		t.Errorf("shard should fail on the checkpoint panic: %+v", sh)
 	}
 	cp, err := fuzz.LoadCheckpoint(fuzz.ShardCheckpointPath(ckpt, 0))
 	if err != nil {
 		t.Fatalf("checkpoint corrupt after mid-save panic: %v", err)
 	}
-	if cp.Execs == 0 || res.Execs == 0 {
-		t.Error("campaign or checkpoint recorded no work")
+	if cp.Execs == 0 {
+		t.Error("checkpoint recorded no work")
 	}
 }
 

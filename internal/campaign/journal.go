@@ -34,7 +34,7 @@ type journalJob struct {
 	State     string           `json:"state"`
 	Error     string           `json:"error,omitempty"`
 	Stopped   bool             `json:"stopped,omitempty"`  // finished on an external stop rather than its budget
-	Degraded  bool             `json:"degraded,omitempty"` // finished with at least one quarantined shard
+	Degraded  bool             `json:"degraded,omitempty"` // finished with at least one failed shard
 	Report    *coverage.Report `json:"report,omitempty"`
 	Mutation  *mutate.Summary  `json:"mutation,omitempty"`
 	Submitted time.Time        `json:"submitted"`

@@ -60,11 +60,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_pollinations_total counter")
 	fmt.Fprintln(w, "# HELP cftcg_campaign_shard_execs_total Fuzz-driver executions per shard.")
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_shard_execs_total counter")
-	fmt.Fprintln(w, "# HELP cftcg_campaign_shard_restarts_total Supervisor engine restarts per campaign.")
-	fmt.Fprintln(w, "# TYPE cftcg_campaign_shard_restarts_total counter")
-	fmt.Fprintln(w, "# HELP cftcg_campaign_quarantined_shards Shards the supervisor has given up on.")
+	fmt.Fprintln(w, "# HELP cftcg_campaign_quarantined_shards Shards that failed on a panic and are left out of the merge.")
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_quarantined_shards gauge")
-	fmt.Fprintln(w, "# HELP cftcg_campaign_degraded 1 when the campaign runs with quarantined shards.")
+	fmt.Fprintln(w, "# HELP cftcg_campaign_degraded 1 when a shard of the campaign failed.")
 	fmt.Fprintln(w, "# TYPE cftcg_campaign_degraded gauge")
 	fmt.Fprintln(w, "# HELP cftcg_mutants_total Mutants generated for the post-campaign mutation-score pass.")
 	fmt.Fprintln(w, "# TYPE cftcg_mutants_total gauge")
@@ -96,7 +94,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		for _, sh := range snap.Shards {
 			fmt.Fprintf(w, "cftcg_campaign_shard_execs_total{%s,shard=\"%d\"} %d\n", base, sh.Shard, sh.Execs)
 		}
-		fmt.Fprintf(w, "cftcg_campaign_shard_restarts_total{%s} %d\n", base, snap.Restarts)
 		fmt.Fprintf(w, "cftcg_campaign_quarantined_shards{%s} %d\n", base, snap.Quarantined)
 		deg := 0
 		if snap.Degraded {

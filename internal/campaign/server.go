@@ -196,8 +196,6 @@ type ServerConfig struct {
 	// campaigns reappear in the API, interrupted ones are requeued and
 	// resume from their shards' checkpoints.
 	Journal string
-	// Supervise tunes shard supervision for every campaign this server runs.
-	Supervise Supervise
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -373,7 +371,6 @@ func (s *Server) launch(job *Job) (*Campaign, *fuzz.Result, error) {
 	cm, err := New(compiled, Config{
 		Shards:        job.Spec.Shards,
 		Fuzz:          opts,
-		Supervise:     s.cfg.Supervise,
 		ResumeLenient: job.requeued,
 	})
 	if err != nil {
@@ -528,9 +525,10 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Health is the daemon's self-assessment, served on /healthz. Status is
 // "degraded" — with HTTP 503 — when durability or capacity is compromised:
-// the journal cannot persist transitions, a running campaign has quarantined
-// shards, or the queue is saturated. Liveness stays 200 while draining
-// (the process is healthy, just finishing); readiness (/readyz) does not.
+// the journal cannot persist transitions, a running campaign has a failed
+// (quarantined) shard, or the queue is saturated. Liveness stays 200 while
+// draining (the process is healthy, just finishing); readiness (/readyz)
+// does not.
 type Health struct {
 	Status            string  `json:"status"` // ok | degraded
 	UptimeSeconds     float64 `json:"uptimeSeconds"`

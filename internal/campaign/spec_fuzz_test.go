@@ -12,9 +12,9 @@ import (
 
 // FuzzSpec feeds arbitrary bytes through the daemon's spec path: the JSON
 // decode of POST /api/campaigns, then Spec.options and Options.Validate as
-// Submit applies them. A spec they accept runs on one unsupervised engine —
-// a shard supervisor would turn a panic into a quarantined shard — over a
-// one-inport model, with 20 execs, no wall budget and no checkpoint files.
+// Submit applies them. A spec they accept runs on one bare engine — a
+// campaign would recover a panic as a failed shard — over a one-inport
+// model, with 20 execs, no wall budget and no checkpoint files.
 // NewEngine may refuse the spec; a panic fails the target. The model's
 // tuple is 2 bytes, so a MaxTuples that wraps the input length cap negative
 // (the overflowing-max-tuples seed) reaches the mutators unless NewEngine

@@ -134,7 +134,7 @@ func ShardCheckpointPath(base string, shard int) string {
 // the save interval has elapsed. Save errors are remembered (surfaced on the
 // final flush) but do not abort the campaign.
 func (e *Engine) maybeCheckpoint() {
-	if e.opts.CheckpointPath == "" || e.ckptOff.Load() || time.Since(e.lastCkpt) < e.opts.CheckpointEvery {
+	if e.opts.CheckpointPath == "" || time.Since(e.lastCkpt) < e.opts.CheckpointEvery {
 		return
 	}
 	e.lastCkpt = time.Now()
@@ -153,12 +153,6 @@ func (e *Engine) flushCheckpoint() {
 		e.opts.OnCheckpoint(e.ckptErr)
 	}
 }
-
-// DisableCheckpoint permanently stops this engine writing checkpoints. The
-// shard supervisor calls it before abandoning a wedged engine so a zombie
-// goroutine waking up later cannot clobber its replacement's checkpoint file
-// with stale state. Safe to call from any goroutine.
-func (e *Engine) DisableCheckpoint() { e.ckptOff.Store(true) }
 
 // replayCheckpoint restores a loaded checkpoint: every saved corpus entry is
 // replayed through the instrumented program (rebuilding coverage, cases and

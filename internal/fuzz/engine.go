@@ -102,7 +102,9 @@ type Options struct {
 
 	// OnCheckpoint, when non-nil, is invoked from the engine's goroutine
 	// after every checkpoint write attempt (periodic and final) with the
-	// write's outcome. The campaign layer journals these transitions.
+	// write's outcome. The campaign layer forwards each outcome to its
+	// Config.Observer as an EventCheckpoint and writes no job record for
+	// it.
 	OnCheckpoint func(err error)
 
 	// Label tags this engine for observability; the campaign layer sets it
@@ -237,8 +239,7 @@ type Engine struct {
 	lastCkpt        time.Time
 	lastCkptOK      time.Time // last successful checkpoint write
 	ckptErr         error
-	ckptOff         atomic.Bool // set when a supervisor abandons this engine
-	fpLoop          string      // per-engine run-loop failpoint name
+	fpLoop          string // per-engine run-loop failpoint name
 
 	// import inbox: external inputs (a campaign's corpus import), delivered
 	// by Inject from foreign goroutines and drained by the run loop.
@@ -661,9 +662,9 @@ func (e *Engine) Run() *Result {
 			stopped = true
 			break
 		}
-		// Chaos-test failpoint: an injected delay simulates a wedged shard
-		// (the supervisor's watchdog must catch it), an injected panic a
-		// crashing one. Unarmed, it is one inlined atomic load.
+		// Chaos-test failpoint: an injected panic simulates a crashing
+		// shard, which its campaign fails. Unarmed, it is one inlined
+		// atomic load.
 		_ = faultinject.Eval(e.fpLoop)
 		e.drainInbox()
 		if e.opts.MaxExecs > 0 && e.execs >= e.opts.MaxExecs {
@@ -694,7 +695,7 @@ func (e *Engine) Run() *Result {
 		}
 	}
 
-	if e.opts.CheckpointPath != "" && !e.ckptOff.Load() {
+	if e.opts.CheckpointPath != "" {
 		e.flushCheckpoint()
 	}
 	e.samplePoint()

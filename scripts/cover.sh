@@ -6,9 +6,10 @@
 # probe writes), the fuzz engine (Algorithm 1's feedback scan, corpus,
 # checkpoints and minimization), the mutation subsystem (mutant
 # generation, the kill oracle, and the equivalence prover that takes
-# unkillable mutants out of the score), and the static analysis (the one
+# unkillable mutants out of the score), the static analysis (the one
 # abstract transfer function, Eval, that both the dead-objective pass and
-# the equivalence prover trust).
+# the equivalence prover trust), and the campaign layer (the shard merge,
+# the failed-shard path, the daemon's job files and status plane).
 # Fails when a package drops below its committed floor. Floors ratchet up
 # with the test suite; lower one only with a reviewed justification.
 set -eu
@@ -31,3 +32,4 @@ check internal/coverage 85
 check internal/fuzz 85
 check internal/mutate 80
 check internal/analysis 85
+check internal/campaign 85
