@@ -15,9 +15,16 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Race runs in -short mode: the headline campaign comparisons are
-# timing-sensitive and starve under the race detector's ~15x slowdown; the
-# plain `test` target runs them at native speed. -short skips only the
-# kill-9 chaos test, which lint runs under -race.
+# timing-sensitive and starve under the race detector's ~15x slowdown.
+# -short skips TestHeadlineResult, TestFuzzOnlyAblationDirection and the
+# kill-9 chaos test (which lint runs under -race); runs the outputs of record
+# (TestOutputsOfRecord, TestMutateFeedbackOutputsOfRecord,
+# TestProverNeverProvesKilledMutant, without its full-pool rows),
+# TestInfoPrintsMutationPool, TestGenerateSamplesLikeVerifyAllThenShuffle and
+# TestVerifyStrictMatchesVerifyErrors on SolarPV only; drops the 3-shard row
+# of TestCampaignMatchesIndependentShards; and cuts the random programs of
+# TestDeadSoundnessDifferential and the samples of TestEvalSoundAgainstVM.
+# The plain `test` target runs all of it in full, at native speed.
 race:
 	$(GO) test -short -race ./...
 

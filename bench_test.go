@@ -1,24 +1,18 @@
-// Package cftcg_test holds the benchmark harness that regenerates every
-// table and figure of the paper's evaluation:
+// Package cftcg_test holds the root package's micro-benchmarks and the
+// dead-objective soundness test:
 //
 //	BenchmarkTable1MutationStrategies  — Table 1 (mutation strategy costs)
-//	BenchmarkTable2ModelStats          — Table 2 (benchmark statistics)
-//	BenchmarkTable3Coverage            — Table 3 (coverage per tool/model)
-//	BenchmarkFigure7CoverageOverTime   — Figure 7 (decision coverage vs time)
-//	BenchmarkFigure8FuzzOnly           — Figure 8 (model-oriented vs fuzz-only)
 //	BenchmarkSpeedVMvsInterp           — §4 (26,000 it/s vs 6 it/s claim)
-//	BenchmarkCPUTaskDeepBranches       — §4 (CPUTask 37 s vs 44.5 h estimate)
-//	BenchmarkAblationIterDiff          — Algorithm 1 corpus-priority ablation
+//	BenchmarkVMBackends                — switch vs threaded VM step rates
 //
-// Coverage percentages are attached to each benchmark result as custom
-// metrics (decision%, condition%, mcdc%); `cmd/benchtab` prints the same
-// data as formatted tables.
+// The tables and figures of the evaluation are `cmd/benchtab` experiments,
+// each one `harness.RunModel` sweep or `RunTool` call; the performance
+// ledger under `bench/` is the benchmark of record.
 package cftcg_test
 
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"cftcg/internal/analysis"
 	"cftcg/internal/benchmodels"
@@ -27,9 +21,6 @@ import (
 	"cftcg/internal/fuzz"
 	"cftcg/internal/interp"
 	"cftcg/internal/model"
-	"cftcg/internal/mutate"
-	"cftcg/internal/simcotest"
-	"cftcg/internal/sldv"
 	"cftcg/internal/vm"
 )
 
@@ -74,130 +65,6 @@ func BenchmarkTable1MutationStrategies(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTable2ModelStats compiles every benchmark model and reports its
-// branch/block statistics as metrics.
-func BenchmarkTable2ModelStats(b *testing.B) {
-	for _, e := range benchmodels.All() {
-		e := e
-		b.Run(e.Name, func(b *testing.B) {
-			var branches, blocks int
-			for i := 0; i < b.N; i++ {
-				m := e.Build()
-				c, err := codegen.Compile(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				branches = c.Plan.NumBranches
-				blocks = m.Root.CountBlocks()
-			}
-			b.ReportMetric(float64(branches), "branches")
-			b.ReportMetric(float64(e.PaperBranch), "paper-branches")
-			b.ReportMetric(float64(blocks), "blocks")
-		})
-	}
-}
-
-func reportCoverage(b *testing.B, rep coverage.Report) {
-	b.ReportMetric(rep.Decision(), "decision%")
-	b.ReportMetric(rep.Condition(), "condition%")
-	b.ReportMetric(rep.MCDC(), "mcdc%")
-}
-
-// BenchmarkTable3Coverage runs each tool on each model with a small fixed
-// work budget and attaches the achieved coverage as metrics. Scale the
-// budgets (and use cmd/benchtab for wall-clock runs) to approach the
-// paper's 24-hour numbers.
-func BenchmarkTable3Coverage(b *testing.B) {
-	for _, e := range benchmodels.All() {
-		e := e
-		c, err := codegen.Compile(e.Build())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(e.Name+"/CFTCG", func(b *testing.B) {
-			var rep coverage.Report
-			for i := 0; i < b.N; i++ {
-				res := fuzz.MustEngine(c, fuzz.Options{Seed: 1, MaxExecs: 20000}).Run()
-				rep = res.Report
-			}
-			reportCoverage(b, rep)
-		})
-		b.Run(e.Name+"/SLDV", func(b *testing.B) {
-			var rep coverage.Report
-			for i := 0; i < b.N; i++ {
-				res, err := sldv.Run(c, sldv.Options{MaxDepth: 4, NodeBudget: 20000})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep = res.Report
-			}
-			reportCoverage(b, rep)
-		})
-		b.Run(e.Name+"/SimCoTest", func(b *testing.B) {
-			var rep coverage.Report
-			for i := 0; i < b.N; i++ {
-				res, err := simcotest.Run(c.Design, c.Plan, c.Index, simcotest.Options{
-					Seed: 1, Horizon: 50, MaxSims: 40,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep = res.Report
-			}
-			reportCoverage(b, rep)
-		})
-	}
-}
-
-// BenchmarkFigure7CoverageOverTime runs a short CFTCG campaign per model and
-// reports how quickly decision coverage accumulates (time to half of the
-// final coverage, plus the final value).
-func BenchmarkFigure7CoverageOverTime(b *testing.B) {
-	for _, e := range benchmodels.All() {
-		e := e
-		c, err := codegen.Compile(e.Build())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(e.Name, func(b *testing.B) {
-			var final float64
-			var half time.Duration
-			for i := 0; i < b.N; i++ {
-				res := fuzz.MustEngine(c, fuzz.Options{Seed: 1, Budget: 300 * time.Millisecond}).Run()
-				final = res.Report.Decision()
-				half = 0
-				for _, p := range res.Timeline {
-					if p.Decision >= final/2 {
-						half = p.Elapsed
-						break
-					}
-				}
-			}
-			b.ReportMetric(final, "decision%")
-			b.ReportMetric(float64(half.Microseconds()), "us-to-half-coverage")
-		})
-	}
-}
-
-// BenchmarkFigure8FuzzOnly compares full CFTCG with the fuzz-only ablation
-// at an identical execution budget.
-func BenchmarkFigure8FuzzOnly(b *testing.B) {
-	for _, name := range []string{"SolarPV", "CPUTask", "TWC", "EVCS"} {
-		c := compileBench(b, name)
-		for _, mode := range []fuzz.Mode{fuzz.ModeModelOriented, fuzz.ModeFuzzOnly} {
-			mode := mode
-			b.Run(name+"/"+mode.String(), func(b *testing.B) {
-				var rep coverage.Report
-				for i := 0; i < b.N; i++ {
-					res := fuzz.MustEngine(c, fuzz.Options{Seed: 1, Mode: mode, MaxExecs: 20000}).Run()
-					rep = res.Report
-				}
-				reportCoverage(b, rep)
-			})
-		}
 	}
 }
 
@@ -311,44 +178,6 @@ func BenchmarkVMBackends(b *testing.B) {
 	}
 }
 
-// BenchmarkCPUTaskDeepBranches measures how much fuzzing work reaches the
-// queue-full branches of CPUTask, reporting the iteration count that at
-// engine speed would take the paper's estimated 44.5 hours.
-func BenchmarkCPUTaskDeepBranches(b *testing.B) {
-	c := compileBench(b, "CPUTask")
-	var rep coverage.Report
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		res := fuzz.MustEngine(c, fuzz.Options{Seed: 1, MaxExecs: 30000}).Run()
-		rep = res.Report
-		steps = res.Steps
-	}
-	b.ReportMetric(rep.Decision(), "decision%")
-	b.ReportMetric(float64(steps), "model-iterations")
-	// At the paper's 6 it/s engine rate, the same iterations would need:
-	b.ReportMetric(float64(steps)/6/3600, "hours-at-engine-speed")
-}
-
-// BenchmarkAblationIterDiff isolates Algorithm 1's contribution: identical
-// mutation and feedback, with and without iteration-difference corpus
-// priority.
-func BenchmarkAblationIterDiff(b *testing.B) {
-	for _, name := range []string{"CPUTask", "TCP"} {
-		c := compileBench(b, name)
-		for _, mode := range []fuzz.Mode{fuzz.ModeModelOriented, fuzz.ModeNoIterDiff} {
-			mode := mode
-			b.Run(name+"/"+mode.String(), func(b *testing.B) {
-				var rep coverage.Report
-				for i := 0; i < b.N; i++ {
-					res := fuzz.MustEngine(c, fuzz.Options{Seed: 1, Mode: mode, MaxExecs: 20000}).Run()
-					rep = res.Report
-				}
-				reportCoverage(b, rep)
-			})
-		}
-	}
-}
-
 // seededDeadModel is the static-analysis acceptance model: the live logic is
 // a value window on one "needle" input, several decoy inputs feed data-only
 // paths, and a saturated comparison seeds a provably dead branch.
@@ -412,35 +241,4 @@ func TestFuzzNeverReachesDeadObjectives(t *testing.T) {
 			}
 		}
 	}
-}
-
-// BenchmarkMutantKill measures mutant-runner throughput: a fixed mutant
-// pool for CPUTask executed in VM lockstep against a freshly fuzzed suite.
-// The kill rate is attached as a custom metric alongside mutant-execs/s.
-func BenchmarkMutantKill(b *testing.B) {
-	e, err := benchmodels.Get("CPUTask")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := e.Build()
-	c, err := codegen.Compile(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	muts := mutate.Generate(c, m, mutate.Config{Limit: 40, Seed: 1})
-	if len(muts) == 0 {
-		b.Fatal("no mutants generated")
-	}
-	res := fuzz.MustEngine(c, fuzz.Options{Seed: 1, MaxExecs: 2000}).Run()
-	cases := make([][]byte, 0, len(res.Suite.Cases))
-	for _, tc := range res.Suite.Cases {
-		cases = append(cases, tc.Data)
-	}
-	b.ResetTimer()
-	var rep *mutate.Report
-	for i := 0; i < b.N; i++ {
-		rep = mutate.Run(c, muts, cases, mutate.RunConfig{NoProve: true})
-	}
-	b.ReportMetric(float64(rep.Steps)*float64(b.N)/b.Elapsed().Seconds(), "mutant-steps/s")
-	b.ReportMetric(rep.Summary.Score, "score")
 }

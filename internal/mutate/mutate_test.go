@@ -74,11 +74,18 @@ func rawIRVariantCount(c *codegen.Compiled) int {
 // TestOperatorsEmitValidMutants is the property test: on every benchmark
 // model, every mutant from every operator passes Program.Validate and the
 // strict verifier — and none is silently rejected by Generate's defensive
-// filter (the operators themselves must be shape-preserving).
+// filter (the operators themselves must be shape-preserving). It also pins
+// the benchmark traffic to the threaded VM's dense micro-ops: neither a
+// model's compiled code nor any mutant's has a reference-step dispatch site,
+// so a lowering or operator change that moves work onto the reference step
+// fails here.
 func TestOperatorsEmitValidMutants(t *testing.T) {
 	for _, e := range benchmodels.All() {
 		m := e.Build()
 		c := compile(t, m)
+		if n := c.Threaded().RefSites(); n != 0 {
+			t.Errorf("%s: compiled code has %d reference-step dispatch sites, want 0", e.Name, n)
+		}
 		muts := Generate(c, m, Config{})
 		if len(muts) == 0 {
 			t.Fatalf("%s: no mutants generated", e.Name)
@@ -90,6 +97,9 @@ func TestOperatorsEmitValidMutants(t *testing.T) {
 			}
 			if err := analysis.VerifyStrict(mu.Prog, mu.Plan); err != nil {
 				t.Errorf("%s: mutant %s fails verifier: %v", e.Name, mu, err)
+			}
+			if n := mu.threaded().RefSites(); n != 0 {
+				t.Errorf("%s: mutant %s has %d reference-step dispatch sites, want 0", e.Name, mu, n)
 			}
 			if mu.Func != "chart" {
 				irCount++

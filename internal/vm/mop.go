@@ -15,20 +15,30 @@ import (
 // shift, order-bias xor) precomputed. The stream is contiguous, so dispatch
 // is a sequential fetch plus one dense-switch jump — no per-instruction
 // opcode switch over the full Op space and no per-call type switches inside
-// the model encode/decode helpers. An instruction without a dense kind
-// (math on a non-Float64 type, Bool arithmetic, bitwise ops on Bool or
-// floats, ill-typed compares, neg/abs and casts) compiles to mRef, which
-// runs the reference single-instruction step over the source instruction:
-// its value comes from EvalPure, like the reference Machine's.
+// the model encode/decode helpers.
+//
+// A dense kind stays only while a benchmark workload compiles to it: the 8
+// models and their full mutant pools are the whole traffic of the fuzz and
+// mutate workloads. Every other instruction compiles to mRef, which runs
+// the reference single-instruction step over the source instruction, so its
+// value comes from EvalPure, like the reference Machine's. The mRef shapes:
+//   - math (sqrt…trunc), shl/shr, bit-or and bit-xor on every type, and
+//     Bool xor;
+//   - Float32 arithmetic, compares, neg, abs, truth and casts to or from
+//     Float32;
+//   - float64 eq/ne outside a compare-and-branch, and float64 truth;
+//   - unsigned div, and abs on every type but Float64;
+//   - Bool arithmetic, bit-and on Bool and floats, and integer→Bool casts;
+//   - arithmetic, bit-and, compares, neg and casts on an invalid type;
+//   - unknown opcodes, which the step runs as no-ops.
 //
 // Width tricks the integer kinds rely on (w = bit width, mask = 2^w-1):
-//   - add/sub/mul/neg and the bitwise ops are determined by the low w bits,
-//     so one masked uint64 computation serves signed and unsigned alike;
+//   - add/sub/mul/neg and bit-and are determined by the low w bits, so one
+//     masked uint64 computation serves signed and unsigned alike;
 //   - eq/ne compare masked raws (sign extension is injective);
 //   - ordered compares xor both sides with xorv — 2^(w-1) for signed types,
 //     0 for unsigned — which maps signed order onto unsigned order;
-//   - shift amounts take only the low 5 bits of the raw (w >= 8 > 5);
-//   - div/shr/abs on signed types sign-extend for real via sh = 64-w.
+//   - signed div sign-extends for real via sh = 64-w.
 type mop struct {
 	imm  uint64 // const payload, in/out/state index
 	mask uint64 // payload mask (integer kinds)
@@ -40,7 +50,7 @@ type mop struct {
 	tgt  int32 // jump target, fused store slot
 	kind uint8
 	cost uint8 // fuel units: instructions this mop covers (1, or span for fused)
-	sh   uint8 // sign-extension shift for signed div/shr/abs
+	sh   uint8 // sign-extension shift for signed div and signed-source casts
 	flag bool  // fused cmp+jmp polarity (true = jmpIf)
 }
 
@@ -65,19 +75,11 @@ const (
 	mAddM
 	mSubM
 	mMulM
-	mDivU
 	mDivS
 	mMinM
 	mMaxM
 	mBitAndM
-	mBitOrM
-	mBitXorM
-	mShlM
-	mShrU
-	mShrS
 	mNegM
-	mAbsU
-	mAbsS
 	mEqM
 	mNeM
 	mLtM
@@ -89,7 +91,6 @@ const (
 	// Bool logic (operates on canonical 0/1 payloads).
 	mAnd
 	mOr
-	mXor
 	mNot
 
 	// Float64 kinds.
@@ -101,61 +102,25 @@ const (
 	mMaxF
 	mNegF
 	mAbsF
-	mSqrtF
-	mExpF
-	mLogF
-	mSinF
-	mCosF
-	mTanF
-	mFloorF
-	mCeilF
-	mRoundF
-	mTruncF
-	mEqF
-	mNeF
 	mLtF
 	mLeF
 	mGtF
 	mGeF
-	mTruthF
-	mTruthF32
-
-	// Float32 kinds (decode to float64, compute, round once on encode —
-	// the reference arith() sequence, bit for bit).
-	mAddF32
-	mSubF32
-	mMulF32
-	mDivF32
-	mMinF32
-	mMaxF32
-	mNegF32
-	mAbsF32
-	mEqF32
-	mNeF32
-	mLtF32
-	mLeF32
-	mGtF32
-	mGeF32
 
 	// Reference fallback: the reference step executes the source
 	// instruction (see the file comment).
 	mRef
 
-	// Cast kinds: every valid type pair pre-decoded into masked/shifted
-	// register ops (mask = combined or target payload mask, sh = source
-	// sign-extension shift, imm/xorv = float64 bits of the target's integer
-	// clamp bounds for float sources). Ill-typed pairs run mRef.
-	mCastZX     // unsigned/bool -> int: mask only
-	mCastSX     // signed -> int: sign-extend, re-mask
-	mCastIB     // any int-like -> bool: masked non-zero test
-	mCastSF64   // signed -> float64
-	mCastSF32   // signed -> float32
-	mCastUF64   // unsigned/bool -> float64
-	mCastUF32   // unsigned/bool -> float32
-	mCastF64I   // float64 -> int/bool: trunc, NaN->0, clamp, mask
-	mCastF32I   // float32 -> int/bool
-	mCastF64F32 // float64 -> float32
-	mCastF32F64 // float32 -> float64
+	// Cast kinds: integer/Bool sources to integers and Float64, Float64 to
+	// integers and Bool, pre-decoded into masked/shifted register ops (mask =
+	// combined or target payload mask, sh = source sign-extension shift,
+	// imm/xorv = float64 bits of the target's integer clamp bounds for the
+	// float source). Every other pair runs mRef.
+	mCastZX   // unsigned/bool -> int: mask only
+	mCastSX   // signed -> int: sign-extend, re-mask
+	mCastSF64 // signed -> float64
+	mCastUF64 // unsigned/bool -> float64
+	mCastF64I // float64 -> int/bool: trunc, NaN->0, clamp, mask
 
 	// Superinstructions. All are straight-line except for a trailing
 	// control transfer, so a fuel budget that dies inside one replays a
@@ -166,7 +131,6 @@ const (
 	mFusedConstCmpJmpF // const + float64 cmp + jmpIf/jmpIfNot
 	mFusedMovJmp       // mov + jmp
 	mFusedProbeJmp     // probe + jmp
-	mFusedProbeJin     // probe + jmpIf/jmpIfNot
 	mFusedCondProbeJin // condProbe + jmpIf/jmpIfNot
 	mFusedConstConst   // const + const
 	mFusedConstMov     // const + mov
@@ -176,11 +140,11 @@ const (
 	mFusedConstSt      // const + storeState
 	mFusedStSt         // storeState + storeState
 	mFusedLdMov        // loadState + mov
-	mFusedMovLd        // mov + loadState
 )
 
 // compileMop pre-decodes one instruction. end is the clean-exit pc for halt
-// and out-of-range jump targets.
+// and out-of-range jump targets. An instruction whose opcode and type have
+// no dense kind keeps mRef.
 func compileMop(ins *ir.Instr, pc, end int) mop {
 	m := mop{
 		dst:  int32(ins.Dst),
@@ -189,6 +153,7 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 		c:    int32(ins.C),
 		imm:  ins.Imm,
 		cost: 1,
+		kind: mRef,
 	}
 	dt := ins.DT
 	intLike := dt.IsInteger()
@@ -252,21 +217,6 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			case ir.OpMax:
 				m.kind = mMaxF
 			}
-		case dt == model.Float32:
-			switch ins.Op {
-			case ir.OpAdd:
-				m.kind = mAddF32
-			case ir.OpSub:
-				m.kind = mSubF32
-			case ir.OpMul:
-				m.kind = mMulF32
-			case ir.OpDiv:
-				m.kind = mDivF32
-			case ir.OpMin:
-				m.kind = mMinF32
-			case ir.OpMax:
-				m.kind = mMaxF32
-			}
 		case intLike:
 			switch ins.Op {
 			case ir.OpAdd:
@@ -278,164 +228,84 @@ func compileMop(ins *ir.Instr, pc, end int) mop {
 			case ir.OpDiv:
 				if signed {
 					m.kind = mDivS
-				} else {
-					m.kind = mDivU
 				}
 			case ir.OpMin:
 				m.kind = mMinM
 			case ir.OpMax:
 				m.kind = mMaxM
 			}
-		default: // Bool, invalid
-			m.kind = mRef
 		}
 	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
 		switch {
-		case dt == model.Float64:
-			m.kind = [...]uint8{mEqF, mNeF, mLtF, mLeF, mGtF, mGeF}[ins.Op-ir.OpEq]
-		case dt == model.Float32:
-			m.kind = [...]uint8{mEqF32, mNeF32, mLtF32, mLeF32, mGtF32, mGeF32}[ins.Op-ir.OpEq]
+		case dt == model.Float64 && ins.Op >= ir.OpLt:
+			m.kind = [...]uint8{mLtF, mLeF, mGtF, mGeF}[ins.Op-ir.OpLt]
 		case intLike || dt == model.Bool:
 			if dt == model.Bool {
 				m.mask = 1
 			}
 			m.kind = [...]uint8{mEqM, mNeM, mLtM, mLeM, mGtM, mGeM}[ins.Op-ir.OpEq]
-		default:
-			m.kind = mRef
 		}
-	case ir.OpBitAnd, ir.OpBitOr, ir.OpBitXor, ir.OpShl, ir.OpShr:
+	case ir.OpBitAnd:
 		if intLike {
-			switch ins.Op {
-			case ir.OpBitAnd:
-				m.kind = mBitAndM
-			case ir.OpBitOr:
-				m.kind = mBitOrM
-			case ir.OpBitXor:
-				m.kind = mBitXorM
-			case ir.OpShl:
-				m.kind = mShlM
-			case ir.OpShr:
-				if signed {
-					m.kind = mShrS
-				} else {
-					m.kind = mShrU
-				}
-			}
-		} else {
-			m.kind = mRef
+			m.kind = mBitAndM
 		}
 	case ir.OpAnd:
 		m.kind = mAnd
 	case ir.OpOr:
 		m.kind = mOr
-	case ir.OpXor:
-		m.kind = mXor
 	case ir.OpNot:
 		m.kind = mNot
 	case ir.OpNeg:
 		switch {
 		case dt == model.Float64:
 			m.kind = mNegF
-		case dt == model.Float32:
-			m.kind = mNegF32
 		case intLike || dt == model.Bool:
 			if dt == model.Bool {
 				m.mask = 1
 			}
 			m.kind = mNegM
-		default:
-			m.kind = mRef
 		}
 	case ir.OpAbs:
-		switch {
-		case dt == model.Float64:
-			m.kind = mAbsF
-		case dt == model.Float32:
-			m.kind = mAbsF32
-		case signed:
-			m.kind = mAbsS
-		case intLike || dt == model.Bool:
-			if dt == model.Bool {
-				m.mask = 1
-			}
-			m.kind = mAbsU
-		default:
-			m.kind = mRef
-		}
-	case ir.OpSqrt, ir.OpExp, ir.OpLog, ir.OpSin, ir.OpCos, ir.OpTan,
-		ir.OpFloor, ir.OpCeil, ir.OpRound, ir.OpTrunc:
 		if dt == model.Float64 {
-			m.kind = [...]uint8{mSqrtF, mExpF, mLogF, mSinF, mCosF, mTanF,
-				mFloorF, mCeilF, mRoundF, mTruncF}[ins.Op-ir.OpSqrt]
-		} else {
-			m.kind = mRef
+			m.kind = mAbsF
 		}
 	case ir.OpTruth:
-		switch ins.DT2 {
-		case model.Float64:
-			m.kind = mTruthF
-		case model.Float32:
-			m.kind = mTruthF32
-		default:
-			// Non-float truth is "any payload bit set": sign extension
-			// cannot zero a nonzero value, so the masked raw decides.
-			// Invalid types decode to 0 (mask 0), like model.DecodeInt.
+		// Non-float truth is "any payload bit set": sign extension cannot
+		// zero a nonzero value, so the masked raw decides. Invalid types
+		// decode to 0 (mask 0), like model.DecodeInt.
+		if !ins.DT2.IsFloat() {
 			m.kind = mTruthM
 			m.mask = maskOf(ins.DT2)
 		}
 	case ir.OpCast:
 		to, from := ins.DT, ins.DT2
-		m.kind, m.mask, m.xorv, m.sh = 0, 0, 0, 0
+		m.mask, m.xorv, m.sh = 0, 0, 0
 		intLikeFrom := from == model.Bool || from.IsInteger()
-		intLikeTo := to == model.Bool || to.IsInteger()
 		switch {
 		case to == from && to.Valid():
 			m.kind = mMov // model.Cast is the identity on equal types
 		case intLikeFrom && from.IsSigned():
 			m.sh = uint8(64 - from.Size()*8)
 			switch {
-			case to == model.Bool:
-				m.kind, m.xorv = mCastIB, maskOf(from)
 			case to.IsInteger():
 				m.kind, m.mask = mCastSX, maskOf(to)
 			case to == model.Float64:
 				m.kind = mCastSF64
-			case to == model.Float32:
-				m.kind = mCastSF32
 			}
 		case intLikeFrom:
 			fm := maskOf(from)
 			switch {
-			case to == model.Bool:
-				m.kind, m.xorv = mCastIB, fm
 			case to.IsInteger():
 				m.kind, m.mask = mCastZX, fm&maskOf(to)
 			case to == model.Float64:
 				m.kind, m.mask = mCastUF64, fm
-			case to == model.Float32:
-				m.kind, m.mask = mCastUF32, fm
 			}
-		case from == model.Float64 && to == model.Float32:
-			m.kind = mCastF64F32
-		case from == model.Float32 && to == model.Float64:
-			m.kind = mCastF32F64
-		case from.IsFloat() && intLikeTo:
-			if from == model.Float64 {
-				m.kind = mCastF64I
-			} else {
-				m.kind = mCastF32I
-			}
+		case from == model.Float64 && (to == model.Bool || to.IsInteger()):
+			m.kind = mCastF64I
 			m.imm = math.Float64bits(float64(to.MinInt()))
 			m.xorv = math.Float64bits(float64(to.MaxInt()))
 			m.mask = maskOf(to)
 		}
-		if m.kind == mNop { // ill-typed pair
-			m.kind = mRef
-		}
-	default:
-		// Unknown opcodes execute as no-ops, exactly like the reference
-		// interpreter's switch falling through every case.
-		m.kind = mNop
 	}
 	return m
 }
@@ -479,8 +349,8 @@ func cmpSelF(sel uint8, a, b float64) uint64 {
 
 // fusedCmp gives a compare-and-branch mop its inlined kind and reports
 // whether the compare type has one (integer/bool masked order, or float64).
-// A compare in any other type (Float32, invalid) is not fused: its dense or
-// reference mop and its jump run separately. The op selector rides in the
+// A compare in any other type (Float32, invalid) is not fused: its reference
+// mop and its jump run separately. The op selector rides in the
 // otherwise-unused sh field; mask/xorv are free in both fused compare
 // layouts.
 func fusedCmp(m *mop, op ir.Op, dt model.DType, constForm bool) bool {
@@ -558,15 +428,10 @@ func fuseMops(code []ir.Instr, ms []mop) (fused int) {
 					flag: c1.Op == ir.OpJmpIf,
 				}
 				fusedCmp(&m, c0.Op, c0.DT, false) // if not fused, kind stays 0: no span
-			// probe + jmp / probe + conditional jump: the exit of every
-			// decision diamond's arm.
+			// probe + jmp: the exit of every decision diamond's arm.
 			case c0.Op == ir.OpProbe && c1.Op == ir.OpJmp:
 				m = mop{kind: mFusedProbeJmp, a: int32(c0.A), b: int32(c0.B),
 					tgt: int32(jumpTo(c1.Imm, end))}
-			case c0.Op == ir.OpProbe && isJcc(c1.Op):
-				m = mop{kind: mFusedProbeJin, a: int32(c0.A), b: int32(c0.B),
-					c: int32(c1.A), tgt: int32(jumpTo(c1.Imm, end)),
-					flag: c1.Op == ir.OpJmpIf}
 			case c0.Op == ir.OpProbe && c1.Op == ir.OpMov:
 				m = mop{kind: mFusedProbeMov, a: int32(c0.A), b: int32(c0.B),
 					dst: int32(c1.Dst), c: int32(c1.A)}
@@ -602,9 +467,6 @@ func fuseMops(code []ir.Instr, ms []mop) (fused int) {
 			case c0.Op == ir.OpLoadState && c1.Op == ir.OpMov:
 				m = mop{kind: mFusedLdMov, c: int32(c0.Dst), imm: c0.Imm,
 					dst: int32(c1.Dst), a: int32(c1.A)}
-			case c0.Op == ir.OpMov && c1.Op == ir.OpLoadState:
-				m = mop{kind: mFusedMovLd, dst: int32(c0.Dst), a: int32(c0.A),
-					c: int32(c1.Dst), imm: c1.Imm}
 			}
 			if m.kind != 0 {
 				m.cost = 2
@@ -731,14 +593,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 		case mMulM:
 			rst(rb, int32(m.dst), (rld(rb, int32(m.a))&m.mask)*(rld(rb, int32(m.b))&m.mask)&m.mask)
 			pc++
-		case mDivU:
-			y := rld(rb, int32(m.b)) & m.mask
-			if y == 0 {
-				rst(rb, int32(m.dst), 0)
-			} else {
-				rst(rb, int32(m.dst), (rld(rb, int32(m.a))&m.mask)/y)
-			}
-			pc++
 		case mDivS:
 			y := int64(rld(rb, int32(m.b))<<m.sh) >> m.sh
 			if y == 0 {
@@ -764,33 +618,8 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 		case mBitAndM:
 			rst(rb, int32(m.dst), rld(rb, int32(m.a))&rld(rb, int32(m.b))&m.mask)
 			pc++
-		case mBitOrM:
-			rst(rb, int32(m.dst), (rld(rb, int32(m.a))|rld(rb, int32(m.b)))&m.mask)
-			pc++
-		case mBitXorM:
-			rst(rb, int32(m.dst), (rld(rb, int32(m.a))^rld(rb, int32(m.b)))&m.mask)
-			pc++
-		case mShlM:
-			rst(rb, int32(m.dst), (rld(rb, int32(m.a))&m.mask<<(rld(rb, int32(m.b))&31))&m.mask)
-			pc++
-		case mShrU:
-			rst(rb, int32(m.dst), rld(rb, int32(m.a))&m.mask>>(rld(rb, int32(m.b))&31))
-			pc++
-		case mShrS:
-			rst(rb, int32(m.dst), uint64((int64(rld(rb, int32(m.a))<<m.sh)>>m.sh)>>(rld(rb, int32(m.b))&31))&m.mask)
-			pc++
 		case mNegM:
 			rst(rb, int32(m.dst), (0-rld(rb, int32(m.a))&m.mask)&m.mask)
-			pc++
-		case mAbsU:
-			rst(rb, int32(m.dst), rld(rb, int32(m.a))&m.mask)
-			pc++
-		case mAbsS:
-			v := int64(rld(rb, int32(m.a))<<m.sh) >> m.sh
-			if v < 0 {
-				v = -v
-			}
-			rst(rb, int32(m.dst), uint64(v)&m.mask)
 			pc++
 		case mEqM:
 			rst(rb, int32(m.dst), b2u(rld(rb, int32(m.a))&m.mask == rld(rb, int32(m.b))&m.mask))
@@ -819,9 +648,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 			pc++
 		case mOr:
 			rst(rb, int32(m.dst), (rld(rb, int32(m.a))|rld(rb, int32(m.b)))&1)
-			pc++
-		case mXor:
-			rst(rb, int32(m.dst), (rld(rb, int32(m.a))^rld(rb, int32(m.b)))&1)
 			pc++
 		case mNot:
 			rst(rb, int32(m.dst), (rld(rb, int32(m.a))&1)^1)
@@ -856,52 +682,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 		case mAbsF:
 			rst(rb, int32(m.dst), math.Float64bits(math.Abs(math.Float64frombits(rld(rb, int32(m.a))))))
 			pc++
-		case mSqrtF:
-			x := math.Float64frombits(rld(rb, int32(m.a)))
-			if x < 0 {
-				rst(rb, int32(m.dst), 0)
-			} else {
-				rst(rb, int32(m.dst), math.Float64bits(math.Sqrt(x)))
-			}
-			pc++
-		case mExpF:
-			rst(rb, int32(m.dst), math.Float64bits(math.Exp(math.Float64frombits(rld(rb, int32(m.a))))))
-			pc++
-		case mLogF:
-			x := math.Float64frombits(rld(rb, int32(m.a)))
-			if x <= 0 {
-				rst(rb, int32(m.dst), 0)
-			} else {
-				rst(rb, int32(m.dst), math.Float64bits(math.Log(x)))
-			}
-			pc++
-		case mSinF:
-			rst(rb, int32(m.dst), math.Float64bits(math.Sin(math.Float64frombits(rld(rb, int32(m.a))))))
-			pc++
-		case mCosF:
-			rst(rb, int32(m.dst), math.Float64bits(math.Cos(math.Float64frombits(rld(rb, int32(m.a))))))
-			pc++
-		case mTanF:
-			rst(rb, int32(m.dst), math.Float64bits(math.Tan(math.Float64frombits(rld(rb, int32(m.a))))))
-			pc++
-		case mFloorF:
-			rst(rb, int32(m.dst), math.Float64bits(math.Floor(math.Float64frombits(rld(rb, int32(m.a))))))
-			pc++
-		case mCeilF:
-			rst(rb, int32(m.dst), math.Float64bits(math.Ceil(math.Float64frombits(rld(rb, int32(m.a))))))
-			pc++
-		case mRoundF:
-			rst(rb, int32(m.dst), math.Float64bits(math.Round(math.Float64frombits(rld(rb, int32(m.a))))))
-			pc++
-		case mTruncF:
-			rst(rb, int32(m.dst), math.Float64bits(math.Trunc(math.Float64frombits(rld(rb, int32(m.a))))))
-			pc++
-		case mEqF:
-			rst(rb, int32(m.dst), b2u(math.Float64frombits(rld(rb, int32(m.a))) == math.Float64frombits(rld(rb, int32(m.b)))))
-			pc++
-		case mNeF:
-			rst(rb, int32(m.dst), b2u(math.Float64frombits(rld(rb, int32(m.a))) != math.Float64frombits(rld(rb, int32(m.b)))))
-			pc++
 		case mLtF:
 			rst(rb, int32(m.dst), b2u(math.Float64frombits(rld(rb, int32(m.a))) < math.Float64frombits(rld(rb, int32(m.b)))))
 			pc++
@@ -914,66 +694,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 		case mGeF:
 			rst(rb, int32(m.dst), b2u(math.Float64frombits(rld(rb, int32(m.a))) >= math.Float64frombits(rld(rb, int32(m.b)))))
 			pc++
-		case mTruthF:
-			rst(rb, int32(m.dst), b2u(math.Float64frombits(rld(rb, int32(m.a))) != 0))
-			pc++
-		case mTruthF32:
-			rst(rb, int32(m.dst), b2u(math.Float32frombits(uint32(rld(rb, int32(m.a)))) != 0))
-			pc++
-
-		case mAddF32:
-			v := float64(math.Float32frombits(uint32(rld(rb, int32(m.a))))) + float64(math.Float32frombits(uint32(rld(rb, int32(m.b)))))
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(v))))
-			pc++
-		case mSubF32:
-			v := float64(math.Float32frombits(uint32(rld(rb, int32(m.a))))) - float64(math.Float32frombits(uint32(rld(rb, int32(m.b)))))
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(v))))
-			pc++
-		case mMulF32:
-			v := float64(math.Float32frombits(uint32(rld(rb, int32(m.a))))) * float64(math.Float32frombits(uint32(rld(rb, int32(m.b)))))
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(v))))
-			pc++
-		case mDivF32:
-			y := float64(math.Float32frombits(uint32(rld(rb, int32(m.b)))))
-			if y == 0 {
-				rst(rb, int32(m.dst), uint64(math.Float32bits(0)))
-			} else {
-				v := float64(math.Float32frombits(uint32(rld(rb, int32(m.a))))) / y
-				rst(rb, int32(m.dst), uint64(math.Float32bits(float32(v))))
-			}
-			pc++
-		case mMinF32:
-			v := math.Min(float64(math.Float32frombits(uint32(rld(rb, int32(m.a))))), float64(math.Float32frombits(uint32(rld(rb, int32(m.b))))))
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(v))))
-			pc++
-		case mMaxF32:
-			v := math.Max(float64(math.Float32frombits(uint32(rld(rb, int32(m.a))))), float64(math.Float32frombits(uint32(rld(rb, int32(m.b))))))
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(v))))
-			pc++
-		case mNegF32:
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(-float64(math.Float32frombits(uint32(rld(rb, int32(m.a)))))))))
-			pc++
-		case mAbsF32:
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(math.Abs(float64(math.Float32frombits(uint32(rld(rb, int32(m.a))))))))))
-			pc++
-		case mEqF32:
-			rst(rb, int32(m.dst), b2u(math.Float32frombits(uint32(rld(rb, int32(m.a)))) == math.Float32frombits(uint32(rld(rb, int32(m.b))))))
-			pc++
-		case mNeF32:
-			rst(rb, int32(m.dst), b2u(math.Float32frombits(uint32(rld(rb, int32(m.a)))) != math.Float32frombits(uint32(rld(rb, int32(m.b))))))
-			pc++
-		case mLtF32:
-			rst(rb, int32(m.dst), b2u(math.Float32frombits(uint32(rld(rb, int32(m.a)))) < math.Float32frombits(uint32(rld(rb, int32(m.b))))))
-			pc++
-		case mLeF32:
-			rst(rb, int32(m.dst), b2u(math.Float32frombits(uint32(rld(rb, int32(m.a)))) <= math.Float32frombits(uint32(rld(rb, int32(m.b))))))
-			pc++
-		case mGtF32:
-			rst(rb, int32(m.dst), b2u(math.Float32frombits(uint32(rld(rb, int32(m.a)))) > math.Float32frombits(uint32(rld(rb, int32(m.b))))))
-			pc++
-		case mGeF32:
-			rst(rb, int32(m.dst), b2u(math.Float32frombits(uint32(rld(rb, int32(m.a)))) >= math.Float32frombits(uint32(rld(rb, int32(m.b))))))
-			pc++
 
 		case mRef:
 			pc = s.step(f.src, pc)
@@ -984,20 +704,11 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 		case mCastSX:
 			rst(rb, int32(m.dst), uint64(int64(rld(rb, int32(m.a))<<m.sh)>>m.sh)&m.mask)
 			pc++
-		case mCastIB:
-			rst(rb, int32(m.dst), b2u(rld(rb, int32(m.a))&m.xorv != 0))
-			pc++
 		case mCastSF64:
 			rst(rb, int32(m.dst), math.Float64bits(float64(int64(rld(rb, int32(m.a))<<m.sh)>>m.sh)))
 			pc++
-		case mCastSF32:
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(int64(rld(rb, int32(m.a))<<m.sh)>>m.sh))))
-			pc++
 		case mCastUF64:
 			rst(rb, int32(m.dst), math.Float64bits(float64(rld(rb, int32(m.a))&m.mask)))
-			pc++
-		case mCastUF32:
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(rld(rb, int32(m.a))&m.mask))))
 			pc++
 		case mCastF64I:
 			x := math.Trunc(math.Float64frombits(rld(rb, int32(m.a))))
@@ -1011,25 +722,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 				x = hi
 			}
 			rst(rb, int32(m.dst), uint64(int64(x))&m.mask)
-			pc++
-		case mCastF32I:
-			x := math.Trunc(float64(math.Float32frombits(uint32(rld(rb, int32(m.a))))))
-			if x != x { // NaN
-				x = 0
-			}
-			if lo := math.Float64frombits(m.imm); x < lo {
-				x = lo
-			}
-			if hi := math.Float64frombits(m.xorv); x > hi {
-				x = hi
-			}
-			rst(rb, int32(m.dst), uint64(int64(x))&m.mask)
-			pc++
-		case mCastF64F32:
-			rst(rb, int32(m.dst), uint64(math.Float32bits(float32(math.Float64frombits(rld(rb, int32(m.a)))))))
-			pc++
-		case mCastF32F64:
-			rst(rb, int32(m.dst), math.Float64bits(float64(math.Float32frombits(uint32(rld(rb, int32(m.a)))))))
 			pc++
 
 		case mFusedCmpJmpM:
@@ -1074,15 +766,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 				s.rec.Outcome(int(m.a), int(m.b))
 			}
 			pc = int(m.tgt)
-		case mFusedProbeJin:
-			if s.rec != nil {
-				s.rec.Outcome(int(m.a), int(m.b))
-			}
-			if (rld(rb, int32(m.c)) != 0) == m.flag {
-				pc = int(m.tgt)
-			} else {
-				pc += 2
-			}
 		case mFusedCondProbeJin:
 			if s.rec != nil {
 				s.rec.Cond(int(m.a), rld(rb, int32(m.b)) != 0)
@@ -1125,10 +808,6 @@ func runMops(f *funcCode, s *execState, budget int64) (left int64, hangPC int, h
 		case mFusedLdMov:
 			rst(rb, int32(m.c), state[m.imm])
 			rst(rb, int32(m.dst), rld(rb, int32(m.a)))
-			pc += 2
-		case mFusedMovLd:
-			rst(rb, int32(m.dst), rld(rb, int32(m.a)))
-			rst(rb, int32(m.c), state[m.imm])
 			pc += 2
 		}
 	}

@@ -16,8 +16,10 @@ import (
 // non-positive inputs yield 0, shift amounts are masked with & 31, and
 // boolean results are canonical 0/1 words. The matrix also runs the shapes
 // the threaded backend has no dense micro-op for, which it executes through
-// the reference step: math on non-Float64 types, Bool arithmetic, bitwise
-// ops on Bool and floats, and compares, neg/abs and casts on an invalid type.
+// the reference step (mop.go lists them): every Float32 op, float64 math,
+// eq/ne and truth, the shifts, bit-or, bit-xor, unsigned div and integer
+// abs, Bool arithmetic and xor, bitwise ops on Bool and floats, casts to Bool
+// and to or from Float32, and compares, neg/abs and casts on an invalid type.
 
 var allDTypes = []model.DType{
 	model.Bool, model.Int8, model.UInt8, model.Int16, model.UInt16,

@@ -15,7 +15,8 @@ import (
 // instruction pairs the lowering emits fused into superinstructions
 // (cmp+jmpIf, const+cmp+jmpIf, probe+jmp and the const/mov/state glue).
 // Every value it computes comes from a dense micro-op or, for an
-// instruction without one, from the reference step (EvalPure).
+// instruction without one (mop.go lists those shapes), from the reference
+// step (EvalPure).
 //
 // Fuel is accounted centrally in the dispatch loop: each micro-op carries the
 // number of source instructions it covers (1, or the span for fused), charged
@@ -32,6 +33,7 @@ type Code struct {
 	prog       *ir.Program
 	init, step funcCode
 	fused      int // superinstructions formed across both functions
+	refs       int // dispatch sites that run the reference step (mRef)
 }
 
 // funcCode is one compiled function body.
@@ -50,6 +52,11 @@ func (c *Code) Program() *ir.Program { return c.prog }
 // it to assert the fusion patterns actually fire.
 func (c *Code) Fused() int { return c.fused }
 
+// RefSites returns how many dispatch sites run the reference step instead of
+// a dense micro-op — tests use it to pin the benchmark models' traffic to
+// dense kinds.
+func (c *Code) RefSites() int { return c.refs }
+
 // CompileThreaded translates a program into threaded code. The result is
 // safe to share across machines and goroutines.
 //
@@ -64,7 +71,9 @@ func CompileThreaded(p *ir.Program) *Code {
 		panic("vm: CompileThreaded on invalid program: " + err.Error())
 	}
 	c := &Code{prog: p}
-	c.fused = c.init.compile("init", p.Init) + c.step.compile("step", p.Step)
+	initFused, initRefs := c.init.compile("init", p.Init)
+	stepFused, stepRefs := c.step.compile("step", p.Step)
+	c.fused, c.refs = initFused+stepFused, initRefs+stepRefs
 	return c
 }
 
@@ -141,8 +150,9 @@ func (t *Threaded) exec(f *funcCode) error {
 
 // compile translates one function body into a pre-decoded micro-op per pc,
 // then installs superinstructions at fusion heads where the covered pcs are
-// not jump targets. It returns the number of superinstructions formed.
-func (f *funcCode) compile(name string, code []ir.Instr) (fused int) {
+// not jump targets. It returns the number of superinstructions formed and of
+// dispatch sites (fusion heads and unfused mops) that are mRef.
+func (f *funcCode) compile(name string, code []ir.Instr) (fused, refs int) {
 	n := len(code)
 	// One spare slot so appending the sentinel below does not copy.
 	ms := make([]mop, n, n+1)
@@ -150,12 +160,17 @@ func (f *funcCode) compile(name string, code []ir.Instr) (fused int) {
 		ms[pc] = compileMop(&code[pc], pc, n)
 	}
 	fused = fuseMops(code, ms)
+	for pc := 0; pc < n; pc += int(ms[pc].cost) {
+		if ms[pc].kind == mRef {
+			refs++
+		}
+	}
 	// Sentinel: every exit path lands here — sequential fall-through, an
 	// explicit halt's jump, or a branch to pc == len(code). Its zero cost
 	// can never trip the fuel check, so the dispatch loop needs neither a
 	// pc < n test nor a bounds check on the mop fetch.
 	f.name, f.src, f.ms = name, code, append(ms, mop{kind: mHalt})
-	return fused
+	return fused, refs
 }
 
 // jumpTargets marks every pc some jump in the function lands on.

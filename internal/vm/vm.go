@@ -10,8 +10,9 @@
 // opcode's value from EvalPure, the function the equivalent-mutant prover
 // folds constants with. The lockstep tests hold the threaded backend to the
 // Machine; the threaded backend runs every instruction that has no dense
-// micro-op through step, and replays a fuel-exhausted block prefix through
-// it too.
+// micro-op through step (it has dense kinds only for the shapes the
+// benchmark models and their mutants compile to; mop.go lists the rest), and
+// replays a fuel-exhausted block prefix through it too.
 package vm
 
 import (

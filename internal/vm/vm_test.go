@@ -245,3 +245,23 @@ func TestMopLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestRefSitesCountsReferenceSteps: RefSites counts the dispatch sites that
+// run the reference step, so the benchmark pin in internal/mutate (0 sites
+// on every model and mutant) cannot pass vacuously.
+func TestRefSitesCountsReferenceSteps(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    *ir.Program
+		want int
+	}{
+		{"float64 add", binProgram(ir.OpAdd, model.Float64), 0},
+		{"float32 add", binProgram(ir.OpAdd, model.Float32), 1},
+		{"int32 shl", binProgram(ir.OpShl, model.Int32), 1},
+		{"float64 sin", unProgram(ir.OpSin, model.Float64, model.Float64), 1},
+	} {
+		if got := CompileThreaded(c.p).RefSites(); got != c.want {
+			t.Errorf("%s: RefSites = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
